@@ -11,14 +11,10 @@ empirical test beds.
 __version__ = "0.1.0"
 
 from .dist_core import (
-    ConditionalSlice,
     JointDistribution,
-    SampleTriple,
-    binary_slice_tv_via_covariance,
     ci_distance_proxy,
     conditional_mutual_information,
     mixture_q,
-    product_of_conditional_marginals,
     sample_fixed,
     sample_poissonized,
     tv_distance,
@@ -57,7 +53,6 @@ from .testers import (
 )
 
 __all__ = [
-    "ConditionalSlice",
     "EnsembleSpec",
     "ExperimentPlan",
     "Fingerprint",
@@ -66,11 +61,9 @@ __all__ = [
     "JointDistribution",
     "MomentReport",
     "PowerRow",
-    "SampleTriple",
     "SplitSpec",
     "TesterConfig",
     "Verdict",
-    "binary_slice_tv_via_covariance",
     "calibrate_threshold",
     "ci_distance_proxy",
     "conditional_mutual_information",
@@ -89,7 +82,6 @@ __all__ = [
     "moment_match_check",
     "oracle_moments",
     "paninski_reduction",
-    "product_of_conditional_marginals",
     "rescaled_l2_value",
     "run_power_experiment",
     "sample_complexity_binary",

@@ -43,60 +43,6 @@ def _readonly(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SampleTriple:
-    """One observation (x, y, z), 0-based.
-
-    Bulk operations use ``(N, 3)`` integer arrays with the same column
-    order; this type exists for single-sample semantics and file I/O.
-    """
-
-    x: int
-    y: int
-    z: int
-
-    def check(self, l1: int, l2: int, n: int) -> None:
-        if not (0 <= self.x < l1 and 0 <= self.y < l2 and 0 <= self.z < n):
-            raise DistributionError(f"sample {self} outside [{l1}]x[{l2}]x[{n}]")
-
-    def to_row(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class ConditionalSlice:
-    """A conditional table p(.,.|z) together with its bin weight p_Z(z).
-
-    Zero-weight slices are represented by the uniform table by convention;
-    they contribute nothing to any distance or information quantity.
-    """
-
-    weight: float
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = _readonly(self.table)
-        if table.ndim != 2:
-            raise ShapeMismatchError("slice table must be 2-D")
-        if np.any(table < 0) or not np.all(np.isfinite(table)):
-            raise DistributionError("slice table entries must be finite and >= 0")
-        if not 0.0 <= self.weight <= 1.0 + NORMALIZED_ATOL:
-            raise DistributionError(f"slice weight {self.weight} outside [0, 1]")
-        if self.weight > 0 and abs(float(table.sum()) - 1.0) > 1e-9:
-            raise NotNormalizedError("slice table of a weighted bin must sum to 1")
-        object.__setattr__(self, "table", table)
-
-    @property
-    def row_marginal(self) -> np.ndarray:
-        """Marginal over the first coordinate (x)."""
-        return self.table.sum(axis=1)
-
-    @property
-    def col_marginal(self) -> np.ndarray:
-        """Marginal over the second coordinate (y)."""
-        return self.table.sum(axis=0)
-
-
-@dataclass(frozen=True)
 class JointDistribution:
     """Dense joint mass on [l1] x [l2] x [n], axes ordered (x, y, z).
 
@@ -145,9 +91,6 @@ class JointDistribution:
             return np.full((l1, l2), 1.0 / (l1 * l2))
         return self.mass[:, :, z] / w
 
-    def conditional_slice(self, z: int) -> ConditionalSlice:
-        return ConditionalSlice(float(self.z_marginal[z]), self.slice_table(z))
-
     def normalize(self) -> tuple["JointDistribution", float]:
         """Return (normalized copy, total mass divided out)."""
         total = self.total_mass
@@ -177,16 +120,14 @@ class JointDistribution:
 def _as_mass(p) -> np.ndarray:
     if isinstance(p, JointDistribution):
         return p.mass
-    if isinstance(p, ConditionalSlice):
-        return p.table
     return np.asarray(p, dtype=float)
 
 
 def tv_distance(p, q) -> float:
     """Total variation distance, half the entrywise l1 difference.
 
-    Accepts arrays of any (matching) shape, `JointDistribution`s, or
-    `ConditionalSlice`s; inputs must be entrywise nonnegative.
+    Accepts arrays of any (matching) shape or `JointDistribution`s; inputs
+    must be entrywise nonnegative.
     """
     a = _as_mass(p)
     b = _as_mass(q)
@@ -203,11 +144,6 @@ def product_table(table: np.ndarray) -> np.ndarray:
     if t.ndim != 2:
         raise ShapeMismatchError("product_table needs a 2-D table")
     return np.outer(t.sum(axis=1), t.sum(axis=0))
-
-
-def product_of_conditional_marginals(s: ConditionalSlice) -> ConditionalSlice:
-    """The rank-1 slice q_z(i, j) = p_{z,X}(i) * p_{z,Y}(j), same weight."""
-    return ConditionalSlice(s.weight, product_table(s.table))
 
 
 def mixture_q(p: JointDistribution) -> JointDistribution:
@@ -237,19 +173,6 @@ def ci_distance_proxy(p: JointDistribution) -> float:
     Zero exactly when every slice is the product of its marginals.
     """
     return tv_distance(p, mixture_q(p))
-
-
-def binary_slice_tv_via_covariance(s) -> float:
-    """For a 2x2 slice, 2 |p00 p11 - p01 p10|.
-
-    Equals both the TV distance and the l2 distance between the slice and
-    the product of its marginals (twice the absolute covariance of the two
-    indicator coordinates).
-    """
-    t = _as_mass(s)
-    if t.shape != (2, 2):
-        raise ShapeMismatchError("covariance shortcut is specific to 2x2 slices")
-    return 2.0 * abs(float(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]))
 
 
 def conditional_mutual_information(p: JointDistribution) -> float:

@@ -26,9 +26,6 @@ import numpy as np
 
 from .dist_core import ShapeMismatchError, product_table
 
-#: coefficient grids up to this many cells are cached densely
-DENSE_GRID_LIMIT = 4096
-
 
 class InsufficientSamplesError(ValueError):
     """Fewer flattening samples than the requested split sizes."""
@@ -77,7 +74,7 @@ class FlatteningCoefficients:
     """Row/column flattening counts and the induced per-cell grid.
 
     Cells satisfy 1 + a_xy = (1 + b_x)(1 + c_y), so the grid is rank-1 in
-    the (1+b, 1+c) factors; it is stored densely only when small enough.
+    the (1+b, 1+c) factors; only the factors are stored.
     """
 
     row_counts: tuple[int, ...]
@@ -114,22 +111,9 @@ class FlatteningCoefficients:
 
     @property
     def grid(self) -> np.ndarray:
-        """Dense a_xy matrix (cached only below DENSE_GRID_LIMIT cells)."""
-        l1, l2 = self.shape
-        cached = self.__dict__.get("_grid")
-        if cached is not None:
-            return cached
+        """Dense a_xy matrix, built on each access."""
         rb, cc = self._factors()
-        grid = np.outer(rb, cc) - 1
-        grid.setflags(write=False)
-        if l1 * l2 <= DENSE_GRID_LIMIT:
-            self.__dict__["_grid"] = grid
-        return grid
-
-    def weight_grid(self) -> np.ndarray:
-        """The per-cell estimator weights 1 / (1 + a_xy)."""
-        rb, cc = self._factors()
-        return 1.0 / np.outer(rb.astype(float), cc.astype(float))
+        return np.outer(rb, cc) - 1
 
     def weight_grid_exact(self) -> np.ndarray:
         """Exact Fraction weights (object array)."""

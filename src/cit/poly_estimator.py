@@ -495,21 +495,40 @@ def l2_diff_polynomial(l1: int, l2: int) -> HomogeneousPolynomial:
     return HomogeneousPolynomial.from_terms(n, total, degree=4)
 
 
+def _l2_cell_terms(f, n_total):
+    """Per-cell numerators of the l2 statistic over the last two axes of `f`.
+
+    With F the count matrix, R/C its row/column sums, N the total, and the
+    complementary counts F_inj = R - F, F_nij = C - F, F_ninj = N - R - C + F,
+    the cell term is
+
+        F (F-1) F_ninj (F_ninj - 1) + F_nij (F_nij - 1) F_inj (F_inj - 1)
+            - 2 F F_ninj F_inj F_nij.
+
+    `f` is a float or object (exact int) array of shape (..., l1, l2) and
+    `n_total` broadcasts against it; the arithmetic follows their dtype.
+    """
+    rows = f.sum(axis=-1, keepdims=True)
+    cols = f.sum(axis=-2, keepdims=True)
+    f_inj = rows - f
+    f_nij = cols - f
+    f_ninj = n_total - rows - cols + f
+    return (
+        f * (f - 1) * f_ninj * (f_ninj - 1)
+        + f_nij * (f_nij - 1) * f_inj * (f_inj - 1)
+        - 2 * f * f_ninj * f_inj * f_nij
+    )
+
+
 def l2_estimator(counts, weights=None):
     """Weighted unbiased estimate of the (rescaled) squared l2 distance to
     the product of marginals, straight from a 2-D fingerprint.
 
-    For each cell, with F the count matrix, R/C its row/column sums, N the
-    total, and the complementary counts F_inj = R - F, F_nij = C - F,
-    F_ninj = N - R - C + F, the cell term is
-
-        F (F-1) F_ninj (F_ninj - 1) + F_nij (F_nij - 1) F_inj (F_inj - 1)
-            - 2 F F_ninj F_inj F_nij,
-
-    weighted per cell and scaled by 1/falling(N, 4).  With unit weights
-    this is the unbiased estimator of ||p - p_X (x) p_Y||_2^2; with weights
-    1/(1 + a_xy) from a flattening grid it is the unbiased estimator of the
-    corresponding rescaled statistic.  O(l1*l2) per call.
+    The cell terms (see `_l2_cell_terms`) are weighted per cell and scaled
+    by 1/falling(N, 4).  With unit weights this is the unbiased estimator
+    of ||p - p_X (x) p_Y||_2^2; with weights 1/(1 + a_xy) from a
+    flattening grid it is the unbiased estimator of the corresponding
+    rescaled statistic.  O(l1*l2) per call.
 
     Integer/Fraction inputs (object-dtype arrays) give an exact Fraction.
     """
@@ -535,17 +554,7 @@ def l2_estimator(counts, weights=None):
         n_total = int(round(float(work.sum())))
     if n_total < 4:
         raise NoUnbiasedEstimatorError("the l2 statistic needs at least 4 samples")
-    rows = work.sum(axis=1, keepdims=True)
-    cols = work.sum(axis=0, keepdims=True)
-    f = work
-    f_inj = rows - f
-    f_nij = cols - f
-    f_ninj = (n_total if exact else float(n_total)) - rows - cols + f
-    term = (
-        f * (f - 1) * f_ninj * (f_ninj - 1)
-        + f_nij * (f_nij - 1) * f_inj * (f_inj - 1)
-        - 2 * f * f_ninj * f_inj * f_nij
-    )
+    term = _l2_cell_terms(work, n_total if exact else float(n_total))
     if warr is not None:
         if exact:
             wobj = np.array(

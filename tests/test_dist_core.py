@@ -5,18 +5,14 @@ import pytest
 from scipy import stats as scistats
 
 from cit.dist_core import (
-    ConditionalSlice,
     DistributionError,
     JointDistribution,
     NotNormalizedError,
-    SampleTriple,
     ShapeMismatchError,
-    binary_slice_tv_via_covariance,
     ci_distance_proxy,
     conditional_mutual_information,
     counts_from_samples,
     mixture_q,
-    product_of_conditional_marginals,
     product_table,
     read_distribution_file,
     read_sample_file,
@@ -57,20 +53,12 @@ class TestTVDistance:
 
 
 class TestConditionalStructure:
-    def test_product_of_uniform_is_uniform(self):
-        s = ConditionalSlice(1.0, UNIFORM)
-        q = product_of_conditional_marginals(s)
-        np.testing.assert_allclose(q.table, UNIFORM, atol=1e-15)
-
-    def test_independent_table_is_fixed_point(self):
-        s = ConditionalSlice(0.5, Y1)
-        q = product_of_conditional_marginals(s)
-        np.testing.assert_allclose(q.table, Y1, atol=1e-15)
-        assert q.weight == 0.5
-
-    def test_symmetric_dependent_table(self):
-        q = product_of_conditional_marginals(ConditionalSlice(1.0, N3))
-        np.testing.assert_allclose(q.table, np.full((2, 2), 0.25), atol=1e-15)
+    def test_product_table_cases(self):
+        # uniform and independent tables are fixed points; a symmetric
+        # dependent table has uniform marginals
+        np.testing.assert_allclose(product_table(UNIFORM), UNIFORM, atol=1e-15)
+        np.testing.assert_allclose(product_table(Y1), Y1, atol=1e-15)
+        np.testing.assert_allclose(product_table(N3), np.full((2, 2), 0.25), atol=1e-15)
 
     def test_mixture_fixed_point_when_already_independent(self):
         p = JointDistribution.from_slices([0.3, 0.7], [Y1, UNIFORM])
@@ -122,23 +110,22 @@ class TestCIDistanceProxy:
 
 
 class TestBinaryCovarianceShortcut:
+    """For 2x2 tables the TV and l2 distances to the product of the
+    marginals both equal twice the absolute covariance 2 |p00 p11 - p01 p10|."""
+
     def test_values(self):
-        assert binary_slice_tv_via_covariance(Y1) == pytest.approx(0.0, abs=1e-15)
-        assert binary_slice_tv_via_covariance(N1) == pytest.approx(0.06, abs=1e-15)
-        assert binary_slice_tv_via_covariance(UNIFORM) == 0.0
+        assert tv_distance(Y1, product_table(Y1)) == pytest.approx(0.0, abs=1e-15)
+        assert tv_distance(N1, product_table(N1)) == pytest.approx(0.06, abs=1e-15)
+        assert tv_distance(UNIFORM, product_table(UNIFORM)) == 0.0
 
     def test_matches_tv_and_l2(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             t = rng.dirichlet(np.ones(4)).reshape(2, 2)
-            cov = binary_slice_tv_via_covariance(t)
+            cov = 2.0 * abs(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
             prod = product_table(t)
             assert cov == pytest.approx(tv_distance(t, prod), abs=1e-12)
             assert cov == pytest.approx(np.linalg.norm(t - prod), abs=1e-12)
-
-    def test_rejects_non_2x2(self):
-        with pytest.raises(ShapeMismatchError):
-            binary_slice_tv_via_covariance(np.ones((2, 3)) / 6)
 
 
 class TestTVDecomposition:
@@ -304,13 +291,6 @@ class TestTruncatedPoissonMoments:
               f"c={fitted_c_lower:.4f}")
         assert np.isfinite(fitted_c_upper) and fitted_c_upper < 60, fitted_c_upper
         assert fitted_c_lower > 0.01, fitted_c_lower
-
-
-class TestSampleTriple:
-    def test_range_check(self):
-        SampleTriple(1, 1, 4).check(2, 2, 5)
-        with pytest.raises(DistributionError):
-            SampleTriple(2, 0, 0).check(2, 2, 5)
 
 
 class TestInvariants:

@@ -129,13 +129,6 @@ class TestImplicitFlattening:
             assert (1 + co.grid).sum() == (l1 + co.t1) * (l2 + co.t2)
             assert (co.t1, co.t2) == (t1, t2)
 
-    def test_dense_cache_limit(self):
-        small = FlatteningCoefficients((1,) * 8, (0,) * 8)
-        big = FlatteningCoefficients((1,) * 100, (0,) * 100)
-        _ = small.grid, big.grid
-        assert "_grid" in small.__dict__
-        assert "_grid" not in big.__dict__  # factors only, cells on demand
-
 
 class TestRescaledValue:
     def test_product_table_is_zero(self):

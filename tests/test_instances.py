@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cit.dist_core import (
-    binary_slice_tv_via_covariance,
     ci_distance_proxy,
     product_table,
     tv_distance,
@@ -49,7 +48,7 @@ class TestBinaryEnsembles:
             if heavy[z]:
                 np.testing.assert_allclose(t, 0.25, atol=1e-12)
             else:
-                assert binary_slice_tv_via_covariance(t) == pytest.approx(
+                assert tv_distance(t, product_table(t)) == pytest.approx(
                     LIGHT_TV[int(kinds[z])], abs=1e-12
                 )
 
@@ -163,7 +162,7 @@ class TestPaninskiReduction:
             row_uniform = np.allclose(rows, 0.5, atol=1e-12)
             col_uniform = np.allclose(cols, 0.5, atol=1e-12)
             assert row_uniform or col_uniform
-            d = binary_slice_tv_via_covariance(t)
+            d = tv_distance(t, product_table(t))
             assert d == pytest.approx(meta["slice_tv"][z], abs=1e-12)
             assert d in (pytest.approx(0.0, abs=1e-12), pytest.approx(eps, abs=1e-12))
 
@@ -284,10 +283,7 @@ class TestTotalVariationSanity:
             EnsembleSpec("no_binary_r1", n=100, eps=0.5, m=30, seed=9)
         )
         per_bin = np.array(
-            [
-                binary_slice_tv_via_covariance(no.slice_table(z))
-                for z in range(100)
-            ]
+            [tv_distance(t, product_table(t)) for t in map(no.slice_table, range(100))]
         )
         assert np.all(per_bin[meta["heavy_mask"]] < 1e-12)
         weighted = float((no.z_marginal * per_bin).sum())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cit.dist_core import JointDistribution, sample_fixed
+from cit.dist_core import DistributionError, JointDistribution, sample_fixed
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci
 from cit.seeding import child_seed
 from cit.testers import (
@@ -179,6 +179,23 @@ class TestBinaryTester:
         assert v.m_used == 30 and v.M_drawn == 30
         with pytest.raises(TesterInputError):
             binary_test(samples, TesterConfig(epsilon=0.5, m_override=60), dims=(2, 2, 2))
+
+
+@pytest.mark.parametrize("mode", ["binary", "general"])
+def test_fixed_sample_input_checks(mode):
+    # both testers share one fixed-sample input path
+    tester = {"binary": binary_test, "general": general_test}[mode]
+    cfg = TesterConfig(epsilon=0.5, mode=mode)
+    good = np.array([[0, 1, 2]] * 5)
+    assert tester(good, cfg, dims=(2, 2, 3)).M_drawn == 5
+    assert tester(np.empty((0, 3), dtype=int), cfg, dims=(2, 2, 3)).per_bin == ()
+    with pytest.raises(TesterInputError):
+        tester(good, cfg)  # no dims
+    with pytest.raises(TesterInputError):
+        tester(good[:, :2], cfg, dims=(2, 2, 3))
+    for bad in ([[0, 2, 0]], [[0, 0, 3]], [[-1, 0, 0]]):
+        with pytest.raises(DistributionError):
+            tester(np.array(bad * 5), cfg, dims=(2, 2, 3))
 
 
 class TestGeneralTester:
