@@ -53,11 +53,17 @@ class TestTVDistance:
 
 
 class TestConditionalStructure:
-    def test_product_table_cases(self):
-        # uniform and independent tables are fixed points; a symmetric
-        # dependent table has uniform marginals
+    def test_product_of_uniform_is_uniform(self):
         np.testing.assert_allclose(product_table(UNIFORM), UNIFORM, atol=1e-15)
+
+    def test_independent_table_is_fixed_point(self):
         np.testing.assert_allclose(product_table(Y1), Y1, atol=1e-15)
+        # the bin weight is untouched when the slice is replaced by its product
+        q = mixture_q(JointDistribution.from_slices([0.5, 0.5], [Y1, N1]))
+        np.testing.assert_allclose(q.slice_table(0), Y1, atol=1e-15)
+        assert q.z_marginal[0] == pytest.approx(0.5, abs=1e-15)
+
+    def test_symmetric_dependent_table(self):
         np.testing.assert_allclose(product_table(N3), np.full((2, 2), 0.25), atol=1e-15)
 
     def test_mixture_fixed_point_when_already_independent(self):
