@@ -6,7 +6,8 @@ file into a CSV), `calibrate` (empirical threshold for a null family),
 `minm` (empirical minimum sample budget), and `debug` helpers for the
 polynomial/fingerprint text formats and flattening grids.
 
-Exit codes: 0 ok, 2 invalid plan or input, 3 search budget exhausted.
+Exit codes: 0 ok, 2 invalid plan or input (including a missing or
+unwritable file), 3 search budget exhausted.
 All output for a fixed seed is byte-identical across runs.
 """
 
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PlanError, DistributionError, TesterInputError, RegimeError, ValueError) as exc:
+    except (PlanError, DistributionError, TesterInputError, RegimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:

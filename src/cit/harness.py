@@ -25,7 +25,7 @@ from .seeding import child_seed
 from .testers import (
     TesterConfig,
     calibrate_threshold,
-    run_tester,
+    run_trials,
     sample_complexity_binary,
     sample_complexity_general,
 )
@@ -57,6 +57,10 @@ CSV_COLUMNS = (
 )
 
 MIN_TRIALS = 50
+
+#: mass cells `find_min_m` keeps built instances for, over all its probes
+#: (a memory bound: instances past it are rebuilt at every probe)
+_INSTANCE_CACHE_CELLS = 1 << 22
 
 
 class PlanError(ValueError):
@@ -263,14 +267,18 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> 
 
     def run_column(family: str) -> tuple[np.ndarray, np.ndarray]:
         key = _family_key(family, n, eps, gen_m, plan.ell1, plan.ell2)
+        trials = range(plan.trials)
+        instances = (
+            make_instance(_spec_for(plan, family, n, eps, gen_m, child_seed(
+                plan.master_seed, "cell", cell_idx, "inst", t, key
+            )))[0]
+            for t in trials
+        )
+        seeds = (child_seed(plan.master_seed, "cell", cell_idx, "test", t, key) for t in trials)
         accepts = np.empty(plan.trials, dtype=bool)
         stats = np.empty(plan.trials)
-        for t in range(plan.trials):
-            inst_seed = child_seed(plan.master_seed, "cell", cell_idx, "inst", t, key)
-            test_seed = child_seed(plan.master_seed, "cell", cell_idx, "test", t, key)
-            inst, _ = make_instance(_spec_for(plan, family, n, eps, gen_m, inst_seed))
-            cfg = replace(base_cfg, seed=test_seed, tau_override=tau)
-            verdict = run_tester(inst, cfg)
+        verdicts = run_trials(instances, replace(base_cfg, tau_override=tau), seeds)
+        for t, verdict in enumerate(verdicts):
             accepts[t] = verdict.accept
             stats[t] = verdict.statistic_A
         return accepts, stats
@@ -423,8 +431,14 @@ def find_min_m(
 
     Instances are common across probed m values (seeds keyed by trial
     only), which keeps the empirical power roughly monotone in m; residual
-    statistical noise is inherent and documented.  Raises
-    BudgetExhaustedError if no m <= m_cap succeeds.
+    statistical noise is inherent and documented.  Each probe calibrates
+    tau on the first `calibration_trials` null instances and then runs
+    `trials` null and `trials` alternative trials on the same instances,
+    all through `run_trials` (blocks of trials share one kernel call).  The
+    search builds each distinct (family, trial) instance once and keeps it
+    for every probe, up to 2^22 mass cells in all; instances past that
+    budget are rebuilt at every use, so memory stays O(n) for any n.
+    Raises BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
@@ -443,6 +457,20 @@ def find_min_m(
         zeta=zeta,
     )
     gm = _resolve_gen_m(plan, n)
+    cache: dict = {}
+    cached_cells = 0
+
+    def instance(family: str, t: int):
+        nonlocal cached_cells
+        inst = cache.get((family, t))
+        if inst is None:
+            key = _family_key(family, n, eps, gm, ell1, ell2)
+            spec = _spec_for(plan, family, n, eps, gm, child_seed(seed, "minm-inst", t, key))
+            inst = make_instance(spec)[0]
+            if cached_cells + inst.mass.size <= _INSTANCE_CACHE_CELLS:
+                cache[(family, t)] = inst
+                cached_cells += inst.mass.size
+        return inst
 
     def probe(m: int) -> bool:
         cfg = TesterConfig(
@@ -452,33 +480,20 @@ def find_min_m(
             m_override=m,
             seed=child_seed(seed, "minm-cal", m),
         )
-        null_key = _family_key(null_family, n, eps, gm, ell1, ell2)
+        tau = calibrate_threshold(
+            lambda t: instance(null_family, t), cfg, calibration_trials
+        )
 
-        def null_gen(t):
-            s = child_seed(seed, "minm-inst", t, null_key)
-            return make_instance(_spec_for(plan, null_family, n, eps, gm, s))[0]
+        def column(family: str, tag: str):
+            trials = range(plan.trials)
+            return run_trials(
+                (instance(family, t) for t in trials),
+                replace(cfg, tau_override=tau),
+                (child_seed(seed, tag, m, t) for t in trials),
+            )
 
-        tau = calibrate_threshold(null_gen, cfg, calibration_trials)
-        null_ok = 0
-        alt_reject = 0
-        alt_key = _family_key(alt_family, n, eps, gm, ell1, ell2)
-        for t in range(plan.trials):
-            ncfg = replace(
-                cfg, tau_override=tau, seed=child_seed(seed, "minm-null", m, t)
-            )
-            ninst = make_instance(
-                _spec_for(plan, null_family, n, eps, gm, child_seed(seed, "minm-inst", t, null_key))
-            )[0]
-            if run_tester(ninst, ncfg).accept:
-                null_ok += 1
-            acfg = replace(
-                cfg, tau_override=tau, seed=child_seed(seed, "minm-alt", m, t)
-            )
-            ainst = make_instance(
-                _spec_for(plan, alt_family, n, eps, gm, child_seed(seed, "minm-inst", t, alt_key))
-            )[0]
-            if not run_tester(ainst, acfg).accept:
-                alt_reject += 1
+        null_ok = sum(v.accept for v in column(null_family, "minm-null"))
+        alt_reject = sum(not v.accept for v in column(alt_family, "minm-alt"))
         return (
             null_ok >= target_power * plan.trials
             and alt_reject >= target_power * plan.trials

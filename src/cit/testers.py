@@ -45,6 +45,10 @@ _MODES = ("binary", "general", "cmi")
 #: cells per block of bins in the general tester's count tensors
 _BLOCK_CELLS = 1 << 18
 
+#: cells per kernel call when `run_trials` stacks binary trials (about 10
+#: trials at n = 100); a bound, not a knob: larger blocks only add memory
+_TRIAL_BLOCK_CELLS = 1 << 12
+
 
 class TesterInputError(ValueError):
     """Bad tester configuration or sample input."""
@@ -58,7 +62,9 @@ class TesterConfig:
     general sample-size formula and sets the acceptance threshold
     (zeta * sqrt(min(n, m)) for the binary tester, zeta^{1/4} * sqrt(min(n, m))
     for the general one).  `m_override` / `tau_override` pin the sample
-    budget / threshold directly, e.g. to a calibrated value.
+    budget / threshold directly, e.g. to a calibrated value.  A budget of 0
+    draws no samples (the tester accepts); fixed-sample input needs at
+    least one row.
     """
 
     epsilon: float
@@ -80,6 +86,8 @@ class TesterConfig:
             raise TesterInputError(f"epsilon must lie in (0, 1] for mode {self.mode}")
         if self.beta <= 0 or self.zeta <= 0:
             raise TesterInputError("beta and zeta must be > 0")
+        if self.m_override is not None and self.m_override < 0:
+            raise TesterInputError("m_override must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -287,6 +295,8 @@ def _resolve_source(source, cfg, dims, m_formula):
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise TesterInputError("samples must be an (N, 3) array")
     if cfg.m_override is not None:
+        if cfg.m_override < 1:
+            raise TesterInputError("fixed-sample input needs m_override >= 1")
         if samples.shape[0] < cfg.m_override:
             raise TesterInputError(
                 f"requested {cfg.m_override} samples, file provides {samples.shape[0]}"
@@ -313,28 +323,78 @@ def test_binary(source, cfg: TesterConfig, dims=None) -> Verdict:
     whole file is used and per-bin counts are multinomial rather than
     Poisson (a documented approximation; the statistic conditions on the
     counts either way).  The statistic is the sum over bins with at least
-    4 samples of sigma_z times the unit-weight l2 estimate.
+    4 samples of sigma_z times the unit-weight l2 estimate.  This is the
+    one-trial case of `run_trials`.
+    """
+    [verdict] = _binary_trials([source], cfg, [cfg.seed], dims)
+    return verdict
+
+
+def _binary_trials(sources, cfg: TesterConfig, seeds, dims=None):
+    """Binary-tester verdicts for the (source, seed) pairs, in order.
+
+    Each trial draws its count tensor from its own `as_generator(seed)`.
+    Consecutive trials with the same (l1, l2) and at least two bins are
+    stacked into blocks of at most `_TRIAL_BLOCK_CELLS` cells (any other
+    trial is a block of its own), and each block is one kernel call.
     """
     def m_formula(d):
         l1, l2, n = d
         return sample_complexity_binary(n, cfg.epsilon, cfg.beta, ell1=l1, ell2=l2)
 
-    dims, m, samples = _resolve_source(source, cfg, dims, m_formula)
-    l1, l2, n = dims
-    if l1 > 8 or l2 > 8:
-        raise TesterInputError("binary tester supports alphabet sizes up to 8")
-    if samples is None:
-        big_m, counts = poissonized_count_tensor(source, m, as_generator(cfg.seed))
+    block, cells = [], 0
+    for source, seed in zip(sources, seeds, strict=True):
+        (l1, l2, n), m, samples = _resolve_source(source, cfg, dims, m_formula)
+        if l1 > 8 or l2 > 8:
+            raise TesterInputError("binary tester supports alphabet sizes up to 8")
+        if samples is None:
+            big_m, counts = poissonized_count_tensor(source, m, as_generator(seed))
+        else:
+            big_m, counts = m, counts_from_samples(samples, (l1, l2, n))
+        # a one-bin tensor is contiguous, and the kernel adds its cells in
+        # another order than with bins innermost: such trials never stack
+        if block and not (
+            cells + counts.size <= _TRIAL_BLOCK_CELLS
+            and n > 1
+            and block[-1][0] > 1
+            and counts.shape[1:] == block[-1][3].shape[1:]
+        ):
+            yield from _binary_verdicts(block, cfg)
+            block, cells = [], 0
+        block.append((n, int(m), big_m, counts))
+        cells += counts.size
+    if block:
+        yield from _binary_verdicts(block, cfg)
+
+
+def _binary_verdicts(block, cfg: TesterConfig):
+    """Verdicts of a block of binary trials (n, m, M, counts), from one
+    kernel call over their count tensors stacked along the bin axis.
+
+    A lone trial's tensor goes to the kernel as it is.  Stacked tensors
+    keep the layout `poissonized_count_tensor` returns (bins innermost in
+    memory), so the kernel adds each bin's cells in the same order as in a
+    one-trial call, and each trial's A is the same sum of its a_z in
+    ascending z: the verdicts do not depend on the block.
+    """
+    if len(block) == 1:
+        stacked = block[0][3]
     else:
-        big_m, counts = m, counts_from_samples(samples, dims)
-    sigma, phi = binary_bin_statistics(counts)
-    a_z = sigma * phi
-    stat = float(a_z.sum())  # bins ascending in z: deterministic reduction
-    active = np.flatnonzero(sigma >= 4)
-    per_bin = tuple(zip(
-        active.tolist(), sigma[active].tolist(), [1.0] * active.size, a_z[active].tolist()
-    ))
-    return _verdict(cfg, cfg.zeta, n, stat, int(m), big_m, per_bin)
+        stacked = np.concatenate(
+            [counts.transpose(1, 2, 0) for *_, counts in block], axis=2
+        ).transpose(2, 0, 1)
+    sigma_all, phi = binary_bin_statistics(stacked)
+    a_all = sigma_all * phi
+    lo = 0
+    for n, m, big_m, _ in block:
+        sigma, a_z = sigma_all[lo : lo + n], a_all[lo : lo + n]
+        lo += n
+        stat = float(a_z.sum())  # bins ascending in z: deterministic reduction
+        active = np.flatnonzero(sigma >= 4)
+        per_bin = tuple(zip(
+            active.tolist(), sigma[active].tolist(), [1.0] * active.size, a_z[active].tolist()
+        ))
+        yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, per_bin)
 
 
 def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
@@ -378,18 +438,28 @@ def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
     return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), samples.shape[0], per_bin)
 
 
+def _cmi_config(eps: float, cfg: TesterConfig) -> TesterConfig:
+    """The binary-tester config of cmi mode, at eps' = cmi_scale * eps / log2(1/eps)."""
+    if not 0 < eps < 0.5:
+        raise TesterInputError("cmi mode needs eps in (0, 1/2)")
+    eps_prime = cfg.cmi_scale * eps / math.log2(1.0 / eps)
+    return replace(cfg, epsilon=min(eps_prime, 1.0), mode="binary")
+
+
+def _binary_xy(source, dims=None):
+    """`source`, once its X and Y are checked to be binary (cmi mode)."""
+    dims_check = source.dims if isinstance(source, JointDistribution) else dims
+    if dims_check is None or dims_check[0] != 2 or dims_check[1] != 2:
+        raise TesterInputError("cmi mode requires binary X and Y")
+    return source
+
+
 def test_cmi(source, eps: float, cfg: TesterConfig, dims=None) -> Verdict:
     """Distinguish zero conditional mutual information from CMI >= eps
     (binary alphabets) by running the binary TV tester at
     eps' = cmi_scale * eps / log2(1/eps)."""
-    if not 0 < eps < 0.5:
-        raise TesterInputError("cmi mode needs eps in (0, 1/2)")
-    dims_check = source.dims if isinstance(source, JointDistribution) else dims
-    if dims_check is None or dims_check[0] != 2 or dims_check[1] != 2:
-        raise TesterInputError("cmi mode requires binary X and Y")
-    eps_prime = cfg.cmi_scale * eps / math.log2(1.0 / eps)
-    sub = replace(cfg, epsilon=min(eps_prime, 1.0), mode="binary")
-    return test_binary(source, sub, dims=dims)
+    sub = _cmi_config(eps, cfg)
+    return test_binary(_binary_xy(source, dims), sub, dims=dims)
 
 
 def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
@@ -399,6 +469,27 @@ def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
     if cfg.mode == "general":
         return test_general(source, cfg, dims=dims)
     return test_cmi(source, cfg.epsilon, cfg, dims=dims)
+
+
+def run_trials(instances, cfg: TesterConfig, seeds):
+    """Yield one Verdict per (instance, seed) pair, in order: the verdict
+    `run_tester(instance, replace(cfg, seed=seed))` gives.
+
+    `instances` (JointDistributions) and `seeds` may be lazy iterables of
+    the same length; they are consumed at most one block ahead of the
+    verdicts.  In binary and cmi mode each trial draws its counts from its
+    own seed, and blocks of trials of at most 2^12 cells share one kernel
+    call; the verdicts do not depend on the block size.  General mode runs
+    the tester once per trial.
+    """
+    if cfg.mode == "general":
+        for inst, seed in zip(instances, seeds, strict=True):
+            yield run_tester(inst, replace(cfg, seed=seed))
+        return
+    if cfg.mode == "cmi":
+        cfg = _cmi_config(cfg.epsilon, cfg)
+        instances = map(_binary_xy, instances)
+    yield from _binary_trials(instances, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +505,25 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
 
     `null_generator` maps a trial index to a JointDistribution; each trial
     runs the configured tester with a seed derived from cfg.seed and the
-    trial index.
+    trial index.  The trials go through `run_trials`, so in binary and cmi
+    mode blocks of trials (at most 2^12 cells each) share one kernel call,
+    and instances are asked for one block ahead of their statistics.  The
+    generator is called once per trial index; a caller that needs the same
+    instances again (as `find_min_m` does) keeps them itself.
     """
     if trials < 100:
         raise TesterInputError("calibration needs at least 100 trials")
-    stats = np.empty(trials)
-    for t in range(trials):
-        inst = null_generator(t)
-        if not isinstance(inst, JointDistribution):
-            raise TesterInputError("null_generator must produce JointDistributions")
-        sub = replace(cfg, seed=child_seed(cfg.seed, "calibrate", t), tau_override=None)
-        stats[t] = run_tester(inst, sub).statistic_A
+
+    def instances():
+        for t in range(trials):
+            inst = null_generator(t)
+            if not isinstance(inst, JointDistribution):
+                raise TesterInputError("null_generator must produce JointDistributions")
+            yield inst
+
+    seeds = (child_seed(cfg.seed, "calibrate", t) for t in range(trials))
+    verdicts = run_trials(instances(), replace(cfg, tau_override=None), seeds)
+    stats = np.fromiter((v.statistic_A for v in verdicts), dtype=float, count=trials)
     if not np.all(np.isfinite(stats)):
         raise TesterInputError("degenerate null generator: non-finite statistics")
     allowed = trials // 6

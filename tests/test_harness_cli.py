@@ -7,8 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from cit import harness, testers
 from cit.cli import main
-from cit.dist_core import JointDistribution, read_distribution_file, write_sample_file
+from cit.dist_core import (
+    JointDistribution,
+    read_distribution_file,
+    sample_fixed,
+    write_sample_file,
+)
 from cit.harness import (
     CSV_COLUMNS,
     BudgetExhaustedError,
@@ -201,6 +207,69 @@ class TestFindMinM:
         assert m == m2  # pure function of its arguments
 
 
+class TestBatchedEngine:
+    """Trial blocks and the min-m instance cache leave every output as it is."""
+
+    PAIR = ("yes_binary_r1", "no_binary_r1")
+
+    def test_outputs_with_one_trial_blocks(self, monkeypatch, tmp_path):
+        plan = parse_plan_text(PLAN_TEXT + "calibration_trials=100\n")
+
+        def outputs(tag):
+            run_power_experiment(plan, out_path=tmp_path / f"{tag}.csv")
+            m = find_min_m(40, 0.5, self.PAIR, 0.7, seed=2, trials=50, calibration_trials=100)
+            return m, (tmp_path / f"{tag}.csv").read_bytes()
+
+        default = outputs("default")
+        monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", 1)
+        assert outputs("single") == default
+
+    @pytest.mark.parametrize("trials, calibration_trials", [(60, 100), (120, 100)])
+    def test_find_min_m_builds_each_instance_once(self, monkeypatch, trials, calibration_trials):
+        specs = []
+        real = harness.make_instance
+
+        def counting(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(harness, "make_instance", counting)
+        kwargs = dict(seed=2, trials=trials, calibration_trials=calibration_trials)
+        m = find_min_m(40, 0.5, self.PAIR, 0.7, **kwargs)
+        # one null instance per calibration or trial index, one alternative per trial
+        assert len(specs) == len(set(specs)) == max(trials, calibration_trials) + trials
+        specs.clear()
+        monkeypatch.setattr(harness, "_INSTANCE_CACHE_CELLS", 0)
+        assert find_min_m(40, 0.5, self.PAIR, 0.7, **kwargs) == m
+        assert len(specs) > len(set(specs))  # past the budget, rebuilt at every probe
+
+
+class TestPinnedOutputs:
+    """Outputs recorded with the per-trial tester loop that preceded trial
+    blocks; a change to any RNG stream or to the kernel's arithmetic shows
+    here."""
+
+    def test_minm_values(self):
+        for seed, want in ((1, 13777), (4, 38968)):
+            argv = ["minm", "--n", "40", "--eps", "0.5", "--trials", "50", "--seed", str(seed)]
+            assert run_cli(argv) == (0, f"m={want}\n")
+
+    def test_binary_power_csv(self, tmp_path):
+        plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
+        plan_path.write_text(
+            PLAN_TEXT.replace("eps=0.5", "eps=0.5,0.3") + "calibration_trials=100\n"
+        )
+        assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)])[0] == 0
+        assert out.read_text().splitlines()[1:] == [
+            "1,binary,yes_binary_r1,no_binary_r1,40,2,2,0.5,600,16,60,2.894077921769408,"
+            "0.8166666666666667,0.15000000000000002,0.5621494976035397,-0.059293903130623805,"
+            "6.106203152086759,0.04995368225036439,0.046097722286464436,ok",
+            "1,binary,yes_binary_r1,no_binary_r1,40,2,2,0.3,600,16,60,1.3757217871939091,"
+            "0.7833333333333333,0.2666666666666667,-0.054369890017383196,0.05988547690827233,"
+            "4.552602202920347,0.0531855591650939,0.057089922571845024,ok",
+        ]
+
+
 class TestCLI:
     def test_gen_and_test_round_trip(self, tmp_path):
         out = tmp_path / "inst.tsv"
@@ -256,6 +325,24 @@ class TestCLI:
         plan_path.write_text("nonsense=1\n")
         code, _ = run_cli(["power", "--plan", str(plan_path), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("m", ["-3", "0"])
+    def test_bad_sample_budget_exit_code(self, tmp_path, m):
+        p = JointDistribution.uniform(2, 2, 3)
+        path = tmp_path / "samples.tsv"
+        write_sample_file(path, sample_fixed(p, 40, 1), p.dims)
+        argv = ["test", "--eps", "0.5", "--samples", str(path), "--m", m]
+        assert run_cli(argv) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--eps", "0.5", "--samples", "{missing}"],
+        ["test", "--eps", "0.5", "--dist", "{missing}"],
+        ["power", "--plan", "{missing}", "--out", "{tmp}/x.csv"],
+        ["gen", "--family", "random_ci", "--n", "5", "--out", "{missing}/x.tsv"],
+    ])
+    def test_missing_path_exit_code(self, tmp_path, argv):
+        paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
+        assert run_cli([a.format(**paths) for a in argv]) == (2, "")
 
     def test_budget_exhausted_exit_code(self):
         code, _ = run_cli(

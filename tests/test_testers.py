@@ -1,18 +1,22 @@
 """Testers: sample-size formulas, statistics, thresholds, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cit import testers
 from cit.dist_core import DistributionError, JointDistribution, sample_fixed
-from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci
+from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
 from cit.seeding import child_seed
 from cit.testers import (
     TesterConfig,
     TesterInputError,
     Verdict,
     calibrate_threshold,
+    run_tester,
+    run_trials,
     sample_complexity_binary,
     sample_complexity_binary_raw,
     sample_complexity_general,
@@ -196,6 +200,48 @@ def test_fixed_sample_input_checks(mode):
     for bad in ([[0, 2, 0]], [[0, 0, 3]], [[-1, 0, 0]]):
         with pytest.raises(DistributionError):
             tester(np.array(bad * 5), cfg, dims=(2, 2, 3))
+    # a negative budget is never valid; zero rows of a file is no test
+    with pytest.raises(TesterInputError):
+        replace(cfg, m_override=-3)
+    with pytest.raises(TesterInputError):
+        tester(good, replace(cfg, m_override=0), dims=(2, 2, 3))
+
+
+class TestRunTrials:
+    """`run_trials` yields the verdicts of per-trial `run_tester` calls,
+    byte for byte, whatever the block size."""
+
+    @pytest.mark.parametrize("block_cells", [1, 500, None])  # 1, 4 and 34 trials a block
+    @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
+    def test_matches_run_tester(self, monkeypatch, mode, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+        ell = 3 if mode == "general" else 2
+        instances = [
+            gen_random_far(ell, ell, 30, 0.5, child_seed(11, t))[0] if t % 2
+            else gen_random_ci(ell, ell, 30, child_seed(11, t))[0]
+            for t in range(39)  # not a multiple of any of the block sizes
+        ]
+        seeds = [child_seed(12, t) for t in range(39)]
+        cfg = TesterConfig(epsilon=0.3 if mode == "cmi" else 0.5, mode=mode, m_override=900)
+        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
+        got = [v.to_json() for v in run_trials(iter(instances), cfg, iter(seeds))]
+        assert got == expected
+
+    @pytest.mark.parametrize("block_cells", [None, 1 << 30])
+    def test_one_bin_trials_and_mixed_n(self, monkeypatch, block_cells):
+        # 8 x 8 bins of ~10^6 samples make the kernel's cell sums round, so
+        # adding a bin's cells in another order would change the bytes
+        if block_cells is not None:
+            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+        sizes = (1, 2, 1, 1, 3, 2, 1, 5, 1, 2)
+        instances = [
+            gen_random_far(8, 8, n, 0.5, child_seed(13, t))[0] for t, n in enumerate(sizes)
+        ]
+        seeds = [child_seed(14, t) for t in range(len(sizes))]
+        cfg = TesterConfig(epsilon=0.5, m_override=10**7)
+        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
+        assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
 
 
 class TestGeneralTester:
@@ -309,6 +355,15 @@ class TestCalibration:
         with pytest.raises(TesterInputError):
             calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 99)
 
+    def test_one_trial_blocks_give_the_same_tau(self, monkeypatch):
+        def null_gen(t):
+            return gen_random_ci(2, 2, 40, child_seed(8, t))[0]
+
+        cfg = TesterConfig(epsilon=0.5, m_override=600, seed=41)
+        tau = calibrate_threshold(null_gen, cfg, 130)
+        monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", 1)
+        assert calibrate_threshold(null_gen, cfg, 130) == tau
+
     def test_exceedance_margin(self):
         def null_gen(t):
             return gen_random_ci(2, 2, 40, child_seed(8, t))[0]
@@ -317,10 +372,6 @@ class TestCalibration:
         trials = 240
         tau = calibrate_threshold(null_gen, cfg, trials)
         # reproduce the stats and check the exceedance rule
-        from dataclasses import replace
-
-        from cit.testers import run_tester
-
         stats = []
         for t in range(trials):
             sub = replace(cfg, seed=child_seed(cfg.seed, "calibrate", t))
