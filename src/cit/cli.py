@@ -211,7 +211,7 @@ def _cmd_debug(args) -> int:
         with open(args.poly, encoding="utf-8") as fh:
             poly = parse_polynomial(fh.read(), args.num_vars)
         fp = Fingerprint.parse(args.fingerprint, args.num_vars)
-        value = unbiased_estimate(poly, fp, exact=True)
+        value = unbiased_estimate(poly, fp)
         print(f"estimate={value}")
         return 0
     samples, dims = read_sample_file(args.samples)

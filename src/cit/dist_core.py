@@ -12,6 +12,8 @@ here use 1-based indices (see `write_distribution_file`).
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -279,14 +281,41 @@ def counts_from_samples(samples: np.ndarray, dims: tuple[int, int, int]) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _parse_header(line: str, path) -> tuple[int, int, int]:
-    parts = line.split()
-    if len(parts) != 4 or parts[0] != "#dims":
-        raise DistributionError(f"{path}: expected '#dims l1 l2 n' header, got {line!r}")
-    l1, l2, n = (int(v) for v in parts[1:])
-    if min(l1, l2, n) < 1:
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+
+
+def _read_cells(path, layout: str):
+    """Parse a "#dims l1 l2 n" file whose lines follow `layout`, the
+    tab-separated fields "i<TAB>j<TAB>z" then any extra value columns.
+
+    Returns (dims, 0-based int64 (N, 3) cell indices, float (N, k) extra
+    columns).  Blank lines are skipped; any malformed header, row, field
+    or index raises DistributionError naming the path.
+    """
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != "#dims" or not all(v.isdigit() for v in parts[1:]):
+        raise DistributionError(f"{path}: expected '#dims l1 l2 n' header, got {header!r}")
+    dims = tuple(int(v) for v in parts[1:])
+    if min(dims) < 1:
         raise DistributionError(f"{path}: dimensions must be positive")
-    return l1, l2, n
+    columns = layout.count("<TAB>") + 1
+    body = _BLANK_LINE.sub("", body)
+    if body.strip():
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter="\t", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise DistributionError(f"{path}: expected {layout!r} per line: {exc}") from None
+    else:
+        rows = np.empty((0, columns))
+    if rows.shape[1] != columns:
+        raise DistributionError(f"{path}: expected {layout!r} per line")
+    cells = rows[:, :3]
+    if np.any(cells != np.floor(cells)):
+        raise DistributionError(f"{path}: non-integral cell index")
+    if np.any((cells < 1) | (cells > dims)):
+        raise DistributionError(f"{path}: cell index outside declared dims")
+    return dims, cells.astype(np.int64) - 1, rows[:, 3:]
 
 
 def write_sample_file(path, samples: np.ndarray, dims: tuple[int, int, int]) -> None:
@@ -299,23 +328,7 @@ def write_sample_file(path, samples: np.ndarray, dims: tuple[int, int, int]) -> 
 
 
 def read_sample_file(path) -> tuple[np.ndarray, tuple[int, int, int]]:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text:
-        raise DistributionError(f"{path}: empty sample file")
-    dims = _parse_header(text[0], path)
-    rows = []
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DistributionError(f"{path}:{lineno}: expected 'x<TAB>y<TAB>z'")
-        rows.append([int(v) - 1 for v in parts])
-    samples = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    l1, l2, n = dims
-    for col, hi in ((0, l1), (1, l2), (2, n)):
-        if samples.size and (samples[:, col].min() < 0 or samples[:, col].max() >= hi):
-            raise DistributionError(f"{path}: sample index outside declared dims")
+    dims, samples, _ = _read_cells(path, "x<TAB>y<TAB>z")
     return samples, dims
 
 
@@ -329,20 +342,17 @@ def write_distribution_file(path, p: JointDistribution) -> None:
 
 
 def read_distribution_file(path) -> JointDistribution:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text:
-        raise DistributionError(f"{path}: empty distribution file")
-    l1, l2, n = _parse_header(text[0], path)
-    mass = np.zeros((l1, l2, n))
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DistributionError(f"{path}:{lineno}: expected 'i<TAB>j<TAB>z<TAB>prob'")
-        i, j, z = (int(v) - 1 for v in parts[:3])
-        if not (0 <= i < l1 and 0 <= j < l2 and 0 <= z < n):
-            raise DistributionError(f"{path}:{lineno}: cell index outside declared dims")
-        mass[i, j, z] = float(parts[3])
+    """Read a distribution file; a cell listed twice is an error."""
+    dims, cells, probs = _read_cells(path, "i<TAB>j<TAB>z<TAB>prob")
+    flat = np.ravel_multi_index(tuple(cells.T), dims)
+    hits = np.bincount(flat)
+    if hits.max(initial=0) > 1:
+        cell = " ".join(str(int(v) + 1) for v in np.unravel_index(hits.argmax(), dims))
+        raise DistributionError(f"{path}: cell {cell} listed {hits.max()} times")
+    mass = np.zeros(dims)
+    mass[tuple(cells.T)] = probs[:, 0]
     normalized = abs(float(mass.sum()) - 1.0) <= NORMALIZED_ATOL
-    return JointDistribution(mass, normalized=normalized)
+    try:
+        return JointDistribution(mass, normalized=normalized)
+    except DistributionError as exc:
+        raise DistributionError(f"{path}: {exc}") from None

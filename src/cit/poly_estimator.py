@@ -1,4 +1,5 @@
-"""Unbiased estimation of polynomials of a discrete distribution.
+"""Unbiased estimation of polynomials of a discrete distribution: the exact
+reference layer.
 
 Given a homogeneous degree-d polynomial Q in the cell probabilities of a
 distribution over [n], there is a unique symmetric estimator of Q(p) that
@@ -13,13 +14,14 @@ extended linearly.  This module provides that estimator, the exact
 closed form for its second moment (a sum over partial-derivative orders),
 an a-priori variance bound, tail-term envelopes, the specialized degree-4
 polynomial whose value is the squared l2 distance between a bivariate
-table and the product of its marginals, a fast estimator for that
-polynomial from a 2-D fingerprint, and an exact brute-force oracle over
-all ordered sample tuples in rational arithmetic.
+table and the product of its marginals, its estimator from a 2-D
+fingerprint, and an exact brute-force oracle over all ordered sample
+tuples in rational arithmetic.
 
-Production arithmetic uses floats with binomial ratios computed as
-falling-factorial quotients (never raw factorials); the oracle and any
-path fed `fractions.Fraction` inputs stays exact.
+The estimators return `fractions.Fraction`s; they are the oracle for the
+float count-tensor kernel `cit.testers.binary_bin_statistics`, which
+shares the degree-4 cell term `_l2_cell_terms` with `l2_estimator`.  The
+moments stay exact on exact inputs and follow float inputs otherwise.
 """
 
 from __future__ import annotations
@@ -300,12 +302,12 @@ def homogenize(terms, num_vars: int, degree: int) -> HomogeneousPolynomial:
     return HomogeneousPolynomial.from_terms(num_vars, out, degree=degree)
 
 
-def unbiased_estimate(Q: HomogeneousPolynomial, f: Fingerprint, *, exact: bool = False):
-    """The unique symmetric unbiased estimate of Q(p) from a fingerprint.
+def unbiased_estimate(Q: HomogeneousPolynomial, f: Fingerprint) -> Fraction:
+    """The unique symmetric unbiased estimate of Q(p) from a fingerprint,
+    as an exact Fraction.
 
     Raises NoUnbiasedEstimatorError when the sample size is below the
-    degree (no unbiased estimator exists there).  With `exact=True` the
-    result is a Fraction.
+    degree (no unbiased estimator exists there).
     """
     n_samples = f.total
     d = Q.degree
@@ -315,35 +317,45 @@ def unbiased_estimate(Q: HomogeneousPolynomial, f: Fingerprint, *, exact: bool =
         )
     if len(f.counts) != Q.num_vars:
         raise PolynomialError("fingerprint length does not match the variable count")
-    den = falling(n_samples, d)
-    total = Fraction(0) if exact else 0.0
-    for key, c in sorted(Q.terms.items()):
-        num = 1
-        for i, e in key:
-            num *= falling(f.counts[i], e)
-            if num == 0:
-                break
-        if num == 0:
+    total = Fraction(0)
+    for key, c in Q.terms.items():
+        total += Fraction(c) * math.prod(falling(f.counts[i], e) for i, e in key)
+    return total / falling(n_samples, d)
+
+
+def _second_moment_sums(Q: HomogeneousPolynomial, p, N: int):
+    """(point, [T_0 .. T_d], variance bound) of the unbiased estimator over
+    N i.i.d. samples at p, in one pass over the derivative orders.
+
+    With w_s = p^s * (d^|s| Q(p) / dX^s)^2 / prod_i s_i! for an order s of
+    degree h, T_h sums w_s * falling(N-d, d-h) / falling(N, d) and the
+    bound sums w_s / falling(N, h) over h >= 1.  The point is p as Fractions
+    when p and the coefficients are exact, as given otherwise.
+    """
+    d = Q.degree
+    if N < d:
+        raise NoUnbiasedEstimatorError(f"N={N} below degree {d}")
+    values = list(p)
+    if len(values) != Q.num_vars:
+        raise PolynomialError("p length does not match the variable count")
+    exact = all(_is_exact(v) for v in values) and all(_is_exact(c) for c in Q.terms.values())
+    if exact:
+        values = [Fraction(v) for v in values]
+    zero = Fraction(0) if exact else 0.0
+    den = falling(N, d)
+    tails = [zero] * (d + 1)
+    vbound = zero
+    for s in Q.derivative_orders():
+        dval = Q.derivative_value(values, s)
+        if dval == 0:
             continue
-        if exact:
-            total += Fraction(c) * Fraction(num, den)
-        else:
-            total += c * (num / den)
-    return total
-
-
-def _pow_prod(values, s: ExponentKey):
-    out = 1
-    for i, e in s:
-        out = out * values[i] ** e
-    return out
-
-
-def _s_factorial(s: ExponentKey) -> int:
-    out = 1
-    for _, e in s:
-        out *= math.factorial(e)
-    return out
+        h = _key_degree(s)
+        weight = math.prod(values[i] ** e for i, e in s) * dval * dval
+        weight /= math.prod(math.factorial(e) for _, e in s)
+        tails[h] += weight * falling(N - d, d - h) / den
+        if h >= 1:
+            vbound += weight / falling(N, h)
+    return values, tails, vbound
 
 
 def expected_square(Q: HomogeneousPolynomial, p, N: int) -> MomentReport:
@@ -355,68 +367,22 @@ def expected_square(Q: HomogeneousPolynomial, p, N: int) -> MomentReport:
         p^s * (d^|s| Q(p) / dX^s)^2 * falling(N-d, d-|s|)
             / (falling(N, d) * prod_i s_i!),
 
-    which is the closed form for E[(U_N Q)^2].  The report also carries
-    the a-priori variance bound obtained by replacing the order-h
-    coefficient with 1/falling(N, h) and dropping the h=0 term.
+    which is the closed form for E[(U_N Q)^2]: the sum of `tail_terms`.
+    The report also carries the a-priori variance bound obtained by
+    replacing the order-h coefficient with 1/falling(N, h) and dropping
+    the h=0 term.
 
     Exact (Fraction) arithmetic whenever p and the coefficients are exact.
     """
-    d = Q.degree
-    if N < d:
-        raise NoUnbiasedEstimatorError(f"N={N} below degree {d}")
-    values = list(p)
-    if len(values) != Q.num_vars:
-        raise PolynomialError("p length does not match the variable count")
-    exact = all(_is_exact(v) for v in values) and all(_is_exact(c) for c in Q.terms.values())
-    if exact:
-        values = [Fraction(v) for v in values]
+    values, tails, vbound = _second_moment_sums(Q, p, N)
     value = Q.evaluate_exact(values)
-    den = falling(N, d)
-    e2 = Fraction(0) if exact else 0.0
-    vbound = Fraction(0) if exact else 0.0
-    for s in Q.derivative_orders():
-        h = _key_degree(s)
-        dval = Q.derivative_value(values, s)
-        if dval == 0:
-            continue
-        weight = _pow_prod(values, s) * dval * dval
-        sfact = _s_factorial(s)
-        num = falling(N - d, d - h)
-        if exact:
-            e2 += weight * Fraction(num, den * sfact)
-            if h >= 1:
-                vbound += weight * Fraction(1, falling(N, h) * sfact)
-        else:
-            e2 += weight * (num / (den * sfact))
-            if h >= 1:
-                vbound += weight / (falling(N, h) * sfact)
-    variance = e2 - value * value
-    return MomentReport(value, e2, variance, vbound)
+    e2 = sum(tails)
+    return MomentReport(value, e2, e2 - value * value, vbound)
 
 
 def tail_terms(Q: HomogeneousPolynomial, p, N: int) -> list:
     """The second-moment decomposition by derivative order, T_0 .. T_d."""
-    d = Q.degree
-    if N < d:
-        raise NoUnbiasedEstimatorError(f"N={N} below degree {d}")
-    values = list(p)
-    exact = all(_is_exact(v) for v in values) and all(_is_exact(c) for c in Q.terms.values())
-    if exact:
-        values = [Fraction(v) for v in values]
-    den = falling(N, d)
-    out = [Fraction(0) if exact else 0.0] * (d + 1)
-    for s in Q.derivative_orders():
-        h = _key_degree(s)
-        dval = Q.derivative_value(values, s)
-        if dval == 0:
-            continue
-        weight = _pow_prod(values, s) * dval * dval
-        num = falling(N - d, d - h)
-        if exact:
-            out[h] += weight * Fraction(num, den * _s_factorial(s))
-        else:
-            out[h] += weight * (num / (den * _s_factorial(s)))
-    return out
+    return _second_moment_sums(Q, p, N)[1]
 
 
 def tail_term_bound(Q: HomogeneousPolynomial, p, N: int, g: int) -> float:
@@ -520,9 +486,10 @@ def _l2_cell_terms(f, n_total):
     )
 
 
-def l2_estimator(counts, weights=None):
+def l2_estimator(counts, weights=None) -> Fraction:
     """Weighted unbiased estimate of the (rescaled) squared l2 distance to
-    the product of marginals, straight from a 2-D fingerprint.
+    the product of marginals, straight from a 2-D fingerprint, as an exact
+    Fraction.
 
     The cell terms (see `_l2_cell_terms`) are weighted per cell and scaled
     by 1/falling(N, 4).  With unit weights this is the unbiased estimator
@@ -530,43 +497,36 @@ def l2_estimator(counts, weights=None):
     flattening grid it is the unbiased estimator of the corresponding
     rescaled statistic.  O(l1*l2) per call.
 
-    Integer/Fraction inputs (object-dtype arrays) give an exact Fraction.
+    `counts` holds integers (any integer dtype, or integral objects);
+    `weights` may be ints, Fractions or floats, floats taken at their
+    exact binary value.  The exact reference for the float kernel
+    `cit.testers.binary_bin_statistics`.
     """
     arr = np.asarray(counts)
     if arr.ndim != 2:
         raise PolynomialError("counts must be a 2-D fingerprint")
-    if np.any(np.asarray(arr, dtype=float) < 0):
+    values = arr.ravel().tolist()
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise PolynomialError("fingerprint counts must be integers")
+    if any(v < 0 for v in ints):
         raise PolynomialError("fingerprint counts must be >= 0")
-    exact = arr.dtype == object
-    warr = None
+    n_total = sum(ints)
+    if n_total < 4:
+        raise NoUnbiasedEstimatorError("the l2 statistic needs at least 4 samples")
+    term = _l2_cell_terms(np.array(ints, dtype=object).reshape(arr.shape), n_total)
     if weights is not None:
         warr = np.asarray(weights)
         if warr.shape != arr.shape:
             raise PolynomialError("weights shape must match the fingerprint")
-        if np.any(np.asarray(warr, dtype=float) <= 0):
+        wvals = [Fraction(v) for v in warr.ravel().tolist()]
+        if any(v <= 0 for v in wvals):
             raise PolynomialError("weights must be > 0")
-        exact = exact or warr.dtype == object
-    if exact:
-        work = np.array([[int(v) for v in row] for row in arr.tolist()], dtype=object)
-        n_total = int(sum(work.ravel().tolist()))
-    else:
-        work = arr.astype(float)
-        n_total = int(round(float(work.sum())))
-    if n_total < 4:
-        raise NoUnbiasedEstimatorError("the l2 statistic needs at least 4 samples")
-    term = _l2_cell_terms(work, n_total if exact else float(n_total))
-    if warr is not None:
-        if exact:
-            wobj = np.array(
-                [[Fraction(v) for v in row] for row in warr.tolist()], dtype=object
-            )
-            term = term * wobj
-        else:
-            term = term * warr.astype(float)
-    den = falling(n_total, 4)
-    if exact:
-        return Fraction(sum(term.ravel().tolist())) / den
-    return float(term.sum()) / den
+        term = term * np.array(wvals, dtype=object).reshape(arr.shape)
+    return Fraction(sum(term.ravel().tolist())) / falling(n_total, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +572,7 @@ def oracle_moments(Q: HomogeneousPolynomial, p, N: int) -> tuple[Fraction, Fract
                 prob *= probs[i] ** a
         if prob == 0:
             continue
-        est = unbiased_estimate(Q, Fingerprint(fp), exact=True)
+        est = unbiased_estimate(Q, Fingerprint(fp))
         mean += prob * est
         second += prob * est * est
     return mean, second - mean * mean

@@ -357,3 +357,43 @@ class TestFileFormats:
         path.write_text("#dim 2 2 2\n")
         with pytest.raises(DistributionError):
             read_sample_file(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("#dims 2 2 2\n1\t2\t1\n\n \t\n2\t1\t2\n")
+        s, _ = read_sample_file(path)
+        np.testing.assert_array_equal(s, [[0, 1, 0], [1, 0, 1]])
+
+    def test_header_only_gives_zero_rows(self, tmp_path, recwarn):
+        path = tmp_path / "s.tsv"
+        path.write_text("#dims 2 2 2\n\n")
+        s, dims = read_sample_file(path)
+        assert s.shape == (0, 3) and s.dtype == np.int64 and dims == (2, 2, 2)
+        assert read_distribution_file(path).mass.shape == (2, 2, 2)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("body", [
+        "1\t1\n",            # too few fields
+        "1\t1\t1\t1\n",      # too many fields
+        "1\tx\t1\n",         # not a number
+        "1\t1.5\t1\n",       # non-integral index
+        "1\t3\t1\n",         # index outside dims
+        "0\t1\t1\n",         # indices are 1-based
+    ])
+    def test_malformed_sample_rows(self, tmp_path, body):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#dims 2 2 2\n1\t1\t1\n" + body)
+        with pytest.raises(DistributionError, match="bad.tsv"):
+            read_sample_file(path)
+
+    @pytest.mark.parametrize("body", [
+        "1\t1\t1\t0.5\n1\t1\t1\t0.25\n2\t2\t1\t0.5\n",  # repeated cell
+        "1\t1.5\t1\t0.5\n2\t2\t1\t0.5\n",                # non-integral index
+        "1\t1\t1\n",                                      # no probability
+        "1\t1\t1\t-0.5\n",                                # negative mass
+    ])
+    def test_malformed_distribution_rows(self, tmp_path, body):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#dims 2 2 1\n" + body)
+        with pytest.raises(DistributionError, match="bad.tsv"):
+            read_distribution_file(path)

@@ -25,6 +25,7 @@ from cit.harness import (
     run_power_experiment,
     write_power_csv,
 )
+from cit.poly_estimator import format_polynomial, l2_diff_polynomial
 
 PLAN_TEXT = """
 # tiny smoke plan
@@ -244,10 +245,88 @@ class TestBatchedEngine:
         assert len(specs) > len(set(specs))  # past the budget, rebuilt at every probe
 
 
+PINNED_DIST = (
+    "#dims 2 2 3\n1\t1\t1\t0.1\n1\t2\t1\t0.05\n2\t1\t1\t0.05\n2\t2\t1\t0.1\n"
+    "1\t1\t2\t0.2\n2\t2\t2\t0.1\n1\t2\t3\t0.15\n2\t1\t3\t0.15\n2\t2\t3\t0.1\n"
+)
+
+
+@pytest.fixture
+def pinned_files(tmp_path):
+    """A 400-row sample file on 2x2x5 and a 2x2x3 distribution file."""
+    samples = np.random.default_rng(5).integers(0, (2, 2, 5), size=(400, 3))
+    write_sample_file(tmp_path / "s.tsv", samples, (2, 2, 5))
+    (tmp_path / "d.tsv").write_text(PINNED_DIST)
+    return tmp_path / "s.tsv", tmp_path / "d.tsv"
+
+
 class TestPinnedOutputs:
     """Outputs recorded with the per-trial tester loop that preceded trial
-    blocks; a change to any RNG stream or to the kernel's arithmetic shows
-    here."""
+    blocks, and (file inputs, `debug`) with the per-line file readers and
+    the float twins of the exact estimators; a change to any RNG stream,
+    to the kernel's arithmetic, to file parsing or to the exact estimators
+    shows here."""
+
+    SAMPLE_VERDICTS = {
+        ("binary", "0.5"): (
+            '{"M_drawn": 400, "accept": true, "m_used": 400, "per_bin": '
+            "[[0, 74, 1.0, -0.2268956202971252], [1, 97, 1.0, 0.03219484882418813], "
+            "[2, 87, 1.0, 0.11100254055110417], [3, 69, 1.0, 0.5320988639689255], "
+            '[4, 73, 1.0, -0.25271629778672033]], "statistic_A": 0.1956843352603722, '
+            '"threshold_tau": 4.47213595499958}\n'
+        ),
+        ("general", "0.5"): (
+            '{"M_drawn": 400, "accept": true, "m_used": 400, "per_bin": '
+            "[[0, 38, 2.0, -0.027799227799227798], [1, 50, 2.0, 0.19221305543493994], "
+            "[2, 44, 2.0, -0.13613159387407828], [3, 36, 2.0, 0.26619132501485443], "
+            '[4, 38, 2.0, -0.16976976976976976]], "statistic_A": 0.12470378900671852, '
+            '"threshold_tau": 2.6591479484724942}\n'
+        ),
+    }
+    # on 2x2 tables the cmi tester is the binary tester on the same counts
+    SAMPLE_VERDICTS["cmi", "0.25"] = SAMPLE_VERDICTS["binary", "0.5"]
+
+    DIST_VERDICTS = {
+        "binary": (
+            '{"M_drawn": 1926, "accept": false, "m_used": 2000, "per_bin": '
+            "[[0, 594, 1.0, 13.15119713065288], [1, 589, 1.0, 126.93448205662716], "
+            '[2, 743, 1.0, 62.91726562709681]], "statistic_A": 203.00294481437686, '
+            '"threshold_tau": 3.4641016151377544}\n'
+        ),
+        "general": (
+            '{"M_drawn": 1926, "accept": false, "m_used": 2000, "per_bin": '
+            "[[0, 298, 2.0, 3.6229042601923958], [1, 290, 2.0, 38.916064177942815], "
+            '[2, 378, 2.0, 22.448806366047744]], "statistic_A": 64.98777480418296, '
+            '"threshold_tau": 2.0597671439071177}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("mode, eps", list(SAMPLE_VERDICTS))
+    def test_sample_file_verdicts(self, pinned_files, mode, eps):
+        argv = ["test", "--mode", mode, "--eps", eps, "--samples", str(pinned_files[0]), "--json"]
+        assert run_cli(argv) == (0, self.SAMPLE_VERDICTS[mode, eps])
+
+    @pytest.mark.parametrize("mode", list(DIST_VERDICTS))
+    def test_distribution_file_verdicts(self, pinned_files, mode):
+        argv = ["test", "--mode", mode, "--eps", "0.5", "--m", "2000", "--seed", "3",
+                "--dist", str(pinned_files[1]), "--json"]
+        assert run_cli(argv) == (0, self.DIST_VERDICTS[mode])
+
+    def test_debug_estimate(self, tmp_path):
+        l2, poly = tmp_path / "l2.txt", tmp_path / "poly.txt"
+        l2.write_text(format_polynomial(l2_diff_polynomial(2, 2)))
+        poly.write_text("3/2 : 1^2 2^1\n-1/3 : 3^3\n")
+        for path, num_vars, fp, want in (
+            (l2, "4", "1:3 2:1 3:2 4:2", "estimate=-1/35\n"),
+            (poly, "3", "1:2 2:3 3:1", "estimate=3/40\n"),
+        ):
+            argv = ["debug", "estimate", "--poly", str(path), "--num-vars", num_vars,
+                    "--fingerprint", fp]
+            assert run_cli(argv) == (0, want)
+
+    def test_debug_flatten_grid(self, pinned_files):
+        argv = ["debug", "flatten-grid", "--samples", str(pinned_files[0]), "--t1", "3", "--t2", "2"]
+        assert run_cli(argv) == (0, "2,0\n11,3\n")
 
     def test_minm_values(self):
         for seed, want in ((1, 13777), (4, 38968)):
@@ -319,6 +398,27 @@ class TestCLI:
         out = tmp_path / "power.csv"
         code, text = run_cli(["power", "--plan", str(plan_path), "--out", str(out)])
         assert code == 0 and out.exists()
+
+    def test_workers_csv_byte_identical(self, tmp_path):
+        plan_path = tmp_path / "plan.kv"
+        plan_path.write_text(PLAN_TEXT.replace("eps=0.5", "eps=0.5,0.3"))
+        csv = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"power{workers}.csv"
+            argv = ["power", "--plan", str(plan_path), "--out", str(out), "--workers", workers]
+            assert run_cli(argv)[0] == 0
+            csv[workers] = out.read_bytes()
+        assert len(csv["1"].splitlines()) == 3
+        assert csv["2"] == csv["1"]
+
+    def test_repeated_distribution_cell_exit_code(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("#dims 2 2 1\n1\t1\t1\t0.5\n1\t1\t1\t0.25\n2\t2\t1\t0.5\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["test", "--eps", "0.5", "--dist", str(path)])
+        assert (code, out) == (2, "")
+        assert "dup.tsv: cell 1 1 1 listed 2 times" in err.getvalue()
 
     def test_invalid_plan_exit_code(self, tmp_path):
         plan_path = tmp_path / "bad.kv"

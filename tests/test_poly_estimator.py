@@ -12,6 +12,7 @@ from cit.poly_estimator import (
     Fingerprint,
     HomogeneousPolynomial,
     NoUnbiasedEstimatorError,
+    PolynomialError,
     add_term,
     expected_square,
     falling,
@@ -26,6 +27,7 @@ from cit.poly_estimator import (
     tail_terms,
     unbiased_estimate,
 )
+from cit.testers import binary_bin_statistics
 
 N1 = np.array([[6, 24], [24, 46]]) / 100
 Y1 = np.array([[16, 24], [24, 36]]) / 100
@@ -91,11 +93,11 @@ class TestUnbiasedEstimate:
     def test_power_of_sum_is_identically_one(self):
         q = homogenize({(): 1}, 3, 3)
         for counts in ((3, 0, 0), (1, 1, 1), (2, 3, 4)):
-            assert unbiased_estimate(q, Fingerprint(counts), exact=True) == 1
+            assert unbiased_estimate(q, Fingerprint(counts)) == 1
 
     def test_closed_form_example(self):
         q = HomogeneousPolynomial.monomial(2, ((0, 1), (1, 1)))
-        assert unbiased_estimate(q, Fingerprint((2, 1)), exact=True) == F(1, 3)
+        assert unbiased_estimate(q, Fingerprint((2, 1))) == F(1, 3)
 
     def test_cross_check_against_oracle(self):
         q = HomogeneousPolynomial.monomial(2, ((0, 1), (1, 1)))
@@ -139,7 +141,7 @@ class TestUniqueness:
             add_term(terms, key_from_dense(fp), value * multinomial)
         q = HomogeneousPolynomial.from_terms(n, terms, degree=d)
         for fp in fps:
-            got = unbiased_estimate(q, Fingerprint(fp), exact=True)
+            got = unbiased_estimate(q, Fingerprint(fp))
             assert got == target[fp]
 
 
@@ -273,10 +275,21 @@ class TestL2Estimator:
             generic = unbiased_estimate(
                 l2_diff_polynomial(l1, l2),
                 Fingerprint(tuple(int(v) for v in counts.ravel())),
-                exact=True,
             )
             fast = l2_estimator(counts.astype(object))
             assert fast == generic
+
+    def test_rejects_non_integral_counts(self):
+        for counts in ([[1.5, 1], [1, 1]], [[F(1, 2), 2], [2, 2]], [[np.nan, 2], [2, 2]]):
+            with pytest.raises(PolynomialError):
+                l2_estimator(np.array(counts, dtype=object))
+
+    def test_float_weights_taken_exactly(self):
+        counts = np.array([[3, 1, 0], [2, 2, 1]])
+        weights = np.array([[0.1, 0.25, 1.0], [1 / 3, 0.5, 0.2]])
+        exact = np.array([[F(w) for w in row] for row in weights.tolist()], dtype=object)
+        assert l2_estimator(counts, weights) == l2_estimator(counts, exact)
+        assert isinstance(l2_estimator(counts, weights), F)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(Exception):
@@ -297,7 +310,7 @@ class TestL2Estimator:
                 qval = ((t - pi) ** 2).sum()
                 big_n = int(local.integers(4, 25))
                 draws = local.multinomial(big_n, t.ravel(), size=reps)
-                vals = [l2_estimator(d.reshape(l1, l2)) for d in draws]
+                vals = binary_bin_statistics(draws.reshape(reps, l1, l2))[1]
                 envelope = qval * np.sqrt(b) / big_n + b / big_n**2
                 worst = max(worst, np.var(vals) / envelope)
             return worst
