@@ -241,19 +241,19 @@ def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
 def poissonized_count_tensor(
     p: JointDistribution, m: float, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
-    """Draw M ~ Poisson(m) and return (M, per-cell count tensor (n, l1, l2)).
+    """Independent per-cell counts N(x, y, z) ~ Poisson(m * p(x, y, z)) and
+    their total M, as (M, count tensor (n, l1, l2)).
 
-    Equivalent in law to binning `sample_poissonized` output; used where a
-    statistic depends on samples only through per-bin fingerprints.
+    Equal in law to binning `sample_poissonized` output (M ~ Poisson(m),
+    then a multinomial split), and used where a statistic depends on
+    samples only through per-bin fingerprints.  The tensor is a view of
+    the (l1, l2, n) draw, so bins are innermost in memory.  The counts and
+    M are int64: callers keep m small enough for M to fit.
     """
     if not p.normalized:
         raise NotNormalizedError("sampling requires a normalized distribution")
-    l1, l2, n = p.dims
-    big_m = int(rng.poisson(m))
-    if big_m == 0:
-        return 0, np.zeros((n, l1, l2), dtype=np.int64)
-    counts = rng.multinomial(big_m, p.mass.ravel()).reshape(l1, l2, n)
-    return big_m, counts.transpose(2, 0, 1)
+    counts = rng.poisson(m * p.mass)
+    return int(counts.sum()), counts.transpose(2, 0, 1)
 
 
 def counts_from_samples(samples: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .instances import FAMILIES, EnsembleSpec, make_instance
-from .seeding import child_seed
+from .seeding import child_seed, seed_sequence
 from .testers import (
     TesterConfig,
     calibrate_threshold,
@@ -274,7 +274,9 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> 
             )))[0]
             for t in trials
         )
-        seeds = (child_seed(plan.master_seed, "cell", cell_idx, "test", t, key) for t in trials)
+        seeds = (
+            seed_sequence(plan.master_seed, "cell", cell_idx, "test", t, key) for t in trials
+        )
         accepts = np.empty(plan.trials, dtype=bool)
         stats = np.empty(plan.trials)
         verdicts = run_trials(instances, replace(base_cfg, tau_override=tau), seeds)
@@ -346,8 +348,12 @@ def run_power_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1) 
     """Run every grid cell; one row per cell, always (skipped cells are
     marked, never dropped).  With a time budget, later cells first degrade
     to MIN_TRIALS and finally are skipped explicitly; both adjustments are
-    visible in the trials/status fields."""
+    visible in the trials/status fields.  `workers` (>= 1) processes run
+    the cells of an unbudgeted plan, never more than it has cells."""
+    if workers < 1:
+        raise PlanError(f"workers must be >= 1, got {workers}")
     cells = plan.grid
+    workers = min(workers, len(cells))
     rows: list[PowerRow] = [None] * len(cells)  # type: ignore[list-item]
     start = time.perf_counter()
     # budgeted runs stay sequential: parallel scheduling would make the
@@ -489,7 +495,7 @@ def find_min_m(
             return run_trials(
                 (instance(family, t) for t in trials),
                 replace(cfg, tau_override=tau),
-                (child_seed(seed, tag, m, t) for t in trials),
+                (seed_sequence(seed, tag, m, t) for t in trials),
             )
 
         null_ok = sum(v.accept for v in column(null_family, "minm-null"))

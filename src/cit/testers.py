@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .dist_core import (
     sample_poissonized,
 )
 from .poly_estimator import _l2_cell_terms
-from .seeding import as_generator, child_seed
+from .seeding import as_generator, int_seed, seed_sequence
 
 _MODES = ("binary", "general", "cmi")
 
@@ -48,6 +49,11 @@ _BLOCK_CELLS = 1 << 18
 #: cells per kernel call when `run_trials` stacks binary trials (about 10
 #: trials at n = 100); a bound, not a knob: larger blocks only add memory
 _TRIAL_BLOCK_CELLS = 1 << 12
+
+#: largest sample budget drawn from a distribution: the drawn counts and
+#: their total M are int64, which a Poisson total stays far below for
+#: m <= 2^62
+_MAX_BUDGET = 1 << 62
 
 
 class TesterInputError(ValueError):
@@ -63,8 +69,10 @@ class TesterConfig:
     (zeta * sqrt(min(n, m)) for the binary tester, zeta^{1/4} * sqrt(min(n, m))
     for the general one).  `m_override` / `tau_override` pin the sample
     budget / threshold directly, e.g. to a calibrated value.  A budget of 0
-    draws no samples (the tester accepts); fixed-sample input needs at
-    least one row.
+    draws no samples (the tester accepts); a budget above 2^62 is rejected
+    with TesterInputError when the tester draws from a distribution, since
+    the drawn counts are int64; fixed-sample input needs at least one row.
+    `seed` is an int or a `SeedSequence` (see `run_trials`).
     """
 
     epsilon: float
@@ -73,7 +81,7 @@ class TesterConfig:
     zeta: float = 2.0
     m_override: int | None = None
     tau_override: float | None = None
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     cmi_scale: float = 1.0
 
     def __post_init__(self):
@@ -90,13 +98,17 @@ class TesterConfig:
             raise TesterInputError("m_override must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Verdict:
     """Tester outcome: accept iff statistic_A <= threshold_tau.
 
-    `per_bin` lists (z, sigma_z, omega_z, A_z) for every bin that
-    contributed (sigma_z >= 4); sigma_z is the bin's estimator sample
-    count and omega_z the extra weight factor (1 for the binary tester).
+    `bins` holds the bins that contributed (sigma_z >= 4) as four columns
+    (z, sigma_z, omega_z, A_z): numpy arrays from the testers, or any
+    sequences.  sigma_z is the bin's estimator sample count and omega_z
+    the extra weight factor (1 for the binary tester).  `per_bin` lists
+    the same bins as rows of Python scalars; it is built on first read
+    (`to_json` reads it), because the harness only reads A and the flag.
+    Verdicts are equal when their scalar fields and `per_bin` are.
     """
 
     accept: bool
@@ -104,11 +116,27 @@ class Verdict:
     threshold_tau: float
     m_used: int
     M_drawn: int
-    per_bin: tuple
+    bins: tuple
 
     def __post_init__(self):
         if self.accept != (self.statistic_A <= self.threshold_tau):
             raise TesterInputError("verdict flag inconsistent with A <= tau")
+
+    @cached_property
+    def per_bin(self) -> tuple:
+        return tuple(zip(*(np.asarray(column).tolist() for column in self.bins)))
+
+    def _key(self) -> tuple:
+        return (self.accept, self.statistic_A, self.threshold_tau, self.m_used,
+                self.M_drawn, self.per_bin)
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self) -> str:
         payload = {
@@ -280,12 +308,17 @@ def _resolve_source(source, cfg, dims, m_formula):
     """Common input handling: returns (dims, m, samples).
 
     For a JointDistribution, m is the sample budget (`m_override` or
-    `m_formula(dims)`) and samples is None: the caller draws.  A fixed
-    (N, 3) sample array needs explicit `dims` and in-range indices; it is
-    cut to its first `m_override` rows when set, and m is its row count.
+    `m_formula(dims)`, at most `_MAX_BUDGET`) and samples is None: the
+    caller draws.  A fixed (N, 3) sample array needs explicit `dims` and
+    in-range indices; it is cut to its first `m_override` rows when set,
+    and m is its row count.
     """
     if isinstance(source, JointDistribution):
         m = cfg.m_override if cfg.m_override is not None else m_formula(source.dims)
+        if m > _MAX_BUDGET:
+            raise TesterInputError(
+                f"sample budget {m} above 2^62: its counts would overflow int64"
+            )
         return source.dims, m, None
     if dims is None:
         raise TesterInputError("fixed-sample input needs explicit dims (l1, l2, n)")
@@ -307,12 +340,12 @@ def _resolve_source(source, cfg, dims, m_formula):
     return tuple(dims), samples.shape[0], samples
 
 
-def _verdict(cfg, scale, n, stat, m_used, big_m, per_bin) -> Verdict:
+def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
     """Verdict at threshold `tau_override`, else scale * sqrt(min(n, m_used))."""
     tau = cfg.tau_override
     if tau is None:
         tau = scale * math.sqrt(min(n, m_used))
-    return Verdict(stat <= tau, stat, float(tau), m_used, big_m, per_bin)
+    return Verdict(stat <= tau, stat, float(tau), m_used, big_m, bins)
 
 
 def test_binary(source, cfg: TesterConfig, dims=None) -> Verdict:
@@ -333,7 +366,8 @@ def test_binary(source, cfg: TesterConfig, dims=None) -> Verdict:
 def _binary_trials(sources, cfg: TesterConfig, seeds, dims=None):
     """Binary-tester verdicts for the (source, seed) pairs, in order.
 
-    Each trial draws its count tensor from its own `as_generator(seed)`.
+    Each trial draws its count tensor from its own `as_generator(seed)`,
+    with per-cell Poisson counts (`poissonized_count_tensor`).
     Consecutive trials with the same (l1, l2) and at least two bins are
     stacked into blocks of at most `_TRIAL_BLOCK_CELLS` cells (any other
     trial is a block of its own), and each block is one kernel call.
@@ -391,10 +425,8 @@ def _binary_verdicts(block, cfg: TesterConfig):
         lo += n
         stat = float(a_z.sum())  # bins ascending in z: deterministic reduction
         active = np.flatnonzero(sigma >= 4)
-        per_bin = tuple(zip(
-            active.tolist(), sigma[active].tolist(), [1.0] * active.size, a_z[active].tolist()
-        ))
-        yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, per_bin)
+        bins = (active, sigma[active], np.ones(active.size), a_z[active])
+        yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, bins)
 
 
 def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
@@ -418,7 +450,7 @@ def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
     dims, m, samples = _resolve_source(source, cfg, dims, m_formula)
     l1, l2, n = dims
     if samples is None:
-        samples = sample_poissonized(source, m, as_generator(cfg.seed))
+        samples = sample_poissonized(source, m, as_generator(int_seed(cfg.seed)))
     # stable sort by z keeps each bin's samples in arrival order
     ordered = samples[np.argsort(samples[:, 2], kind="stable")]
     sizes = np.bincount(ordered[:, 2], minlength=n)
@@ -434,8 +466,9 @@ def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
     a_z = sigma * omega * phi
     # add the bins one at a time in ascending z, starting from 0.0
     stat = float(np.cumsum(np.concatenate(([0.0], a_z)))[-1])
-    per_bin = tuple(zip(bins.tolist(), sigma.tolist(), omega.tolist(), a_z.tolist()))
-    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), samples.shape[0], per_bin)
+    return _verdict(
+        cfg, cfg.zeta**0.25, n, stat, int(m), samples.shape[0], (bins, sigma, omega, a_z)
+    )
 
 
 def _cmi_config(eps: float, cfg: TesterConfig) -> TesterConfig:
@@ -477,10 +510,12 @@ def run_trials(instances, cfg: TesterConfig, seeds):
 
     `instances` (JointDistributions) and `seeds` may be lazy iterables of
     the same length; they are consumed at most one block ahead of the
-    verdicts.  In binary and cmi mode each trial draws its counts from its
-    own seed, and blocks of trials of at most 2^12 cells share one kernel
-    call; the verdicts do not depend on the block size.  General mode runs
-    the tester once per trial.
+    verdicts.  A seed is an int or a `SeedSequence`.  In binary and cmi
+    mode each trial draws its counts from `default_rng(seed)`, and blocks
+    of trials of at most 2^12 cells share one kernel call; the verdicts do
+    not depend on the block size.  General mode runs the tester once per
+    trial, seeded with `int_seed(seed)`, so a `seed_sequence(...)` seed
+    gives the verdict its `child_seed(...)` int would.
     """
     if cfg.mode == "general":
         for inst, seed in zip(instances, seeds, strict=True):
@@ -503,11 +538,12 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     the 1/3 error budget).  Returns a strictly positive tau; a null
     statistic that is identically zero yields the smallest positive float.
 
-    `null_generator` maps a trial index to a JointDistribution; each trial
-    runs the configured tester with a seed derived from cfg.seed and the
-    trial index.  The trials go through `run_trials`, so in binary and cmi
-    mode blocks of trials (at most 2^12 cells each) share one kernel call,
-    and instances are asked for one block ahead of their statistics.  The
+    `null_generator` maps a trial index to a JointDistribution; trial t
+    runs the configured tester with the seed
+    `seed_sequence(cfg.seed, "calibrate", t)`.  The trials go through
+    `run_trials`, so in binary and cmi mode blocks of trials (at most 2^12
+    cells each) share one kernel call, and instances are asked for one
+    block ahead of their statistics.  The
     generator is called once per trial index; a caller that needs the same
     instances again (as `find_min_m` does) keeps them itself.
     """
@@ -521,7 +557,7 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
                 raise TesterInputError("null_generator must produce JointDistributions")
             yield inst
 
-    seeds = (child_seed(cfg.seed, "calibrate", t) for t in range(trials))
+    seeds = (seed_sequence(cfg.seed, "calibrate", t) for t in range(trials))
     verdicts = run_trials(instances(), replace(cfg, tau_override=None), seeds)
     stats = np.fromiter((v.statistic_A for v in verdicts), dtype=float, count=trials)
     if not np.all(np.isfinite(stats)):

@@ -13,6 +13,7 @@ from cit.dist_core import (
     conditional_mutual_information,
     counts_from_samples,
     mixture_q,
+    poissonized_count_tensor,
     product_table,
     read_distribution_file,
     read_sample_file,
@@ -272,6 +273,48 @@ class TestSampling:
     def test_poisson_requires_positive_rate(self):
         with pytest.raises(ValueError):
             sample_poissonized(JointDistribution.uniform(2, 2, 2), 0.0, 0)
+
+
+class TestPoissonizedCountTensor:
+    """Per-cell counts N(x, y, z) ~ Poisson(m p(x, y, z)), independent."""
+
+    @staticmethod
+    def draws(p, m, reps, seed):
+        rng = generator(seed, "count-tensor")
+        totals, counts = zip(*(poissonized_count_tensor(p, m, rng) for _ in range(reps)))
+        return np.array(totals), np.stack(counts)
+
+    def test_cell_moments_and_total(self):
+        p = random_joint(np.random.default_rng(21), 2, 3, 4)
+        m, reps = 60.0, 4000
+        totals, counts = self.draws(p, m, reps, 22)
+        lam = m * p.mass.transpose(2, 0, 1)
+        mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+        # Var of a Poisson sample mean is lam/reps, of its sample variance
+        # about (lam + 2 lam^2)/reps
+        assert np.all(np.abs(mean - lam) <= 5 * np.sqrt(lam / reps))
+        assert np.all(np.abs(var - lam) <= 5 * np.sqrt((lam + 2 * lam**2) / reps))
+        np.testing.assert_array_equal(totals, counts.sum(axis=(1, 2, 3)))
+        assert abs(totals.mean() - m) <= 5 * np.sqrt(m / reps)
+
+    def test_bin_totals_independent(self):
+        p = JointDistribution.uniform(2, 2, 2)
+        _, counts = self.draws(p, 8.0, 1500, 23)
+        buckets = np.clip(counts.sum(axis=(2, 3)), 0, 7)
+        table = np.zeros((8, 8))
+        np.add.at(table, (buckets[:, 0], buckets[:, 1]), 1)
+        keep_r = table.sum(1) > 0
+        keep_c = table.sum(0) > 0
+        _, pval, _, _ = scistats.chi2_contingency(table[np.ix_(keep_r, keep_c)])
+        assert pval > 1e-3
+
+    def test_zero_budget_and_layout(self):
+        p = random_joint(np.random.default_rng(24), 3, 2, 5)
+        big_m, counts = poissonized_count_tensor(p, 0, generator(25, "count-tensor"))
+        assert big_m == 0 and counts.shape == (5, 3, 2) and not counts.any()
+        # bins innermost in memory, as `run_trials` stacks trials
+        _, counts = poissonized_count_tensor(p, 50.0, generator(25, "count-tensor"))
+        assert counts.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestTruncatedPoissonMoments:

@@ -1,5 +1,6 @@
 """Harness orchestration and the command-line interface."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -263,9 +264,11 @@ def pinned_files(tmp_path):
 class TestPinnedOutputs:
     """Outputs recorded with the per-trial tester loop that preceded trial
     blocks, and (file inputs, `debug`) with the per-line file readers and
-    the float twins of the exact estimators; a change to any RNG stream,
-    to the kernel's arithmetic, to file parsing or to the exact estimators
-    shows here."""
+    the float twins of the exact estimators; the binary outputs that draw
+    samples (`--dist` binary, `minm`, the binary power CSV) were recorded
+    again when binary draws became per-cell Poisson counts seeded by one
+    `SeedSequence` per trial.  A change to any RNG stream, to the kernel's
+    arithmetic, to file parsing or to the exact estimators shows here."""
 
     SAMPLE_VERDICTS = {
         ("binary", "0.5"): (
@@ -288,9 +291,9 @@ class TestPinnedOutputs:
 
     DIST_VERDICTS = {
         "binary": (
-            '{"M_drawn": 1926, "accept": false, "m_used": 2000, "per_bin": '
-            "[[0, 594, 1.0, 13.15119713065288], [1, 589, 1.0, 126.93448205662716], "
-            '[2, 743, 1.0, 62.91726562709681]], "statistic_A": 203.00294481437686, '
+            '{"M_drawn": 1975, "accept": false, "m_used": 2000, "per_bin": '
+            "[[0, 564, 1.0, 14.536303460738969], [1, 610, 1.0, 113.11695382010102], "
+            '[2, 801, 1.0, 60.18977735327054]], "statistic_A": 187.84303463411052, '
             '"threshold_tau": 3.4641016151377544}\n'
         ),
         "general": (
@@ -329,7 +332,7 @@ class TestPinnedOutputs:
         assert run_cli(argv) == (0, "2,0\n11,3\n")
 
     def test_minm_values(self):
-        for seed, want in ((1, 13777), (4, 38968)):
+        for seed, want in ((1, 16384), (4, 16384)):
             argv = ["minm", "--n", "40", "--eps", "0.5", "--trials", "50", "--seed", str(seed)]
             assert run_cli(argv) == (0, f"m={want}\n")
 
@@ -340,12 +343,12 @@ class TestPinnedOutputs:
         )
         assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)])[0] == 0
         assert out.read_text().splitlines()[1:] == [
-            "1,binary,yes_binary_r1,no_binary_r1,40,2,2,0.5,600,16,60,2.894077921769408,"
-            "0.8166666666666667,0.15000000000000002,0.5621494976035397,-0.059293903130623805,"
-            "6.106203152086759,0.04995368225036439,0.046097722286464436,ok",
-            "1,binary,yes_binary_r1,no_binary_r1,40,2,2,0.3,600,16,60,1.3757217871939091,"
-            "0.7833333333333333,0.2666666666666667,-0.054369890017383196,0.05988547690827233,"
-            "4.552602202920347,0.0531855591650939,0.057089922571845024,ok",
+            "1,binary,yes_binary_r1,no_binary_r1,40,2,2,0.5,600,16,60,2.3042434465247674,"
+            "0.8833333333333333,0.19999999999999996,-0.8424186419937485,0.7634980692559498,"
+            "6.3409651522495105,0.04144384867012948,0.05163977794943222,ok",
+            "1,binary,yes_binary_r1,no_binary_r1,40,2,2,0.3,600,16,60,2.434195806300129,"
+            "0.85,0.18333333333333335,0.13280020512400115,0.11227419515655108,"
+            "4.975538975042152,0.046097722286464436,0.04995368225036439,ok",
         ]
 
 
@@ -410,6 +413,56 @@ class TestCLI:
             csv[workers] = out.read_bytes()
         assert len(csv["1"].splitlines()) == 3
         assert csv["2"] == csv["1"]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_code(self, tmp_path, workers):
+        plan_path = tmp_path / "plan.kv"
+        plan_path.write_text(PLAN_TEXT)
+        out = tmp_path / "power.csv"
+        argv = ["power", "--plan", str(plan_path), "--out", str(out), "--workers", workers]
+        assert run_cli(argv) == (2, "") and not out.exists()
+
+    def test_workers_capped_at_cell_count(self, monkeypatch, tmp_path):
+        sizes = []
+
+        class InlinePool:
+            """Runs each submitted cell in this process; records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        plan_path = tmp_path / "plan.kv"
+        plan_path.write_text(PLAN_TEXT.replace("eps=0.5", "eps=0.5,0.3"))
+        csv = {}
+        for workers in ("1", "64"):
+            out = tmp_path / f"power{workers}.csv"
+            argv = ["power", "--plan", str(plan_path), "--out", str(out), "--workers", workers]
+            assert run_cli(argv)[0] == 0
+            csv[workers] = out.read_bytes()
+        assert sizes == [2]  # two cells: a pool of two, and none for --workers 1
+        assert csv["64"] == csv["1"]
+
+    @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
+    def test_huge_budget_exit_code(self, pinned_files, mode):
+        # the int64 counts of a budget above 2^62 could wrap: refused, not drawn
+        err = io.StringIO()
+        argv = ["test", "--mode", mode, "--eps", "0.3", "--m", str(10**19),
+                "--dist", str(pinned_files[1])]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert "above 2^62" in err.getvalue()
 
     def test_repeated_distribution_cell_exit_code(self, tmp_path):
         path = tmp_path / "dup.tsv"

@@ -9,7 +9,7 @@ import pytest
 from cit import testers
 from cit.dist_core import DistributionError, JointDistribution, sample_fixed
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
-from cit.seeding import child_seed
+from cit.seeding import child_seed, seed_sequence
 from cit.testers import (
     TesterConfig,
     TesterInputError,
@@ -243,6 +243,47 @@ class TestRunTrials:
         expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
         assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
 
+    @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
+    def test_one_verdict_per_trial(self, monkeypatch, mode):
+        # the benchmark counts verdicts and drawn rows through Verdict.__init__
+        built = []
+        real_init = Verdict.__init__
+
+        def counting_init(verdict, *args, **kwargs):
+            real_init(verdict, *args, **kwargs)
+            built.append(verdict.M_drawn)
+
+        monkeypatch.setattr(Verdict, "__init__", counting_init)
+        instances = [gen_random_ci(2, 2, 30, child_seed(15, t))[0] for t in range(25)]
+        seeds = [seed_sequence(16, t) for t in range(25)]
+        cfg = TesterConfig(epsilon=0.3, mode=mode, m_override=900)
+        verdicts = list(run_trials(instances, cfg, seeds))
+        assert built == [v.M_drawn for v in verdicts]
+        assert all(isinstance(m, int) and m > 0 for m in built)
+
+    @pytest.mark.parametrize("mode", ["binary", "general"])
+    def test_lazy_bins_match_eager_rows(self, mode):
+        ell = 3 if mode == "general" else 2
+        instances = [gen_random_far(ell, ell, 30, 0.5, child_seed(17, t))[0] for t in range(6)]
+        seeds = [seed_sequence(18, t) for t in range(6)]
+        cfg = TesterConfig(epsilon=0.5, mode=mode, m_override=900)
+        sparse = np.array([[0, 0, 1]] * 3)  # no bin reaches 4 samples
+        verdicts = [
+            *run_trials(instances, cfg, seeds),
+            run_tester(sparse, replace(cfg, m_override=None), dims=(2, 2, 2)),
+        ]
+        for lazy in verdicts:
+            text = lazy.to_json()  # the rows are first built here
+            columns = [np.asarray(c).tolist() for c in lazy.bins]
+            eager = Verdict(lazy.accept, lazy.statistic_A, lazy.threshold_tau, lazy.m_used,
+                            lazy.M_drawn, columns)
+            assert lazy == eager and hash(lazy) == hash(eager)
+            assert text == eager.to_json()
+            assert lazy.per_bin == tuple(zip(*columns))
+            assert all(isinstance(v, t) for row in lazy.per_bin
+                       for v, t in zip(row, (int, int, float, float)))
+        assert verdicts[-1].per_bin == ()
+
 
 class TestGeneralTester:
     def test_bin_rounding_trace(self):
@@ -374,7 +415,7 @@ class TestCalibration:
         # reproduce the stats and check the exceedance rule
         stats = []
         for t in range(trials):
-            sub = replace(cfg, seed=child_seed(cfg.seed, "calibrate", t))
+            sub = replace(cfg, seed=seed_sequence(cfg.seed, "calibrate", t))
             stats.append(run_tester(null_gen(t), sub).statistic_A)
         exceed = sum(s > tau for s in stats)
         assert exceed <= trials // 6
