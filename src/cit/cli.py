@@ -7,7 +7,8 @@ file into a CSV), `calibrate` (empirical threshold for a null family),
 polynomial/fingerprint text formats and flattening grids.
 
 Exit codes: 0 ok, 2 invalid plan or input (including a missing or
-unwritable file), 3 search budget exhausted.
+unwritable file, and input whose run does not fit in memory), 3 search
+budget exhausted.
 All output for a fixed seed is byte-identical across runs.
 """
 
@@ -238,6 +239,11 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (PlanError, DistributionError, TesterInputError, RegimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # e.g. a sample budget whose draws do not fit in memory; a process
+        # the kernel's OOM killer ends never gets here
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

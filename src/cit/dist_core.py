@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeding import as_generator
-
 #: absolute tolerance on total mass for a tensor to count as normalized
 NORMALIZED_ATOL = 1e-12
 
@@ -221,7 +219,7 @@ def sample_fixed(p: JointDistribution, count: int, seed) -> np.ndarray:
         raise NotNormalizedError("sampling requires a normalized distribution")
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _draw_triples(p, count, as_generator(seed))
+    return _draw_triples(p, count, np.random.default_rng(seed))
 
 
 def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
@@ -233,7 +231,7 @@ def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
         raise NotNormalizedError("sampling requires a normalized distribution")
     if m <= 0:
         raise ValueError("Poissonized sampling needs m > 0")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     big_m = int(rng.poisson(m))
     return _draw_triples(p, big_m, rng)
 

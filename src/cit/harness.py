@@ -22,39 +22,9 @@ import numpy as np
 
 from .instances import FAMILIES, EnsembleSpec, make_instance
 from .seeding import child_seed, seed_sequence
-from .testers import (
-    TesterConfig,
-    calibrate_threshold,
-    run_trials,
-    sample_complexity_binary,
-    sample_complexity_general,
-)
+from .testers import _MODES, TesterConfig, calibrate_threshold, run_trials, sample_budget
 
 SCHEMA_VERSION = 1
-
-#: CSV column order (schema_version pins it for regression baselines)
-CSV_COLUMNS = (
-    "schema_version",
-    "mode",
-    "null_family",
-    "alt_family",
-    "n",
-    "ell1",
-    "ell2",
-    "eps",
-    "m",
-    "gen_m",
-    "trials",
-    "tau",
-    "accept_rate_null",
-    "reject_rate_alt",
-    "mean_A_null",
-    "mean_A_alt",
-    "var_A_null",
-    "se_accept_null",
-    "se_reject_alt",
-    "status",
-)
 
 MIN_TRIALS = 50
 
@@ -99,7 +69,7 @@ class ExperimentPlan:
         for fam in (self.null_family, self.alt_family):
             if fam not in FAMILIES:
                 raise PlanError(f"unknown family {fam!r}")
-        if self.mode not in ("binary", "general", "cmi"):
+        if self.mode not in _MODES:
             raise PlanError(f"unknown mode {self.mode!r}")
         if self.calibration_trials and self.calibration_trials < 100:
             raise PlanError("calibration_trials must be 0 or >= 100")
@@ -140,6 +110,11 @@ class PowerRow:
             for rate in (self.accept_rate_null, self.reject_rate_alt):
                 if not 0.0 <= rate <= 1.0:
                     raise PlanError(f"rate {rate} outside [0, 1]")
+
+
+#: CSV column order, PowerRow's fields without the wall time (schema_version
+#: pins it for regression baselines)
+CSV_COLUMNS = tuple(f.name for f in fields(PowerRow) if f.name != "wall_time_s")
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +194,6 @@ def parse_plan_file(path) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_m(plan: ExperimentPlan, n: int, eps: float, m_spec) -> int:
-    if m_spec == "auto":
-        if plan.mode == "general":
-            return sample_complexity_general(n, plan.ell1, plan.ell2, eps, plan.zeta)
-        return sample_complexity_binary(n, eps, plan.beta, ell1=plan.ell1, ell2=plan.ell2)
-    return int(m_spec)
-
-
 def _resolve_gen_m(plan: ExperimentPlan, n: int) -> int:
     if plan.gen_m == "half_n":
         return max(1, n // 2)
@@ -235,6 +202,22 @@ def _resolve_gen_m(plan: ExperimentPlan, n: int) -> int:
 
 def _family_key(family: str, n: int, eps: float, gen_m: int, ell1: int, ell2: int) -> str:
     return f"{family}|{n}|{eps!r}|{gen_m}|{ell1}x{ell2}"
+
+
+def _cell_fields(plan: ExperimentPlan, n: int, eps: float, m: int) -> dict:
+    """The PowerRow fields that name the grid cell (n, eps) at budget m."""
+    return dict(
+        schema_version=SCHEMA_VERSION,
+        mode=plan.mode,
+        null_family=plan.null_family,
+        alt_family=plan.alt_family,
+        n=n,
+        ell1=plan.ell1,
+        ell2=plan.ell2,
+        eps=eps,
+        m=m,
+        gen_m=_resolve_gen_m(plan, n),
+    )
 
 
 def _spec_for(plan: ExperimentPlan, family: str, n: int, eps: float, gen_m: int, seed: int):
@@ -246,11 +229,10 @@ def _spec_for(plan: ExperimentPlan, family: str, n: int, eps: float, gen_m: int,
 def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> PowerRow:
     n, eps, m_spec = cell
     start = time.perf_counter()
-    m = _resolve_m(plan, n, eps, m_spec)
     gen_m = _resolve_gen_m(plan, n)
-    base_cfg = TesterConfig(
-        epsilon=eps, mode=plan.mode, beta=plan.beta, zeta=plan.zeta, m_override=m
-    )
+    base_cfg = TesterConfig(epsilon=eps, mode=plan.mode, beta=plan.beta, zeta=plan.zeta)
+    m = sample_budget(base_cfg, (plan.ell1, plan.ell2, n)) if m_spec == "auto" else int(m_spec)
+    base_cfg = replace(base_cfg, m_override=m)
 
     tau = None
     if plan.calibration_trials:
@@ -290,17 +272,8 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> 
     accept_rate = float(null_acc.mean())
     reject_rate = float(1.0 - alt_acc.mean())
     t_trials = plan.trials
-    row = PowerRow(
-        schema_version=SCHEMA_VERSION,
-        mode=plan.mode,
-        null_family=plan.null_family,
-        alt_family=plan.alt_family,
-        n=n,
-        ell1=plan.ell1,
-        ell2=plan.ell2,
-        eps=eps,
-        m=m,
-        gen_m=gen_m,
+    return PowerRow(
+        **_cell_fields(plan, n, eps, m),
         trials=t_trials,
         tau=float(tau) if tau is not None else float("nan"),
         accept_rate_null=accept_rate,
@@ -313,35 +286,18 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> 
         status=status,
         wall_time_s=time.perf_counter() - start,
     )
-    return row
 
 
 def _skipped_row(plan: ExperimentPlan, cell, reason: str) -> PowerRow:
     n, eps, m_spec = cell
-    nan = float("nan")
-    return PowerRow(
-        schema_version=SCHEMA_VERSION,
-        mode=plan.mode,
-        null_family=plan.null_family,
-        alt_family=plan.alt_family,
-        n=n,
-        ell1=plan.ell1,
-        ell2=plan.ell2,
-        eps=eps,
-        m=_resolve_m(plan, n, eps, m_spec) if m_spec != "auto" else -1,
-        gen_m=_resolve_gen_m(plan, n),
-        trials=0,
-        tau=nan,
-        accept_rate_null=nan,
-        reject_rate_alt=nan,
-        mean_A_null=nan,
-        mean_A_alt=nan,
-        var_A_null=nan,
-        se_accept_null=nan,
-        se_reject_alt=nan,
-        status=f"skipped:{reason}",
-        wall_time_s=0.0,
-    )
+    m = -1 if m_spec == "auto" else int(m_spec)
+    return PowerRow(**{
+        **dict.fromkeys(CSV_COLUMNS, float("nan")),
+        **_cell_fields(plan, n, eps, m),
+        "trials": 0,
+        "status": f"skipped:{reason}",
+        "wall_time_s": 0.0,
+    })
 
 
 def run_power_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1) -> list[PowerRow]:
@@ -400,8 +356,6 @@ def _format_cell(value) -> str:
 
 
 def write_power_csv(path, rows: list[PowerRow]) -> None:
-    names = [f.name for f in fields(PowerRow) if f.name in CSV_COLUMNS]
-    assert tuple(names) == CSV_COLUMNS
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(_format_cell(getattr(row, name)) for name in CSV_COLUMNS))
@@ -444,7 +398,8 @@ def find_min_m(
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
-    Raises BudgetExhaustedError if no m <= m_cap succeeds.
+    Raises PlanError when `trials` is below MIN_TRIALS, and
+    BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
@@ -457,7 +412,7 @@ def find_min_m(
         mode=mode,
         ell1=ell1,
         ell2=ell2,
-        trials=max(trials, MIN_TRIALS),
+        trials=trials,
         master_seed=seed,
         gen_m=gen_m,
         zeta=zeta,

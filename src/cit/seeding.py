@@ -69,10 +69,3 @@ def int_seed(seed):
 def generator(master: int, *path) -> np.random.Generator:
     """`default_rng` over `seed_sequence(master, *path)`."""
     return np.random.default_rng(seed_sequence(master, *path))
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator to a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)

@@ -1,5 +1,9 @@
 """Conditional-independence testers and their sample-size formulas.
 
+`sample_budget` maps a configuration to its sample budget, and
+`run_trials` runs every tester, one trial or one block of trials at a
+time; `run_tester` and the per-mode entry points are its one-trial case.
+
 Both testers draw Poisson(m) samples, group them by the conditioning
 coordinate z, and for every bin with at least four samples compute an
 unbiased estimate of the (possibly rescaled) squared l2 distance between
@@ -39,7 +43,7 @@ from .dist_core import (
     sample_poissonized,
 )
 from .poly_estimator import _l2_cell_terms
-from .seeding import as_generator, int_seed, seed_sequence
+from .seeding import int_seed, seed_sequence
 
 _MODES = ("binary", "general", "cmi")
 
@@ -72,7 +76,9 @@ class TesterConfig:
     draws no samples (the tester accepts); a budget above 2^62 is rejected
     with TesterInputError when the tester draws from a distribution, since
     the drawn counts are int64; fixed-sample input needs at least one row.
-    `seed` is an int or a `SeedSequence` (see `run_trials`).
+    `seed` is an int or a `SeedSequence` (see `run_trials`).  `mode`
+    selects the tester; cmi mode runs the binary tester at the budget of
+    eps' = epsilon / log2(1/epsilon) (see `sample_budget`).
     """
 
     epsilon: float
@@ -82,7 +88,6 @@ class TesterConfig:
     m_override: int | None = None
     tau_override: float | None = None
     seed: int | np.random.SeedSequence = 0
-    cmi_scale: float = 1.0
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -156,15 +161,14 @@ class Verdict:
 
 
 def sample_complexity_binary_raw(
-    n: int, eps: float, beta: float = 1.0, *, ell1: int = 2, ell2: int = 2,
-    eps_prime: float | None = None,
+    n: int, eps: float, beta: float = 1.0, *, ell1: int = 2, ell2: int = 2
 ) -> float:
     """The un-ceiled binary sample-size formula
     beta * max(sqrt(n)/e'^2, min(n^{7/8}/e', n^{6/7}/e'^{8/7})) with
-    e' = eps / sqrt(ell1 * ell2) (or `eps_prime` directly when given)."""
+    e' = eps / sqrt(ell1 * ell2)."""
     if n < 1:
         raise TesterInputError("n must be >= 1")
-    ep = eps / math.sqrt(ell1 * ell2) if eps_prime is None else eps_prime
+    ep = eps / math.sqrt(ell1 * ell2)
     if ep <= 0:
         raise TesterInputError("effective epsilon must be > 0")
     return beta * max(
@@ -174,13 +178,10 @@ def sample_complexity_binary_raw(
 
 
 def sample_complexity_binary(
-    n: int, eps: float, beta: float = 1.0, *, ell1: int = 2, ell2: int = 2,
-    eps_prime: float | None = None,
+    n: int, eps: float, beta: float = 1.0, *, ell1: int = 2, ell2: int = 2
 ) -> int:
     """Ceiling of `sample_complexity_binary_raw`; three regimes in eps."""
-    return math.ceil(sample_complexity_binary_raw(
-        n, eps, beta, ell1=ell1, ell2=ell2, eps_prime=eps_prime
-    ))
+    return math.ceil(sample_complexity_binary_raw(n, eps, beta, ell1=ell1, ell2=ell2))
 
 
 def sample_complexity_general_forms(
@@ -233,6 +234,20 @@ def sample_complexity_general(n: int, ell1: int, ell2: int, eps: float, zeta: fl
     """Ceiling of zeta times the full general sample-size formula."""
     full, _ = sample_complexity_general_forms(n, ell1, ell2, eps)
     return math.ceil(zeta * full)
+
+
+def sample_budget(cfg: TesterConfig, dims) -> int:
+    """The sample budget of the tester `cfg.mode` on the (l1, l2, n) domain
+    `dims` when `m_override` is not set: the general formula at
+    (epsilon, zeta) in general mode, and the binary formula at beta and
+    epsilon (binary mode) or eps' = epsilon / log2(1/epsilon) (cmi mode)."""
+    l1, l2, n = dims
+    if cfg.mode == "general":
+        return sample_complexity_general(n, l1, l2, cfg.epsilon, cfg.zeta)
+    eps = cfg.epsilon
+    if cfg.mode == "cmi":
+        eps = eps / math.log2(1.0 / eps)
+    return sample_complexity_binary(n, eps, cfg.beta, ell1=l1, ell2=l2)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +319,17 @@ def _general_block(ordered, starts, sizes, bins, l1: int, l2: int):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_source(source, cfg, dims, m_formula):
+def _resolve_source(source, cfg, dims):
     """Common input handling: returns (dims, m, samples).
 
     For a JointDistribution, m is the sample budget (`m_override` or
-    `m_formula(dims)`, at most `_MAX_BUDGET`) and samples is None: the
+    `sample_budget`, at most `_MAX_BUDGET`) and samples is None: the
     caller draws.  A fixed (N, 3) sample array needs explicit `dims` and
     in-range indices; it is cut to its first `m_override` rows when set,
     and m is its row count.
     """
     if isinstance(source, JointDistribution):
-        m = cfg.m_override if cfg.m_override is not None else m_formula(source.dims)
+        m = cfg.m_override if cfg.m_override is not None else sample_budget(cfg, source.dims)
         if m > _MAX_BUDGET:
             raise TesterInputError(
                 f"sample budget {m} above 2^62: its counts would overflow int64"
@@ -348,6 +363,13 @@ def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
     return Verdict(stat <= tau, stat, float(tau), m_used, big_m, bins)
 
 
+def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
+    """The verdict of the tester `cfg.mode` on `source`, seeded with
+    `cfg.seed`: the one-trial case of `run_trials`."""
+    [verdict] = run_trials([source], cfg, [cfg.seed], dims)
+    return verdict
+
+
 def test_binary(source, cfg: TesterConfig, dims=None) -> Verdict:
     """Count-weighted conditional-independence tester for small alphabets.
 
@@ -356,33 +378,85 @@ def test_binary(source, cfg: TesterConfig, dims=None) -> Verdict:
     whole file is used and per-bin counts are multinomial rather than
     Poisson (a documented approximation; the statistic conditions on the
     counts either way).  The statistic is the sum over bins with at least
-    4 samples of sigma_z times the unit-weight l2 estimate.  This is the
-    one-trial case of `run_trials`.
+    4 samples of sigma_z times the unit-weight l2 estimate.  This is
+    `run_tester` in binary mode.
     """
-    [verdict] = _binary_trials([source], cfg, [cfg.seed], dims)
-    return verdict
+    return run_tester(source, replace(cfg, mode="binary"), dims)
 
 
-def _binary_trials(sources, cfg: TesterConfig, seeds, dims=None):
+def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
+    """Flattened conditional-independence tester for arbitrary alphabets.
+
+    The samples (Poissonized from a JointDistribution, or a fixed (N, 3)
+    array with explicit `dims`) are sorted by z once and split per bin into
+    count tensors (see `_general_block`): a bin of 4 + 4t or more samples flattens
+    its marginals with its leading min(t, l1) + min(t, l2) samples, giving
+    row counts b and column counts c, and estimates the rescaled squared
+    l2 distance from the next 2t + 4 samples with weights
+    1/((1 + b_x)(1 + c_y)) = 1/(1 + a_xy).  One kernel call evaluates all
+    these bins, or one call per block of them when their tensors would
+    exceed 2^18 cells.  The bin weight is sigma_z * omega_z with
+    sigma_z = 2t + 4 and omega_z = sqrt(min(sigma_z, l1) * min(sigma_z, l2)).
+    This is `run_tester` in general mode.
+    """
+    return run_tester(source, replace(cfg, mode="general"), dims)
+
+
+def test_cmi(source, cfg: TesterConfig, dims=None) -> Verdict:
+    """Distinguish zero conditional mutual information from
+    CMI >= cfg.epsilon (binary X and Y) by running the binary TV tester at
+    the budget of eps' = epsilon / log2(1/epsilon).  This is `run_tester`
+    in cmi mode."""
+    return run_tester(source, replace(cfg, mode="cmi"), dims)
+
+
+def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
+    """Yield one Verdict per (source, seed) pair, in order: the verdict of
+    the tester `cfg.mode` on the source, seeded with the seed.
+
+    A source is a JointDistribution or an (N, 3) sample array on the
+    domain `dims`.  `sources` and `seeds` may be lazy iterables of the same
+    length; they are consumed at most one block ahead of the verdicts.  A
+    seed is an int or a `SeedSequence`.  In binary and cmi mode each trial
+    draws its counts from `default_rng(seed)`, and blocks of trials of at
+    most 2^12 cells share one kernel call; the verdicts do not depend on
+    the block size.  General mode evaluates one trial at a time, seeded
+    with `int_seed(seed)`, so a `seed_sequence(...)` seed gives the verdict
+    its `child_seed(...)` int would.
+    """
+    if cfg.mode == "general":
+        for source, seed in zip(sources, seeds, strict=True):
+            yield _general_verdict(source, cfg, seed, dims)
+        return
+    if cfg.mode == "cmi":
+        sources = (_binary_xy(source, dims) for source in sources)
+    yield from _binary_trials(sources, cfg, seeds, dims)
+
+
+def _binary_xy(source, dims):
+    """`source`, once its X and Y are checked to be binary (cmi mode)."""
+    dims_check = source.dims if isinstance(source, JointDistribution) else dims
+    if dims_check is None or dims_check[0] != 2 or dims_check[1] != 2:
+        raise TesterInputError("cmi mode requires binary X and Y")
+    return source
+
+
+def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
     """Binary-tester verdicts for the (source, seed) pairs, in order.
 
-    Each trial draws its count tensor from its own `as_generator(seed)`,
+    Each trial draws its count tensor from its own `default_rng(seed)`,
     with per-cell Poisson counts (`poissonized_count_tensor`).
     Consecutive trials with the same (l1, l2) and at least two bins are
     stacked into blocks of at most `_TRIAL_BLOCK_CELLS` cells (any other
     trial is a block of its own), and each block is one kernel call.
     """
-    def m_formula(d):
-        l1, l2, n = d
-        return sample_complexity_binary(n, cfg.epsilon, cfg.beta, ell1=l1, ell2=l2)
-
     block, cells = [], 0
     for source, seed in zip(sources, seeds, strict=True):
-        (l1, l2, n), m, samples = _resolve_source(source, cfg, dims, m_formula)
+        (l1, l2, n), m, samples = _resolve_source(source, cfg, dims)
         if l1 > 8 or l2 > 8:
             raise TesterInputError("binary tester supports alphabet sizes up to 8")
         if samples is None:
-            big_m, counts = poissonized_count_tensor(source, m, as_generator(seed))
+            big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
         else:
             big_m, counts = m, counts_from_samples(samples, (l1, l2, n))
         # a one-bin tensor is contiguous, and the kernel adds its cells in
@@ -429,28 +503,12 @@ def _binary_verdicts(block, cfg: TesterConfig):
         yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, bins)
 
 
-def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
-    """Flattened conditional-independence tester for arbitrary alphabets.
-
-    The samples (Poissonized from a JointDistribution, or a fixed (N, 3)
-    array with explicit `dims`) are sorted by z once and split per bin into
-    count tensors (see `_general_block`): a bin of 4 + 4t or more samples flattens
-    its marginals with its leading min(t, l1) + min(t, l2) samples, giving
-    row counts b and column counts c, and estimates the rescaled squared
-    l2 distance from the next 2t + 4 samples with weights
-    1/((1 + b_x)(1 + c_y)) = 1/(1 + a_xy).  One kernel call evaluates all
-    these bins, or one call per block of them when their tensors would
-    exceed 2^18 cells.  The bin weight is sigma_z * omega_z with
-    sigma_z = 2t + 4 and omega_z = sqrt(min(sigma_z, l1) * min(sigma_z, l2)).
-    """
-    def m_formula(d):
-        l1, l2, n = d
-        return sample_complexity_general(n, l1, l2, cfg.epsilon, cfg.zeta)
-
-    dims, m, samples = _resolve_source(source, cfg, dims, m_formula)
+def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
+    """The general tester's verdict on one source (see `test_general`)."""
+    dims, m, samples = _resolve_source(source, cfg, dims)
     l1, l2, n = dims
     if samples is None:
-        samples = sample_poissonized(source, m, as_generator(int_seed(cfg.seed)))
+        samples = sample_poissonized(source, m, int_seed(seed))
     # stable sort by z keeps each bin's samples in arrival order
     ordered = samples[np.argsort(samples[:, 2], kind="stable")]
     sizes = np.bincount(ordered[:, 2], minlength=n)
@@ -469,62 +527,6 @@ def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
     return _verdict(
         cfg, cfg.zeta**0.25, n, stat, int(m), samples.shape[0], (bins, sigma, omega, a_z)
     )
-
-
-def _cmi_config(eps: float, cfg: TesterConfig) -> TesterConfig:
-    """The binary-tester config of cmi mode, at eps' = cmi_scale * eps / log2(1/eps)."""
-    if not 0 < eps < 0.5:
-        raise TesterInputError("cmi mode needs eps in (0, 1/2)")
-    eps_prime = cfg.cmi_scale * eps / math.log2(1.0 / eps)
-    return replace(cfg, epsilon=min(eps_prime, 1.0), mode="binary")
-
-
-def _binary_xy(source, dims=None):
-    """`source`, once its X and Y are checked to be binary (cmi mode)."""
-    dims_check = source.dims if isinstance(source, JointDistribution) else dims
-    if dims_check is None or dims_check[0] != 2 or dims_check[1] != 2:
-        raise TesterInputError("cmi mode requires binary X and Y")
-    return source
-
-
-def test_cmi(source, eps: float, cfg: TesterConfig, dims=None) -> Verdict:
-    """Distinguish zero conditional mutual information from CMI >= eps
-    (binary alphabets) by running the binary TV tester at
-    eps' = cmi_scale * eps / log2(1/eps)."""
-    sub = _cmi_config(eps, cfg)
-    return test_binary(_binary_xy(source, dims), sub, dims=dims)
-
-
-def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "binary":
-        return test_binary(source, cfg, dims=dims)
-    if cfg.mode == "general":
-        return test_general(source, cfg, dims=dims)
-    return test_cmi(source, cfg.epsilon, cfg, dims=dims)
-
-
-def run_trials(instances, cfg: TesterConfig, seeds):
-    """Yield one Verdict per (instance, seed) pair, in order: the verdict
-    `run_tester(instance, replace(cfg, seed=seed))` gives.
-
-    `instances` (JointDistributions) and `seeds` may be lazy iterables of
-    the same length; they are consumed at most one block ahead of the
-    verdicts.  A seed is an int or a `SeedSequence`.  In binary and cmi
-    mode each trial draws its counts from `default_rng(seed)`, and blocks
-    of trials of at most 2^12 cells share one kernel call; the verdicts do
-    not depend on the block size.  General mode runs the tester once per
-    trial, seeded with `int_seed(seed)`, so a `seed_sequence(...)` seed
-    gives the verdict its `child_seed(...)` int would.
-    """
-    if cfg.mode == "general":
-        for inst, seed in zip(instances, seeds, strict=True):
-            yield run_tester(inst, replace(cfg, seed=seed))
-        return
-    if cfg.mode == "cmi":
-        cfg = _cmi_config(cfg.epsilon, cfg)
-        instances = map(_binary_xy, instances)
-    yield from _binary_trials(instances, cfg, seeds)
 
 
 # ---------------------------------------------------------------------------

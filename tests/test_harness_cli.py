@@ -26,7 +26,9 @@ from cit.harness import (
     run_power_experiment,
     write_power_csv,
 )
+from cit.instances import EnsembleSpec, make_instance
 from cit.poly_estimator import format_polynomial, l2_diff_polynomial
+from cit.testers import TesterConfig, run_tester
 
 PLAN_TEXT = """
 # tiny smoke plan
@@ -168,6 +170,23 @@ class TestPowerExperiment:
         row = run_power_experiment(plan)[0]
         assert np.isfinite(row.tau) and row.tau > 0
 
+    def test_cmi_auto_budget_is_the_testers(self, tmp_path):
+        # m=auto in cmi mode is the budget `cit test --mode cmi` draws
+        inst = make_instance(EnsembleSpec("yes_binary_r1", 100, 0.3, 50))[0]
+        want = run_tester(inst, TesterConfig(epsilon=0.3, mode="cmi")).m_used
+        assert want == 2682
+        plan = ExperimentPlan(
+            null_family="yes_binary_r1",
+            alt_family="no_binary_r1",
+            n_values=(100,),
+            eps_values=(0.3,),
+            mode="cmi",
+            trials=50,
+        )
+        run_power_experiment(plan, out_path=tmp_path / "cmi.csv")
+        row = (tmp_path / "cmi.csv").read_text().splitlines()[1].split(",")
+        assert int(row[CSV_COLUMNS.index("m")]) == want
+
 
 class TestFindMinM:
     def test_indistinguishable_pair_exhausts_budget(self):
@@ -207,6 +226,10 @@ class TestFindMinM:
             m_start=16,
         )
         assert m == m2  # pure function of its arguments
+
+    def test_trials_below_floor_rejected(self):
+        with pytest.raises(PlanError, match="trials must be >= 50"):
+            find_min_m(20, 0.5, ("random_ci", "random_far"), 0.7, seed=0, trials=49)
 
 
 class TestBatchedEngine:
@@ -496,6 +519,25 @@ class TestCLI:
     def test_missing_path_exit_code(self, tmp_path, argv):
         paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
         assert run_cli([a.format(**paths) for a in argv]) == (2, "")
+
+    def test_minm_trials_below_floor_exit_code(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["minm", "--n", "20", "--eps", "0.5", "--trials", "10"]) == (2, "")
+        assert err.getvalue() == "error: trials must be >= 50\n"
+
+    def test_out_of_memory_exit_code(self, monkeypatch, pinned_files):
+        # the sampler fails the way numpy does when the draws cannot be held
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(testers, "sample_poissonized", no_memory)
+        err = io.StringIO()
+        argv = ["test", "--mode", "general", "--eps", "0.5", "--m", str(10**12),
+                "--dist", str(pinned_files[1])]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue() == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
     def test_budget_exhausted_exit_code(self):
         code, _ = run_cli(

@@ -37,10 +37,10 @@ def truncated_mean_rate(x):
 
 class TestSampleComplexityBinary:
     def test_large_eps_regime(self):
-        assert sample_complexity_binary(256, 2.0, 1.0, eps_prime=1.0) == 116
+        assert sample_complexity_binary(256, 1.0, 1.0, ell1=1, ell2=1) == 116
 
     def test_small_eps_regime(self):
-        assert sample_complexity_binary(16, 0.2, 1.0, eps_prime=0.1) == 400
+        assert sample_complexity_binary(16, 0.1, 1.0, ell1=1, ell2=1) == 400
 
     def test_beta_doubles_raw_value(self):
         raw = sample_complexity_binary_raw(500, 0.4, 1.7)
@@ -49,13 +49,13 @@ class TestSampleComplexityBinary:
     def test_three_regimes(self):
         n = 10**4
         # large eps: the n^{6/7} branch; middle: n^{7/8}; small: sqrt(n)
-        big = sample_complexity_binary_raw(n, 1.0, 1.0, eps_prime=1.0)
+        big = sample_complexity_binary_raw(n, 1.0, 1.0, ell1=1, ell2=1)
         assert big == pytest.approx(n ** (6 / 7))
         mid_eps = 0.8 * n ** (-1 / 8)
-        mid = sample_complexity_binary_raw(n, 1.0, 1.0, eps_prime=mid_eps)
+        mid = sample_complexity_binary_raw(n, mid_eps, 1.0, ell1=1, ell2=1)
         assert mid == pytest.approx(n ** (7 / 8) / mid_eps)
         small_eps = 0.5 * n ** (-3 / 8)
-        small = sample_complexity_binary_raw(n, 1.0, 1.0, eps_prime=small_eps)
+        small = sample_complexity_binary_raw(n, small_eps, 1.0, ell1=1, ell2=1)
         assert small == pytest.approx(math.sqrt(n) / small_eps**2)
 
 
@@ -351,10 +351,10 @@ class TestGeneralTester:
 
 class TestCMIWrapper:
     def test_epsilon_mapping(self):
-        # eps = 0.25 -> eps' = 0.125 * cmi_scale
+        # eps = 0.25 -> eps' = 0.125
         p = JointDistribution.uniform(2, 2, 4)
-        cfg = TesterConfig(epsilon=0.25, mode="cmi", seed=0, cmi_scale=1.0)
-        v = cmi_test(p, 0.25, cfg)
+        cfg = TesterConfig(epsilon=0.25, mode="cmi", seed=0)
+        v = cmi_test(p, cfg)
         expect_m = sample_complexity_binary(4, 0.125, cfg.beta)
         assert v.m_used == expect_m
 
@@ -365,20 +365,20 @@ class TestCMIWrapper:
             cfg = TesterConfig(
                 epsilon=0.25, mode="cmi", m_override=400, seed=child_seed(7, t)
             )
-            accepts += cmi_test(p, 0.25, cfg).accept
+            accepts += cmi_test(p, cfg).accept
         assert accepts / 60 >= 2 / 3
 
     def test_eps_range(self):
         p = JointDistribution.uniform(2, 2, 4)
         cfg = TesterConfig(epsilon=0.25, mode="cmi")
         with pytest.raises(TesterInputError):
-            cmi_test(p, 0.7, cfg)
+            cmi_test(p, replace(cfg, epsilon=0.7))
 
     def test_requires_binary_alphabets(self):
         p = JointDistribution.uniform(3, 2, 4)
         cfg = TesterConfig(epsilon=0.25, mode="cmi")
         with pytest.raises(TesterInputError):
-            cmi_test(p, 0.25, cfg)
+            cmi_test(p, cfg)
 
 
 class TestCalibration:
