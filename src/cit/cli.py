@@ -7,8 +7,8 @@ file into a CSV), `calibrate` (empirical threshold for a null family),
 polynomial/fingerprint text formats and flattening grids.
 
 Exit codes: 0 ok, 2 invalid plan or input (including a missing or
-unwritable file, and input whose run does not fit in memory), 3 search
-budget exhausted.
+unwritable file, a non-finite --beta, --zeta or --tau, and input whose run
+does not fit in memory), 3 search budget exhausted.
 All output for a fixed seed is byte-identical across runs.
 """
 
@@ -20,24 +20,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dist_core import (
-    DistributionError,
-    read_distribution_file,
-    read_sample_file,
-    write_distribution_file,
-)
+from .dist_core import read_distribution_file, read_sample_file, write_distribution_file
 from .flattening import implicit_flattening
 from .harness import (
     BudgetExhaustedError,
-    PlanError,
+    _resolve_gen_m,
     find_min_m,
     parse_plan_file,
     run_power_experiment,
 )
-from .instances import EnsembleSpec, RegimeError, make_instance
+from .instances import EnsembleSpec, make_instance
 from .poly_estimator import Fingerprint, parse_polynomial, unbiased_estimate
 from .seeding import child_seed
-from .testers import TesterConfig, TesterInputError, calibrate_threshold, run_tester
+from .testers import _MODES, TesterConfig, calibrate_threshold, run_tester
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="run a tester")
-    p_test.add_argument("--mode", choices=("binary", "general", "cmi"), default="binary")
+    p_test.add_argument("--mode", choices=_MODES, default="binary")
     p_test.add_argument("--eps", type=float, required=True)
     p_test.add_argument("--m", type=int, default=None, help="override the sample budget")
     p_test.add_argument("--tau", type=float, default=None, help="override the threshold")
@@ -170,7 +165,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    gen_m = args.gen_m if args.gen_m is not None else max(1, args.n // 2)
+    gen_m = _resolve_gen_m("half_n" if args.gen_m is None else args.gen_m, args.n)
 
     def null_gen(t):
         spec = EnsembleSpec(
@@ -237,7 +232,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PlanError, DistributionError, TesterInputError, RegimeError, ValueError, OSError) as exc:
+    # PlanError, DistributionError, TesterInputError and RegimeError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -121,22 +122,28 @@ CSV_COLUMNS = tuple(f.name for f in fields(PowerRow) if f.name != "wall_time_s")
 # Plan files: flat key=value text, lists comma-separated.
 # ---------------------------------------------------------------------------
 
+
+def _list(parse):
+    return lambda value: tuple(parse(v) for v in value.split(","))
+
+
+#: plan key -> (ExperimentPlan field, parse function for its value)
 _PLAN_KEYS = {
-    "mode": str,
-    "null_family": str,
-    "alt_family": str,
-    "n": "int_list",
-    "eps": "float_list",
-    "m": "m_list",
-    "ell1": int,
-    "ell2": int,
-    "trials": int,
-    "seed": int,
-    "beta": float,
-    "zeta": float,
-    "gen_m": "gen_m",
-    "calibration_trials": int,
-    "budget_seconds": float,
+    "mode": ("mode", str),
+    "null_family": ("null_family", str),
+    "alt_family": ("alt_family", str),
+    "n": ("n_values", _list(int)),
+    "eps": ("eps_values", _list(float)),
+    "m": ("m_values", _list(lambda v: "auto" if v.strip() == "auto" else int(v))),
+    "ell1": ("ell1", int),
+    "ell2": ("ell2", int),
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "beta": ("beta", float),
+    "zeta": ("zeta", float),
+    "gen_m": ("gen_m", lambda v: v if v == "half_n" else int(v)),
+    "calibration_trials": ("calibration_trials", int),
+    "budget_seconds": ("budget_seconds", float),
 }
 
 
@@ -156,31 +163,16 @@ def parse_plan_text(text: str) -> ExperimentPlan:
         if key in raw:
             raise PlanError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
+    kwargs: dict = {}
     try:
-        kwargs: dict = {}
         for key, value in raw.items():
-            kind = _PLAN_KEYS[key]
-            if kind == "int_list":
-                kwargs[key + "_values"] = tuple(int(v) for v in value.split(","))
-            elif kind == "float_list":
-                kwargs[key + "_values"] = tuple(float(v) for v in value.split(","))
-            elif kind == "m_list":
-                kwargs["m_values"] = tuple(
-                    "auto" if v.strip() == "auto" else int(v) for v in value.split(",")
-                )
-            elif kind == "gen_m":
-                kwargs["gen_m"] = value if value == "half_n" else int(value)
-            elif key == "seed":
-                kwargs["master_seed"] = int(value)
-            else:
-                kwargs[key] = kind(value)
+            field, parse = _PLAN_KEYS[key]
+            kwargs[field] = parse(value)
     except ValueError as exc:
         raise PlanError(f"bad plan value: {exc}") from exc
-    for required in ("null_family", "alt_family"):
-        if required not in kwargs:
+    for required in ("null_family", "alt_family", "n"):
+        if required not in raw:
             raise PlanError(f"plan is missing {required!r}")
-    if "n_values" not in kwargs:
-        raise PlanError("plan is missing 'n'")
     kwargs.setdefault("eps_values", (0.5,))
     return ExperimentPlan(**kwargs)
 
@@ -194,14 +186,40 @@ def parse_plan_file(path) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_gen_m(plan: ExperimentPlan, n: int) -> int:
-    if plan.gen_m == "half_n":
+def _resolve_gen_m(gen_m, n: int) -> int:
+    """The ensembles' heavy-bin parameter: `gen_m`, or max(1, n // 2) for "half_n"."""
+    if gen_m == "half_n":
         return max(1, n // 2)
-    return int(plan.gen_m)
+    return int(gen_m)
 
 
-def _family_key(family: str, n: int, eps: float, gen_m: int, ell1: int, ell2: int) -> str:
-    return f"{family}|{n}|{eps!r}|{gen_m}|{ell1}x{ell2}"
+def _instances(plan: ExperimentPlan, family: str, n: int, eps: float):
+    """`(key, instance)` for `family` at grid cell (n, eps): `key` names the
+    family spec, and `instance(*path)` builds the instance seeded with
+    `child_seed(plan.master_seed, *path, key)`, so identical specs get
+    identical instances."""
+    gen_m = _resolve_gen_m(plan.gen_m, n)
+    key = f"{family}|{n}|{eps!r}|{gen_m}|{plan.ell1}x{plan.ell2}"
+
+    def instance(*path):
+        seed = child_seed(plan.master_seed, *path, key)
+        return make_instance(EnsembleSpec(
+            family=family, n=n, eps=eps, m=gen_m, seed=seed, ell1=plan.ell1, ell2=plan.ell2
+        ))[0]
+
+    return key, instance
+
+
+def _trial_column(cfg: TesterConfig, trials: int, instance, seed):
+    """Accept flags and statistics A of `trials` trials through `run_trials`:
+    trial t tests `instance(t)` seeded with `seed(t)`."""
+    accepts = np.empty(trials, dtype=bool)
+    stats = np.empty(trials)
+    verdicts = run_trials(map(instance, range(trials)), cfg, map(seed, range(trials)))
+    for t, verdict in enumerate(verdicts):
+        accepts[t] = verdict.accept
+        stats[t] = verdict.statistic_A
+    return accepts, stats
 
 
 def _cell_fields(plan: ExperimentPlan, n: int, eps: float, m: int) -> dict:
@@ -216,59 +234,36 @@ def _cell_fields(plan: ExperimentPlan, n: int, eps: float, m: int) -> dict:
         ell2=plan.ell2,
         eps=eps,
         m=m,
-        gen_m=_resolve_gen_m(plan, n),
-    )
-
-
-def _spec_for(plan: ExperimentPlan, family: str, n: int, eps: float, gen_m: int, seed: int):
-    return EnsembleSpec(
-        family=family, n=n, eps=eps, m=gen_m, seed=seed, ell1=plan.ell1, ell2=plan.ell2
+        gen_m=_resolve_gen_m(plan.gen_m, n),
     )
 
 
 def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> PowerRow:
     n, eps, m_spec = cell
     start = time.perf_counter()
-    gen_m = _resolve_gen_m(plan, n)
-    base_cfg = TesterConfig(epsilon=eps, mode=plan.mode, beta=plan.beta, zeta=plan.zeta)
-    m = sample_budget(base_cfg, (plan.ell1, plan.ell2, n)) if m_spec == "auto" else int(m_spec)
-    base_cfg = replace(base_cfg, m_override=m)
+    cfg = TesterConfig(epsilon=eps, mode=plan.mode, beta=plan.beta, zeta=plan.zeta)
+    m = sample_budget(cfg, (plan.ell1, plan.ell2, n)) if m_spec == "auto" else int(m_spec)
+    cfg = replace(cfg, m_override=m)
 
     tau = None
     if plan.calibration_trials:
-        null_key = _family_key(plan.null_family, n, eps, gen_m, plan.ell1, plan.ell2)
-
-        def null_gen(t):
-            seed = child_seed(plan.master_seed, "cell", cell_idx, "cal-inst", t, null_key)
-            return make_instance(_spec_for(plan, plan.null_family, n, eps, gen_m, seed))[0]
-
-        cal_cfg = replace(
-            base_cfg, seed=child_seed(plan.master_seed, "cell", cell_idx, "cal")
+        _, null_instance = _instances(plan, plan.null_family, n, eps)
+        tau = calibrate_threshold(
+            partial(null_instance, "cell", cell_idx, "cal-inst"),
+            replace(cfg, seed=child_seed(plan.master_seed, "cell", cell_idx, "cal")),
+            plan.calibration_trials,
         )
-        tau = calibrate_threshold(null_gen, cal_cfg, plan.calibration_trials)
+    cfg = replace(cfg, tau_override=tau)
 
-    def run_column(family: str) -> tuple[np.ndarray, np.ndarray]:
-        key = _family_key(family, n, eps, gen_m, plan.ell1, plan.ell2)
-        trials = range(plan.trials)
-        instances = (
-            make_instance(_spec_for(plan, family, n, eps, gen_m, child_seed(
-                plan.master_seed, "cell", cell_idx, "inst", t, key
-            )))[0]
-            for t in trials
+    def column(family: str) -> tuple[np.ndarray, np.ndarray]:
+        key, instance = _instances(plan, family, n, eps)
+        return _trial_column(
+            cfg, plan.trials, partial(instance, "cell", cell_idx, "inst"),
+            lambda t: seed_sequence(plan.master_seed, "cell", cell_idx, "test", t, key),
         )
-        seeds = (
-            seed_sequence(plan.master_seed, "cell", cell_idx, "test", t, key) for t in trials
-        )
-        accepts = np.empty(plan.trials, dtype=bool)
-        stats = np.empty(plan.trials)
-        verdicts = run_trials(instances, replace(base_cfg, tau_override=tau), seeds)
-        for t, verdict in enumerate(verdicts):
-            accepts[t] = verdict.accept
-            stats[t] = verdict.statistic_A
-        return accepts, stats
 
-    null_acc, null_stats = run_column(plan.null_family)
-    alt_acc, alt_stats = run_column(plan.alt_family)
+    null_acc, null_stats = column(plan.null_family)
+    alt_acc, alt_stats = column(plan.alt_family)
     accept_rate = float(null_acc.mean())
     reject_rate = float(1.0 - alt_acc.mean())
     t_trials = plan.trials
@@ -349,16 +344,11 @@ def run_power_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1) 
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_power_csv(path, rows: list[PowerRow]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, name)) for name in CSV_COLUMNS))
+        # str(float) is repr(float): the shortest string that round-trips
+        lines.append(",".join(str(getattr(row, name)) for name in CSV_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -381,25 +371,24 @@ def find_min_m(
     calibration_trials: int = 150,
     m_start: int = 32,
     m_cap: int = 2_000_000,
-    bisection_rounds: int = 2,
-    gen_m: object = "half_n",
-    zeta: float = 2.0,
 ) -> int:
     """Smallest tested sample budget m at which the calibrated tester
     accepts the null family and rejects the alternative family at rate
-    >= target_power, found by doubling then log-midpoint bisection.
+    >= target_power, found by doubling from `m_start`, then two rounds of
+    log-midpoint bisection.
 
-    Instances are common across probed m values (seeds keyed by trial
-    only), which keeps the empirical power roughly monotone in m; residual
-    statistical noise is inherent and documented.  Each probe calibrates
-    tau on the first `calibration_trials` null instances and then runs
-    `trials` null and `trials` alternative trials on the same instances,
-    all through `run_trials` (blocks of trials share one kernel call).  The
+    Instances (gen_m = max(1, n // 2)) are common across probed m values (seeds
+    keyed by trial only), which keeps the empirical power roughly monotone
+    in m; residual statistical noise is inherent and documented.  Each
+    probe pins m and calibrates tau on the first `calibration_trials` null
+    instances, so neither beta nor zeta enters it; it then runs `trials`
+    null and `trials` alternative trials on the same instances, all
+    through `run_trials` (blocks of trials share one kernel call).  The
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
-    Raises PlanError when `trials` is below MIN_TRIALS, and
-    BudgetExhaustedError if no m <= m_cap succeeds.
+    Raises PlanError when `trials` is below MIN_TRIALS or `m_start` below
+    1, and BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
@@ -414,10 +403,10 @@ def find_min_m(
         ell2=ell2,
         trials=trials,
         master_seed=seed,
-        gen_m=gen_m,
-        zeta=zeta,
     )
-    gm = _resolve_gen_m(plan, n)
+    if m_start < 1:
+        raise PlanError(f"m_start must be >= 1, got {m_start}")
+    builders = {family: _instances(plan, family, n, eps)[1] for family in families}
     cache: dict = {}
     cached_cells = 0
 
@@ -425,9 +414,7 @@ def find_min_m(
         nonlocal cached_cells
         inst = cache.get((family, t))
         if inst is None:
-            key = _family_key(family, n, eps, gm, ell1, ell2)
-            spec = _spec_for(plan, family, n, eps, gm, child_seed(seed, "minm-inst", t, key))
-            inst = make_instance(spec)[0]
+            inst = builders[family]("minm-inst", t)
             if cached_cells + inst.mass.size <= _INSTANCE_CACHE_CELLS:
                 cache[(family, t)] = inst
                 cached_cells += inst.mass.size
@@ -435,30 +422,19 @@ def find_min_m(
 
     def probe(m: int) -> bool:
         cfg = TesterConfig(
-            epsilon=eps,
-            mode=mode,
-            zeta=zeta,
-            m_override=m,
-            seed=child_seed(seed, "minm-cal", m),
+            epsilon=eps, mode=mode, m_override=m, seed=child_seed(seed, "minm-cal", m)
         )
-        tau = calibrate_threshold(
-            lambda t: instance(null_family, t), cfg, calibration_trials
-        )
+        tau = calibrate_threshold(partial(instance, null_family), cfg, calibration_trials)
 
-        def column(family: str, tag: str):
-            trials = range(plan.trials)
-            return run_trials(
-                (instance(family, t) for t in trials),
-                replace(cfg, tau_override=tau),
-                (seed_sequence(seed, tag, m, t) for t in trials),
-            )
+        def accepts(family: str, tag: str) -> np.ndarray:
+            return _trial_column(
+                replace(cfg, tau_override=tau), trials, partial(instance, family),
+                lambda t: seed_sequence(seed, tag, m, t),
+            )[0]
 
-        null_ok = sum(v.accept for v in column(null_family, "minm-null"))
-        alt_reject = sum(not v.accept for v in column(alt_family, "minm-alt"))
-        return (
-            null_ok >= target_power * plan.trials
-            and alt_reject >= target_power * plan.trials
-        )
+        null_ok = accepts(null_family, "minm-null").sum()
+        alt_reject = (~accepts(alt_family, "minm-alt")).sum()
+        return null_ok >= target_power * trials and alt_reject >= target_power * trials
 
     m = m_start
     last_fail = None
@@ -474,7 +450,7 @@ def find_min_m(
     best = m
     if last_fail is not None:
         lo, hi = last_fail, best
-        for _ in range(bisection_rounds):
+        for _ in range(2):
             mid = int(round((lo * hi) ** 0.5))
             if mid <= lo or mid >= hi:
                 break

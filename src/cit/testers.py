@@ -72,7 +72,8 @@ class TesterConfig:
     general sample-size formula and sets the acceptance threshold
     (zeta * sqrt(min(n, m)) for the binary tester, zeta^{1/4} * sqrt(min(n, m))
     for the general one).  `m_override` / `tau_override` pin the sample
-    budget / threshold directly, e.g. to a calibrated value.  A budget of 0
+    budget / threshold directly, e.g. to a calibrated value; beta and zeta
+    must be finite and positive, and a pinned threshold finite.  A budget of 0
     draws no samples (the tester accepts); a budget above 2^62 is rejected
     with TesterInputError when the tester draws from a distribution, since
     the drawn counts are int64; fixed-sample input needs at least one row.
@@ -97,8 +98,10 @@ class TesterConfig:
                 raise TesterInputError("cmi mode needs epsilon in (0, 1/2)")
         elif not 0 < self.epsilon <= 1.0:
             raise TesterInputError(f"epsilon must lie in (0, 1] for mode {self.mode}")
-        if self.beta <= 0 or self.zeta <= 0:
-            raise TesterInputError("beta and zeta must be > 0")
+        if not (0 < self.beta < math.inf and 0 < self.zeta < math.inf):
+            raise TesterInputError("beta and zeta must be finite and > 0")
+        if self.tau_override is not None and not math.isfinite(self.tau_override):
+            raise TesterInputError("tau_override must be finite")
         if self.m_override is not None and self.m_override < 0:
             raise TesterInputError("m_override must be >= 0")
 

@@ -231,6 +231,17 @@ class TestFindMinM:
         with pytest.raises(PlanError, match="trials must be >= 50"):
             find_min_m(20, 0.5, ("random_ci", "random_far"), 0.7, seed=0, trials=49)
 
+    @pytest.mark.parametrize("m_start", [0, -4])
+    def test_m_start_below_one_rejected_before_any_probe(self, monkeypatch, m_start):
+        # doubling from 0 stays at 0: without the check the search never ends
+        def no_probe(spec):
+            raise AssertionError("probed before rejecting m_start")
+
+        monkeypatch.setattr(harness, "make_instance", no_probe)
+        with pytest.raises(PlanError, match="m_start must be >= 1"):
+            find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
+                       calibration_trials=100, m_start=m_start, m_cap=64)
+
 
 class TestBatchedEngine:
     """Trial blocks and the min-m instance cache leave every output as it is."""
@@ -290,8 +301,11 @@ class TestPinnedOutputs:
     the float twins of the exact estimators; the binary outputs that draw
     samples (`--dist` binary, `minm`, the binary power CSV) were recorded
     again when binary draws became per-cell Poisson counts seeded by one
-    `SeedSequence` per trial.  A change to any RNG stream, to the kernel's
-    arithmetic, to file parsing or to the exact estimators shows here."""
+    `SeedSequence` per trial.  The bisection and general `minm` values and
+    the `calibrate` taus were recorded before power cells and min-m probes
+    shared one instance builder and one trial-column routine.  A change to
+    any RNG stream, to the kernel's arithmetic, to file parsing or to the
+    exact estimators shows here."""
 
     SAMPLE_VERDICTS = {
         ("binary", "0.5"): (
@@ -358,6 +372,28 @@ class TestPinnedOutputs:
         for seed, want in ((1, 16384), (4, 16384)):
             argv = ["minm", "--n", "40", "--eps", "0.5", "--trials", "50", "--seed", str(seed)]
             assert run_cli(argv) == (0, f"m={want}\n")
+
+    def test_minm_bisection_value(self):
+        # the benchmark's minm_binary search; 23170 is a bisection midpoint
+        argv = ["minm", "--n", "100", "--eps", "0.5", "--null-family", "yes_binary_r1",
+                "--alt-family", "no_binary_r1", "--target", "0.7", "--trials", "120",
+                "--seed", "701"]
+        assert run_cli(argv) == (0, "m=23170\n")
+
+    def test_minm_general_value(self):
+        argv = ["minm", "--mode", "general", "--null-family", "random_ci", "--alt-family",
+                "random_far", "--ell1", "3", "--ell2", "3", "--n", "30", "--eps", "0.4",
+                "--trials", "60", "--seed", "1"]
+        assert run_cli(argv) == (0, "m=38\n")
+
+    @pytest.mark.parametrize("extra, tau", [
+        ([], "1.250528634731961"),
+        (["--mode", "general", "--ell1", "3", "--ell2", "3"], "2.7212720944919093"),
+    ])
+    def test_calibrate_tau(self, extra, tau):
+        argv = ["calibrate", "--family", "random_ci", "--n", "30", "--m", "400",
+                "--trials", "120", "--seed", "2", *extra]
+        assert run_cli(argv) == (0, f"tau={tau}\n")
 
     def test_binary_power_csv(self, tmp_path):
         plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
@@ -495,6 +531,31 @@ class TestCLI:
             code, out = run_cli(["test", "--eps", "0.5", "--dist", str(path)])
         assert (code, out) == (2, "")
         assert "dup.tsv: cell 1 1 1 listed 2 times" in err.getvalue()
+
+    @pytest.mark.parametrize("extra", [
+        ["--beta", "inf"],
+        ["--mode", "general", "--zeta", "inf"],
+        ["--zeta", "nan"],
+        ["--tau", "nan"],
+        ["--tau", "inf", "--json"],
+        ["--tau", "nan", "--json"],
+    ])
+    def test_non_finite_knob_exit_code(self, pinned_files, extra):
+        # once an OverflowError traceback, a tau=nan verdict or a NaN JSON token
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            argv = ["test", "--eps", "0.5", "--dist", str(pinned_files[1]), *extra]
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue().startswith("error: ") and "must be finite" in err.getvalue()
+
+    def test_non_finite_plan_zeta_exit_code(self, tmp_path):
+        # once an `ok` row with accept_rate_null 0.0
+        plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
+        plan_path.write_text(PLAN_TEXT + "zeta=nan\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
+        assert "beta and zeta must be finite" in err.getvalue() and not out.exists()
 
     def test_invalid_plan_exit_code(self, tmp_path):
         plan_path = tmp_path / "bad.kv"
