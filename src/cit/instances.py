@@ -418,8 +418,12 @@ def _matching_table(l1: int, l2: int, rng: np.random.Generator) -> np.ndarray:
     return t
 
 
+#: resamples `gen_random_far` draws before it gives up on its target distance
+_FAR_ATTEMPTS = 100
+
+
 def gen_random_far(
-    l1: int, l2: int, n: int, eps: float, seed: int, max_attempts: int = 100
+    l1: int, l2: int, n: int, eps: float, seed: int
 ) -> tuple[JointDistribution, dict]:
     """Random instance with ci_distance_proxy >= eps, by mixing each random
     product slice with a random matching table and escalating the mixing
@@ -427,7 +431,7 @@ def gen_random_far(
     if eps <= 0:
         raise ValueError("eps must be > 0")
     rng = generator(seed, "random_far", l1, l2, n)
-    for attempt in range(max_attempts):
+    for attempt in range(_FAR_ATTEMPTS):
         pz = rng.dirichlet(np.ones(n))
         px = rng.dirichlet(np.ones(l1), size=n)
         py = rng.dirichlet(np.ones(l2), size=n)
@@ -454,5 +458,5 @@ def gen_random_far(
                 break
             w = min(1.0, 1.35 * w)
     raise RegimeError(
-        f"could not reach proxy distance {eps} after {max_attempts} resamples"
+        f"could not reach proxy distance {eps} after {_FAR_ATTEMPTS} resamples"
     )

@@ -19,9 +19,10 @@ fingerprint, and an exact brute-force oracle over all ordered sample
 tuples in rational arithmetic.
 
 The estimators return `fractions.Fraction`s; they are the oracle for the
-float count-tensor kernel `cit.testers.binary_bin_statistics`, which
-shares the degree-4 cell term `_l2_cell_terms` with `l2_estimator`.  The
-moments stay exact on exact inputs and follow float inputs otherwise.
+float l2 statistics of `cit.testers`, which share with `l2_estimator` the
+degree-4 cell term `_l2_cell_terms` (in a cell's count, row and column
+sums and total).  The moments stay exact on exact inputs and follow float
+inputs otherwise.
 """
 
 from __future__ import annotations
@@ -139,29 +140,12 @@ class HomogeneousPolynomial:
     def monomial(cls, num_vars: int, key: ExponentKey, coeff=1):
         return cls.from_terms(num_vars, {tuple(key): coeff}, degree=_key_degree(tuple(key)))
 
-    def _eval_arrays(self):
-        cached = self.__dict__.get("_arrays")
-        if cached is None:
-            rows = sorted(self.terms.items())
-            idx = np.zeros((len(rows), self.degree), dtype=np.intp)
-            coef = np.zeros(len(rows))
-            for r, (key, c) in enumerate(rows):
-                cols = [i for i, e in key for _ in range(e)]
-                idx[r] = cols
-                coef[r] = float(c)
-            self.__dict__["_arrays"] = (idx, coef)
-            cached = (idx, coef)
-        return cached
-
     def evaluate(self, values) -> float:
-        """Float evaluation at a point (vectorized over terms)."""
+        """Float value at a point: `evaluate_exact` rounded once."""
         v = np.asarray(values, dtype=float).ravel()
         if v.size != self.num_vars:
             raise PolynomialError(f"expected {self.num_vars} values, got {v.size}")
-        if not self.terms:
-            return 0.0
-        idx, coef = self._eval_arrays()
-        return float((coef * v[idx].prod(axis=1)).sum())
+        return float(self.evaluate_exact(v))
 
     def evaluate_exact(self, values):
         """Evaluation preserving the arithmetic of the inputs (e.g. Fraction)."""
@@ -461,21 +445,19 @@ def l2_diff_polynomial(l1: int, l2: int) -> HomogeneousPolynomial:
     return HomogeneousPolynomial.from_terms(n, total, degree=4)
 
 
-def _l2_cell_terms(f, n_total):
-    """Per-cell numerators of the l2 statistic over the last two axes of `f`.
+def _l2_cell_terms(f, rows, cols, n_total):
+    """Per-cell numerators of the l2 statistic: the degree-4 cell term.
 
-    With F the count matrix, R/C its row/column sums, N the total, and the
+    With F a cell's count, R/C its row/column sums, N the total, and the
     complementary counts F_inj = R - F, F_nij = C - F, F_ninj = N - R - C + F,
     the cell term is
 
         F (F-1) F_ninj (F_ninj - 1) + F_nij (F_nij - 1) F_inj (F_inj - 1)
-            - 2 F F_ninj F_inj F_nij.
+            - 2 F F_ninj F_inj F_nij,
 
-    `f` is a float or object (exact int) array of shape (..., l1, l2) and
-    `n_total` broadcasts against it; the arithmetic follows their dtype.
+    R (R-1) C (C-1) for an empty cell.  The arguments are float or object
+    (exact int) arrays that broadcast together; the arithmetic follows them.
     """
-    rows = f.sum(axis=-1, keepdims=True)
-    cols = f.sum(axis=-2, keepdims=True)
     f_inj = rows - f
     f_nij = cols - f
     f_ninj = n_total - rows - cols + f
@@ -499,8 +481,8 @@ def l2_estimator(counts, weights=None) -> Fraction:
 
     `counts` holds integers (any integer dtype, or integral objects);
     `weights` may be ints, Fractions or floats, floats taken at their
-    exact binary value.  The exact reference for the float kernel
-    `cit.testers.binary_bin_statistics`.
+    exact binary value.  The exact reference for the float l2 statistics
+    of `cit.testers`.
     """
     arr = np.asarray(counts)
     if arr.ndim != 2:
@@ -517,7 +499,8 @@ def l2_estimator(counts, weights=None) -> Fraction:
     n_total = sum(ints)
     if n_total < 4:
         raise NoUnbiasedEstimatorError("the l2 statistic needs at least 4 samples")
-    term = _l2_cell_terms(np.array(ints, dtype=object).reshape(arr.shape), n_total)
+    f = np.array(ints, dtype=object).reshape(arr.shape)
+    term = _l2_cell_terms(f, f.sum(1, keepdims=True), f.sum(0, keepdims=True), n_total)
     if weights is not None:
         warr = np.asarray(weights)
         if warr.shape != arr.shape:

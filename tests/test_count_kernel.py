@@ -1,16 +1,14 @@
-"""The count-tensor l2 kernel and the general tester's count-tensor split,
-checked against the exact Fraction path."""
+"""The count-tensor l2 kernel and the general tester's one-pass bin
+statistics, checked against the exact Fraction path."""
 
 import math
 from fractions import Fraction as F
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cit import testers
 from cit.flattening import implicit_flattening
 from cit.instances import gen_random_far
 from cit.poly_estimator import l2_estimator
@@ -49,15 +47,14 @@ def reference_general(samples, dims):
 
 @st.composite
 def count_tensors(draw):
-    """(counts (n, l1, l2), row counts b (n, l1), column counts c (n, l2))."""
+    """A count tensor (n, l1, l2)."""
     n = draw(st.integers(1, 4))
     l1, l2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     ints = st.integers(0, 2**31 - 1)
     rng = np.random.default_rng(draw(ints))
     # cell counts mostly small, so bins below 4 samples and empty bins occur
     hi = draw(st.sampled_from([2, 5, 40]))
-    counts = rng.integers(0, hi, size=(n, l1, l2))
-    return counts, rng.integers(0, 6, size=(n, l1)), rng.integers(0, 6, size=(n, l2))
+    return rng.integers(0, hi, size=(n, l1, l2))
 
 
 @st.composite
@@ -73,27 +70,42 @@ def sample_arrays(draw):
     return samples[rng.permutation(z.size)].astype(np.int64), (l1, l2, n)
 
 
+@st.composite
+def wide_sample_arrays(draw):
+    """(samples (N, 3), dims) with l1, l2 in [6, 40] and at most 3 bins, in
+    a random arrival order that keeps each bin's own order.  Some bins have
+    2t + 4 <= min(l1, l2) test samples on distinct rows and columns, so
+    that every test row and column sum is 0 or 1."""
+    n = draw(st.integers(1, 3))
+    l1, l2 = draw(st.integers(6, 40)), draw(st.integers(6, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    pairs = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            t = draw(st.integers(0, (min(l1, l2) - 4) // 2))
+            flat = rng.integers(0, [l1, l2], size=(2 * t, 2))
+            test = [rng.permutation(l1)[: 2 * t + 4], rng.permutation(l2)[: 2 * t + 4]]
+            pairs.append(np.concatenate([flat, np.column_stack(test)]))
+        else:
+            pairs.append(rng.integers(0, [l1, l2], size=(draw(st.integers(0, 300)), 2)))
+    z = rng.permutation(np.repeat(np.arange(n), [p.shape[0] for p in pairs]))
+    samples = np.column_stack([np.zeros((z.size, 2), dtype=np.int64), z])
+    for zb, p in enumerate(pairs):
+        samples[z == zb, :2] = p
+    return samples, (l1, l2, n)
+
+
 class TestKernelAgainstExact:
     @PROPERTY
-    @given(count_tensors(), st.booleans())
-    def test_per_bin_estimates(self, data, weighted):
-        counts, b, c = data
-        weights = None
-        if weighted:
-            weights = 1.0 / ((1.0 + b)[:, :, None] * (1.0 + c)[:, None, :])
-        sigma, phi = binary_bin_statistics(counts, weights)
+    @given(count_tensors())
+    def test_per_bin_estimates(self, counts):
+        sigma, phi = binary_bin_statistics(counts)
         np.testing.assert_array_equal(sigma, counts.sum(axis=(1, 2)))
         for z in range(counts.shape[0]):
             if sigma[z] < 4:
                 assert phi[z] == 0.0
                 continue
-            exact_w = None
-            if weighted:
-                exact_w = np.array(
-                    [[F(1, (1 + int(bx)) * (1 + int(cy))) for cy in c[z]] for bx in b[z]],
-                    dtype=object,
-                )
-            exact = l2_estimator(counts[z].astype(object), exact_w)
+            exact = l2_estimator(counts[z].astype(object))
             assert abs(F(float(phi[z])) - exact) <= 1e-12
 
 
@@ -101,7 +113,15 @@ class TestGeneralSplitAgainstReference:
     @PROPERTY
     @given(sample_arrays())
     def test_rows_and_statistic(self, data):
-        samples, dims = data
+        self.check(*data)
+
+    @PROPERTY
+    @given(wide_sample_arrays())
+    def test_wide_alphabets(self, data):
+        self.check(*data)
+
+    @staticmethod
+    def check(samples, dims):
         cfg = TesterConfig(epsilon=0.5, mode="general")
         v = general_test(samples, cfg, dims=dims)
         ref = reference_general(samples, dims)
@@ -109,9 +129,6 @@ class TestGeneralSplitAgainstReference:
         scale = sum(abs(row[3]) for row in ref)
         assert abs(v.statistic_A - sum(row[3] for row in ref)) <= 1e-9 * scale + 1e-12
         assert v.M_drawn == v.m_used == samples.shape[0]
-        # evaluating the bins one per block changes nothing, bit for bit
-        with mock.patch.object(testers, "_BLOCK_CELLS", 1):
-            assert general_test(samples, cfg, dims=dims) == v
 
 
 class TestLargeBin:

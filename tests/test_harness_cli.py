@@ -303,8 +303,10 @@ class TestPinnedOutputs:
     again when binary draws became per-cell Poisson counts seeded by one
     `SeedSequence` per trial.  The bisection and general `minm` values and
     the `calibrate` taus were recorded before power cells and min-m probes
-    shared one instance builder and one trial-column routine.  A change to
-    any RNG stream, to the kernel's arithmetic, to file parsing or to the
+    shared one instance builder and one trial-column routine.  The general
+    sample-file verdict was recorded again, in its last digits, when the
+    general tester's bins became one pass over the samples.  A change to
+    any RNG stream, to the kernels' arithmetic, to file parsing or to the
     exact estimators shows here."""
 
     SAMPLE_VERDICTS = {
@@ -318,8 +320,8 @@ class TestPinnedOutputs:
         ("general", "0.5"): (
             '{"M_drawn": 400, "accept": true, "m_used": 400, "per_bin": '
             "[[0, 38, 2.0, -0.027799227799227798], [1, 50, 2.0, 0.19221305543493994], "
-            "[2, 44, 2.0, -0.13613159387407828], [3, 36, 2.0, 0.26619132501485443], "
-            '[4, 38, 2.0, -0.16976976976976976]], "statistic_A": 0.12470378900671852, '
+            "[2, 44, 2.0, -0.13613159387407828], [3, 36, 2.0, 0.26619132501485243], "
+            '[4, 38, 2.0, -0.16976976976976893]], "statistic_A": 0.12470378900671736, '
             '"threshold_tau": 2.6591479484724942}\n'
         ),
     }

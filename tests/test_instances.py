@@ -235,7 +235,7 @@ class TestRandomFamilies:
 
     def test_random_far_unreachable_target(self):
         with pytest.raises(RegimeError):
-            gen_random_far(2, 2, 5, 0.9, 0, max_attempts=5)
+            gen_random_far(2, 2, 5, 0.9, 0)
 
     def test_determinism_and_metadata(self):
         d1, m1 = gen_random_far(2, 2, 8, 0.25, 42)

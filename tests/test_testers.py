@@ -200,6 +200,9 @@ def test_fixed_sample_input_checks(mode):
     for bad in ([[0, 2, 0]], [[0, 0, 3]], [[-1, 0, 0]]):
         with pytest.raises(DistributionError):
             tester(np.array(bad * 5), cfg, dims=(2, 2, 3))
+    for bad in ([[1.9, 0, 0]], [[0, 0, 0.7]]):  # never truncated to an index
+        with pytest.raises(TesterInputError):
+            tester(np.array(bad * 5), cfg, dims=(2, 2, 3))
     # a negative budget is never valid; zero rows of a file is no test
     with pytest.raises(TesterInputError):
         replace(cfg, m_override=-3)
