@@ -229,8 +229,8 @@ def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
     """
     if not p.normalized:
         raise NotNormalizedError("sampling requires a normalized distribution")
-    if m <= 0:
-        raise ValueError("Poissonized sampling needs m > 0")
+    if m < 0:
+        raise ValueError("Poissonized sampling needs m >= 0")
     rng = np.random.default_rng(seed)
     big_m = int(rng.poisson(m))
     return _draw_triples(p, big_m, rng)

@@ -584,7 +584,10 @@ def parse_polynomial(text: str, num_vars: int, degree: int | None = None) -> Hom
         coeff_part, sep, mono_part = line.partition(":")
         if not sep:
             raise PolynomialError(f"line {lineno}: expected 'coeff : monomial'")
-        coeff = Fraction(coeff_part.strip())
+        try:
+            coeff = Fraction(coeff_part)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolynomialError(f"line {lineno}: bad coefficient {coeff_part.strip()!r}") from exc
         exps: dict[int, int] = {}
         for token in mono_part.split():
             idx, _, exp = token.partition("^")

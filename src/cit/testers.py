@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -181,7 +182,17 @@ def sample_complexity_binary(
     n: int, eps: float, beta: float = 1.0, *, ell1: int = 2, ell2: int = 2
 ) -> int:
     """Ceiling of `sample_complexity_binary_raw`; three regimes in eps."""
-    return math.ceil(sample_complexity_binary_raw(n, eps, beta, ell1=ell1, ell2=ell2))
+    with _finite_budget(eps):
+        return math.ceil(sample_complexity_binary_raw(n, eps, beta, ell1=ell1, ell2=ell2))
+
+
+@contextmanager
+def _finite_budget(eps: float):
+    """A sample-size formula's overflow at a tiny eps, as a TesterInputError."""
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise TesterInputError(f"sample budget at epsilon {eps!r} is not finite") from exc
 
 
 def sample_complexity_general_forms(
@@ -232,8 +243,9 @@ def sample_complexity_general_forms(
 
 def sample_complexity_general(n: int, ell1: int, ell2: int, eps: float, zeta: float = 1.0) -> int:
     """Ceiling of zeta times the full general sample-size formula."""
-    full, _ = sample_complexity_general_forms(n, ell1, ell2, eps)
-    return math.ceil(zeta * full)
+    with _finite_budget(eps):
+        full, _ = sample_complexity_general_forms(n, ell1, ell2, eps)
+        return math.ceil(zeta * full)
 
 
 def sample_budget(cfg: TesterConfig, dims) -> int:
@@ -265,15 +277,17 @@ def binary_bin_statistics(counts: np.ndarray):
 
     Arithmetic is in double precision, with the denominator
     sigma (sigma-1) (sigma-2) (sigma-3) formed in float (never int64, which
-    overflows near sigma = 55,000).  Against the exact Fraction path on
-    random 2x2 bins, Phi_z is the correctly rounded exact value up to 2^14
-    samples per bin; from 2^15 to 2^22 samples its absolute error stays
-    below 5e-17 (300 bins per size).
+    overflows near sigma = 55,000).  Each bin adds its cell terms one after
+    another in C cell order, so Phi_z depends on bin z's counts alone.  On
+    random 2x2, 3x3 and 8x8 bins (300 per size), Phi_z is the correctly
+    rounded exact value (Fraction path) up to 2^14 samples; from 2^15 to
+    2^22 samples its absolute error stays below 6e-17, 4e-17 and 2e-17.
     """
-    c = counts.astype(float)
-    sigma = c.sum(axis=(1, 2))
-    rows, cols = c.sum(axis=-1, keepdims=True), c.sum(axis=-2, keepdims=True)
-    raw = _l2_cell_terms(c, rows, cols, sigma[:, None, None]).sum(axis=(1, 2))
+    c = np.ascontiguousarray(counts.transpose(1, 2, 0), dtype=float)
+    sigma = c.sum(axis=(0, 1))
+    rows, cols = c.sum(axis=1, keepdims=True), c.sum(axis=0, keepdims=True)
+    # from +0.0, as numpy's sums start: a bin whose terms are all -0.0 gets 0.0
+    raw = reduce(np.add, _l2_cell_terms(c, rows, cols, sigma).reshape(-1, sigma.size), 0.0)
     active = sigma >= 4
     den = np.where(active, sigma * (sigma - 1) * (sigma - 2) * (sigma - 3), 1.0)
     return sigma.astype(np.int64), np.where(active, raw / den, 0.0)
@@ -441,26 +455,16 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
     length; they are consumed at most one block ahead of the verdicts.  A
     seed is an int or a `SeedSequence`.  In binary and cmi mode each trial
     draws its counts from `default_rng(seed)`, and blocks of trials of at
-    most 2^12 cells share one kernel call; the verdicts do not depend on
-    the block size.  General mode evaluates one trial at a time, seeded
-    with `int_seed(seed)`, so a `seed_sequence(...)` seed gives the verdict
-    its `child_seed(...)` int would.
+    most 2^12 cells share one kernel call, whose fixed per-bin summation
+    order keeps the verdicts the same at every block size.  General mode
+    evaluates one trial at a time, seeded with `int_seed(seed)`, so a
+    `seed_sequence(...)` seed gives the verdict its `child_seed(...)` int would.
     """
     if cfg.mode == "general":
         for source, seed in zip(sources, seeds, strict=True):
             yield _general_verdict(source, cfg, seed, dims)
         return
-    if cfg.mode == "cmi":
-        sources = (_binary_xy(source, dims) for source in sources)
     yield from _binary_trials(sources, cfg, seeds, dims)
-
-
-def _binary_xy(source, dims):
-    """`source`, once its X and Y are checked to be binary (cmi mode)."""
-    dims_check = source.dims if isinstance(source, JointDistribution) else dims
-    if dims_check is None or dims_check[0] != 2 or dims_check[1] != 2:
-        raise TesterInputError("cmi mode requires binary X and Y")
-    return source
 
 
 def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
@@ -468,25 +472,23 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
 
     Each trial draws its count tensor from its own `default_rng(seed)`,
     with per-cell Poisson counts (`poissonized_count_tensor`).
-    Consecutive trials with the same (l1, l2) and at least two bins are
-    stacked into blocks of at most `_TRIAL_BLOCK_CELLS` cells (any other
-    trial is a block of its own), and each block is one kernel call.
+    Consecutive trials with the same (l1, l2) are stacked into blocks of
+    at most `_TRIAL_BLOCK_CELLS` cells (a larger trial is a block of its
+    own), and each block is one kernel call.
     """
     block, cells = [], 0
     for source, seed in zip(sources, seeds, strict=True):
         (l1, l2, n), m, samples = _resolve_source(source, cfg, dims)
+        if cfg.mode == "cmi" and (l1, l2) != (2, 2):
+            raise TesterInputError("cmi mode requires binary X and Y")
         if l1 > 8 or l2 > 8:
             raise TesterInputError("binary tester supports alphabet sizes up to 8")
         if samples is None:
             big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
         else:
             big_m, counts = m, counts_from_samples(samples, (l1, l2, n))
-        # a one-bin tensor is contiguous, and the kernel adds its cells in
-        # another order than with bins innermost: such trials never stack
         if block and not (
             cells + counts.size <= _TRIAL_BLOCK_CELLS
-            and n > 1
-            and block[-1][0] > 1
             and counts.shape[1:] == block[-1][3].shape[1:]
         ):
             yield from _binary_verdicts(block, cfg)
@@ -501,19 +503,12 @@ def _binary_verdicts(block, cfg: TesterConfig):
     """Verdicts of a block of binary trials (n, m, M, counts), from one
     kernel call over their count tensors stacked along the bin axis.
 
-    A lone trial's tensor goes to the kernel as it is.  Stacked tensors
-    keep the layout `poissonized_count_tensor` returns (bins innermost in
-    memory), so the kernel adds each bin's cells in the same order as in a
-    one-trial call, and each trial's A is the same sum of its a_z in
-    ascending z: the verdicts do not depend on the block.
+    The stack is one float buffer with bins innermost, so the kernel makes
+    no second copy.  Each bin's Phi, and so each trial's A (the sum of its
+    a_z in ascending z), is the same as in a one-trial call.
     """
-    if len(block) == 1:
-        stacked = block[0][3]
-    else:
-        stacked = np.concatenate(
-            [counts.transpose(1, 2, 0) for *_, counts in block], axis=2
-        ).transpose(2, 0, 1)
-    sigma_all, phi = binary_bin_statistics(stacked)
+    stacked = np.concatenate([c.transpose(1, 2, 0) for *_, c in block], axis=2, dtype=float)
+    sigma_all, phi = binary_bin_statistics(stacked.transpose(2, 0, 1))
     a_all = sigma_all * phi
     lo = 0
     for n, m, big_m, _ in block:

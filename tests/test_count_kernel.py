@@ -58,6 +58,20 @@ def count_tensors(draw):
 
 
 @st.composite
+def large_count_tensors(draw):
+    """(counts (n, l, l), neighbours (k, l, l)) with l in {3, 8}, n in
+    [1, 4] and k in [1, 3], every bin holding 10^4 to 10^6 samples: enough
+    for the kernel's cell sums to round."""
+    l = draw(st.sampled_from([3, 8]))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    sizes = rng.integers(10**4, 10**6, size=n + k, endpoint=True)
+    tables = rng.dirichlet(np.ones(l * l), size=n + k)
+    bins = np.stack([rng.multinomial(s, t) for s, t in zip(sizes, tables)]).reshape(-1, l, l)
+    return bins[:n], bins[n:]
+
+
+@st.composite
 def sample_arrays(draw):
     """(samples (N, 3) in a random arrival order, dims)."""
     n = draw(st.integers(1, 5))
@@ -107,6 +121,26 @@ class TestKernelAgainstExact:
                 continue
             exact = l2_estimator(counts[z].astype(object))
             assert abs(F(float(phi[z])) - exact) <= 1e-12
+
+
+class TestKernelSummationOrder:
+    """A bin's Phi depends only on its own counts: not on the tensor's
+    layout, its number of bins or the bins around it."""
+
+    @PROPERTY
+    @given(large_count_tensors())
+    def test_phi_bytes(self, data):
+        counts, neighbours = data
+        n = counts.shape[0]
+        want = binary_bin_statistics(np.ascontiguousarray(counts))[1].tobytes()
+        bins_innermost = np.ascontiguousarray(counts.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert binary_bin_statistics(bins_innermost)[1].tobytes() == want
+        slices = [binary_bin_statistics(counts[z : z + 1])[1] for z in range(n)]
+        assert np.concatenate(slices).tobytes() == want
+        j = neighbours.shape[0] // 2
+        stack = np.concatenate([neighbours[:j], counts, neighbours[j:]])
+        for layout in (stack, np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)):
+            assert binary_bin_statistics(layout)[1][j : j + n].tobytes() == want
 
 
 class TestGeneralSplitAgainstReference:

@@ -271,8 +271,12 @@ class TestSampling:
         assert pval > 1e-3
 
     def test_poisson_requires_positive_rate(self):
+        p = JointDistribution.uniform(2, 2, 2)
         with pytest.raises(ValueError):
-            sample_poissonized(JointDistribution.uniform(2, 2, 2), 0.0, 0)
+            sample_poissonized(p, -1.0, 0)
+        # Poisson(0) draws nothing
+        empty = sample_poissonized(p, 0.0, 0)
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
 
 
 class TestPoissonizedCountTensor:
@@ -312,7 +316,7 @@ class TestPoissonizedCountTensor:
         p = random_joint(np.random.default_rng(24), 3, 2, 5)
         big_m, counts = poissonized_count_tensor(p, 0, generator(25, "count-tensor"))
         assert big_m == 0 and counts.shape == (5, 3, 2) and not counts.any()
-        # bins innermost in memory, as `run_trials` stacks trials
+        # bins innermost in memory
         _, counts = poissonized_count_tensor(p, 50.0, generator(25, "count-tensor"))
         assert counts.transpose(1, 2, 0).flags.c_contiguous
 

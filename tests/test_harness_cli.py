@@ -104,13 +104,16 @@ class TestPowerExperiment:
         assert row.reject_rate_alt == pytest.approx(1 - row.accept_rate_null, abs=1e-12)
         assert row.mean_A_null == row.mean_A_alt
 
-    def test_m_zero_cells_accept_everything(self):
+    @pytest.mark.parametrize("mode", ["binary", "general"])
+    def test_m_zero_cells_accept_everything(self, mode):
+        # general mode once aborted: its sampler refused m = 0
         plan = ExperimentPlan(
             null_family="random_ci",
             alt_family="random_far",
             n_values=(10,),
             eps_values=(0.4,),
             m_values=(0,),
+            mode=mode,
             trials=50,
             master_seed=1,
         )
@@ -558,6 +561,43 @@ class TestCLI:
         with contextlib.redirect_stderr(err):
             assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
         assert "beta and zeta must be finite" in err.getvalue() and not out.exists()
+
+    @pytest.mark.parametrize("mode, eps", [
+        ("binary", "1e-200"),
+        ("general", "1e-200"),
+        ("cmi", "1e-200"),
+        ("binary", "1e-160"),
+        ("general", "1e-100"),
+    ])
+    def test_tiny_eps_exit_code(self, pinned_files, mode, eps):
+        # once a ZeroDivisionError or OverflowError traceback
+        err = io.StringIO()
+        argv = ["test", "--mode", mode, "--eps", eps, "--dist", str(pinned_files[1])]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "is not finite" in err.getvalue()
+
+    def test_tiny_eps_plan_exit_code(self, tmp_path):
+        # once a ZeroDivisionError traceback
+        plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
+        plan_path.write_text(PLAN_TEXT.replace("eps=0.5", "eps=1e-200").replace("m=600", "m=auto"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
+        assert err.getvalue() == "error: sample budget at epsilon 1e-200 is not finite\n"
+        assert not out.exists()
+
+    def test_bad_polynomial_coefficient_exit_code(self, tmp_path):
+        # once a ZeroDivisionError traceback
+        poly = tmp_path / "poly.txt"
+        poly.write_text("1/0 : 1^2 2^2\n")
+        err = io.StringIO()
+        argv = ["debug", "estimate", "--poly", str(poly), "--num-vars", "2",
+                "--fingerprint", "1:2 2:1"]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue() == "error: line 1: bad coefficient '1/0'\n"
 
     def test_invalid_plan_exit_code(self, tmp_path):
         plan_path = tmp_path / "bad.kv"

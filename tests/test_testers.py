@@ -246,6 +246,23 @@ class TestRunTrials:
         expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
         assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
 
+    def test_one_bin_trials_share_a_kernel_call(self, monkeypatch):
+        # 8 x 8 bins of ~10^6 samples: their cell sums round
+        instances = [gen_random_far(8, 8, 1, 0.5, child_seed(19, t))[0] for t in range(10)]
+        seeds = [child_seed(20, t) for t in range(10)]
+        cfg = TesterConfig(epsilon=0.5, m_override=10**6)
+        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
+        calls = []
+        kernel = testers.binary_bin_statistics
+
+        def counting_kernel(counts):
+            calls.append(counts.shape[0])
+            return kernel(counts)
+
+        monkeypatch.setattr(testers, "binary_bin_statistics", counting_kernel)
+        assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
+        assert calls == [10]
+
     @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
     def test_one_verdict_per_trial(self, monkeypatch, mode):
         # the benchmark counts verdicts and drawn rows through Verdict.__init__
