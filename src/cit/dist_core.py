@@ -203,27 +203,20 @@ def conditional_mutual_information(p: JointDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _draw_triples(p: JointDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    l1, l2, n = p.dims
-    if count == 0:
-        return np.empty((0, 3), dtype=np.int64)
-    flat = p.mass.ravel()
-    idx = rng.choice(flat.size, size=count, p=flat)
-    x, y, z = np.unravel_index(idx, (l1, l2, n))
-    return np.column_stack([x, y, z]).astype(np.int64)
-
-
 def sample_fixed(p: JointDistribution, count: int, seed) -> np.ndarray:
     """`count` i.i.d. samples as an (count, 3) int array of (x, y, z) rows."""
     if not p.normalized:
         raise NotNormalizedError("sampling requires a normalized distribution")
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _draw_triples(p, count, np.random.default_rng(seed))
+    flat = p.mass.ravel()
+    codes = np.random.default_rng(seed).choice(flat.size, size=count, p=flat)
+    return np.column_stack(np.unravel_index(codes, p.dims))
 
 
-def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
-    """Draw M ~ Poisson(m) then M i.i.d. samples.
+def poissonized_codes(p: JointDistribution, m: float, seed) -> np.ndarray:
+    """Draw M ~ Poisson(m) then M i.i.d. samples, in arrival order, as int64
+    flat cell codes (x l2 + y) n + z: the C-order indices into `p.mass`.
 
     Per-bin counts are then independent Poisson(m * p_Z(z)) variables.
     """
@@ -233,7 +226,13 @@ def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
         raise ValueError("Poissonized sampling needs m >= 0")
     rng = np.random.default_rng(seed)
     big_m = int(rng.poisson(m))
-    return _draw_triples(p, big_m, rng)
+    flat = p.mass.ravel()
+    return rng.choice(flat.size, size=big_m, p=flat)
+
+
+def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
+    """`poissonized_codes` as an (M, 3) int array of (x, y, z) rows."""
+    return np.column_stack(np.unravel_index(poissonized_codes(p, m, seed), p.dims))
 
 
 def poissonized_count_tensor(
@@ -252,21 +251,6 @@ def poissonized_count_tensor(
         raise NotNormalizedError("sampling requires a normalized distribution")
     counts = rng.poisson(m * p.mass)
     return int(counts.sum()), counts.transpose(2, 0, 1)
-
-
-def counts_from_samples(samples: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """Bin an (N, 3) sample array into a (n, l1, l2) count tensor."""
-    l1, l2, n = dims
-    samples = np.asarray(samples, dtype=np.int64)
-    if samples.size == 0:
-        return np.zeros((n, l1, l2), dtype=np.int64)
-    if samples.ndim != 2 or samples.shape[1] != 3:
-        raise ShapeMismatchError("samples must be an (N, 3) array")
-    x, y, z = samples[:, 0], samples[:, 1], samples[:, 2]
-    if x.min() < 0 or x.max() >= l1 or y.min() < 0 or y.max() >= l2 or z.min() < 0 or z.max() >= n:
-        raise DistributionError("sample indices outside the declared domain")
-    flat = (z * l1 + x) * l2 + y
-    return np.bincount(flat, minlength=n * l1 * l2).reshape(n, l1, l2)
 
 
 # ---------------------------------------------------------------------------

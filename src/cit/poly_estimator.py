@@ -591,7 +591,12 @@ def parse_polynomial(text: str, num_vars: int, degree: int | None = None) -> Hom
         exps: dict[int, int] = {}
         for token in mono_part.split():
             idx, _, exp = token.partition("^")
-            i = int(idx) - 1
-            exps[i] = exps.get(i, 0) + (int(exp) if exp else 1)
+            i, e = (int(v) if v.isdecimal() else 0 for v in (idx, exp or "1"))
+            if not (1 <= i <= num_vars and e >= 1):
+                raise PolynomialError(
+                    f"line {lineno}: bad monomial {token!r}: "
+                    f"expected i^e with i in [1, {num_vars}] and e >= 1"
+                )
+            exps[i - 1] = exps.get(i - 1, 0) + e
         add_term(terms, tuple(sorted(exps.items())), coeff)
     return HomogeneousPolynomial.from_terms(num_vars, terms, degree=degree)

@@ -39,9 +39,8 @@ import numpy as np
 from .dist_core import (
     DistributionError,
     JointDistribution,
-    counts_from_samples,
+    poissonized_codes,
     poissonized_count_tensor,
-    sample_poissonized,
 )
 from .poly_estimator import _l2_cell_terms
 from .seeding import int_seed, seed_sequence
@@ -293,10 +292,11 @@ def binary_bin_statistics(counts: np.ndarray):
     return sigma.astype(np.int64), np.where(active, raw / den, 0.0)
 
 
-def _general_bins(ordered, sizes, l1: int, l2: int):
+def _general_bins(codes, sizes, l1: int, l2: int):
     """(bins, sigma, Phi) of the general tester (see `test_general`) on the
-    z-sorted samples `ordered`, sizes[z] of them in bin z: the bins with at
-    least 4 samples, ascending, their test sample counts and l2 estimates.
+    flat cell codes (x l2 + y) n + z stably sorted by z, sizes[z] of them in
+    bin z: the bins with at least 4 samples, ascending, their test sample
+    counts and l2 estimates.
 
     The cell weights 1/((1 + b_x)(1 + c_y)) are rank-1 and an empty cell's
     term is R_x (R_x-1) C_y (C_y-1), for the test fingerprint's row and
@@ -308,20 +308,23 @@ def _general_bins(ordered, sizes, l1: int, l2: int):
     on random bins of 2^4 to 2^22 samples (2x2 to 40x40 tables), the
     absolute error of Phi stays below 1e-16.
     """
-    starts = np.cumsum(sizes) - sizes
-    x, y, z = ordered.T
-    rank = np.arange(z.size) - starts[z]
-    # a bin of fewer than 4 samples has t = -1, which selects none of them
+    n = sizes.size
+    # in arrival order, a bin's samples flatten its rows, then its columns,
+    # then test; a bin of fewer than 4 samples has t = -1 and uses none
     t = (sizes - 4) // 4
     sigma = 2 * t + 4
-    t1 = np.minimum(t, l1)[z]
-    t12 = t1 + np.minimum(t, l2)[z]
-    # each sample's flat (bin, x) row and (bin, y) column; wb, wc hold 1 + b, 1 + c
-    zx, zy, n = z * l1 + x, z * l2 + y, sizes.size
-    wb = 1.0 + np.bincount(zx[rank < t1], minlength=n * l1)
-    wc = 1.0 + np.bincount(zy[(rank >= t1) & (rank < t12)], minlength=n * l2)
-    test = (rank >= t12) & (rank < t12 + sigma[z])
-    cells, f = np.unique(zx[test] * l2 + y[test], return_counts=True)
+    runs = np.where(t >= 0, [np.minimum(t, l1), np.minimum(t, l2), sigma], 0)
+    runs = np.vstack([runs, sizes - runs.sum(axis=0)])
+    # each sample's phase: 0 rows, 1 columns, 2 test, 3 unused
+    phase = np.repeat(np.tile(np.arange(4, dtype=np.int8), n), runs.T.ravel())
+    # wb, wc hold 1 + b and 1 + c over the flat (bin, x) rows and (bin, y) columns
+    xy, z = np.divmod(codes[phase == 0], n)
+    wb = 1.0 + np.bincount(z * l1 + xy // l2, minlength=n * l1)
+    xy, z = np.divmod(codes[phase == 1], n)
+    wc = 1.0 + np.bincount(z * l2 + xy % l2, minlength=n * l2)
+    xy, z = np.divmod(codes[phase == 2], n)
+    cells, f = np.unique(z * (l1 * l2) + xy, return_counts=True)
+    del phase, xy, z
     # each occupied cell's bin, row and column; occupied rows and columns
     zc, cx = cells // (l1 * l2), cells // l2
     cy = zc * l2 + cells % l2
@@ -353,13 +356,14 @@ def _general_bins(ordered, sizes, l1: int, l2: int):
 
 
 def _resolve_source(source, cfg, dims):
-    """Common input handling: returns (dims, m, samples).
+    """Common input handling: returns (dims, m, codes).
 
     For a JointDistribution, m is the sample budget (`m_override` or
-    `sample_budget`, at most `_MAX_BUDGET`) and samples is None: the
+    `sample_budget`, at most `_MAX_BUDGET`) and codes is None: the
     caller draws.  A fixed (N, 3) sample array needs explicit `dims` and
     in-range integer indices; it is cut to its first `m_override` rows
-    when set, and m is its row count.
+    when set, m is its row count, and codes are its rows in order as flat
+    cell codes (x l2 + y) n + z, the layout `poissonized_codes` draws.
     """
     if isinstance(source, JointDistribution):
         m = cfg.m_override if cfg.m_override is not None else sample_budget(cfg, source.dims)
@@ -389,7 +393,7 @@ def _resolve_source(source, cfg, dims):
         samples = samples[: cfg.m_override]
     if samples.size and ((samples < 0).any() or (samples.max(axis=0) >= dims).any()):
         raise DistributionError("sample indices outside the declared domain")
-    return tuple(dims), samples.shape[0], samples
+    return tuple(dims), samples.shape[0], np.ravel_multi_index(samples.T, dims)
 
 
 def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
@@ -425,8 +429,9 @@ def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
     """Flattened conditional-independence tester for arbitrary alphabets.
 
     The samples (Poissonized from a JointDistribution, or a fixed (N, 3)
-    array with explicit `dims`) are sorted by z once: a bin of 4 + 4t or
-    more samples flattens its marginals with its leading
+    array with explicit `dims`), as flat cell codes (x l2 + y) n + z, are
+    stably sorted by z once, so each bin keeps its arrival order: a bin of
+    4 + 4t or more samples flattens its marginals with its leading
     min(t, l1) + min(t, l2) samples, giving row counts b and column counts
     c, and estimates the rescaled squared l2 distance from the next 2t + 4
     samples with weights 1/((1 + b_x)(1 + c_y)) = 1/(1 + a_xy).  One pass
@@ -457,8 +462,9 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
     draws its counts from `default_rng(seed)`, and blocks of trials of at
     most 2^12 cells share one kernel call, whose fixed per-bin summation
     order keeps the verdicts the same at every block size.  General mode
-    evaluates one trial at a time, seeded with `int_seed(seed)`, so a
-    `seed_sequence(...)` seed gives the verdict its `child_seed(...)` int would.
+    evaluates one trial at a time on flat cell codes (x l2 + y) n + z
+    drawn with `int_seed(seed)`, so a `seed_sequence(...)` seed gives the
+    verdict its `child_seed(...)` int would.
     """
     if cfg.mode == "general":
         for source, seed in zip(sources, seeds, strict=True):
@@ -478,15 +484,16 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
     """
     block, cells = [], 0
     for source, seed in zip(sources, seeds, strict=True):
-        (l1, l2, n), m, samples = _resolve_source(source, cfg, dims)
+        (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
         if cfg.mode == "cmi" and (l1, l2) != (2, 2):
             raise TesterInputError("cmi mode requires binary X and Y")
         if l1 > 8 or l2 > 8:
             raise TesterInputError("binary tester supports alphabet sizes up to 8")
-        if samples is None:
+        if codes is None:
             big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
         else:
-            big_m, counts = m, counts_from_samples(samples, (l1, l2, n))
+            counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(l1, l2, n)
+            big_m, counts = m, counts.transpose(2, 0, 1)
         if block and not (
             cells + counts.size <= _TRIAL_BLOCK_CELLS
             and counts.shape[1:] == block[-1][3].shape[1:]
@@ -522,20 +529,21 @@ def _binary_verdicts(block, cfg: TesterConfig):
 
 def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
     """The general tester's verdict on one source (see `test_general`)."""
-    dims, m, samples = _resolve_source(source, cfg, dims)
+    dims, m, codes = _resolve_source(source, cfg, dims)
     l1, l2, n = dims
-    if samples is None:
-        samples = sample_poissonized(source, m, int_seed(seed))
+    if codes is None:
+        codes = poissonized_codes(source, m, int_seed(seed))
     # stable sort by z keeps each bin's samples in arrival order
-    ordered = samples[np.argsort(samples[:, 2], kind="stable")]
-    bins, sigma, phi = _general_bins(ordered, np.bincount(ordered[:, 2], minlength=n), l1, l2)
+    z = codes % n
+    sizes = np.bincount(z, minlength=n)
+    codes = codes[np.argsort(z, kind="stable")]
+    del z
+    bins, sigma, phi = _general_bins(codes, sizes, l1, l2)
     omega = np.sqrt(np.minimum(sigma, l1) * np.minimum(sigma, l2))
     a_z = sigma * omega * phi
     # add the bins one at a time in ascending z, starting from 0.0
     stat = float(np.cumsum(np.concatenate(([0.0], a_z)))[-1])
-    return _verdict(
-        cfg, cfg.zeta**0.25, n, stat, int(m), samples.shape[0], (bins, sigma, omega, a_z)
-    )
+    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), codes.size, (bins, sigma, omega, a_z))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from cit.dist_core import (
     ShapeMismatchError,
     ci_distance_proxy,
     conditional_mutual_information,
-    counts_from_samples,
     mixture_q,
+    poissonized_codes,
     poissonized_count_tensor,
     product_table,
     read_distribution_file,
@@ -220,12 +220,21 @@ class TestSampling:
     def test_determinism(self):
         p = JointDistribution.uniform(2, 2, 10)
         np.testing.assert_array_equal(sample_fixed(p, 100, 42), sample_fixed(p, 100, 42))
+        # both samplers' rows are flat cell codes (x l2 + y) n + z unraveled
+        p = JointDistribution(generator(3, "codes").dirichlet(np.ones(60)).reshape(3, 4, 5))
+        drawn = np.random.default_rng(42).choice(60, size=100, p=p.mass.ravel())
+        for codes, rows in (
+            (drawn, sample_fixed(p, 100, 42)),
+            *((poissonized_codes(p, m, 42), sample_poissonized(p, m, 42)) for m in (0, 1, 100)),
+        ):
+            assert codes.dtype == rows.dtype == np.int64 and rows.shape == (codes.size, 3)
+            np.testing.assert_array_equal(codes, (rows[:, 0] * 4 + rows[:, 1]) * 5 + rows[:, 2])
 
     def test_frequencies_within_5_sigma(self):
         p = JointDistribution.uniform(2, 2, 5)
         count = 40000
         s = sample_fixed(p, count, 11)
-        counts = counts_from_samples(s, p.dims)
+        counts = np.bincount(np.ravel_multi_index(s.T, p.dims), minlength=20)
         expect = count / 20
         sigma = np.sqrt(count * (1 / 20) * (19 / 20))
         assert np.all(np.abs(counts - expect) < 5 * sigma)

@@ -599,6 +599,24 @@ class TestCLI:
             assert run_cli(argv) == (2, "")
         assert err.getvalue() == "error: line 1: bad coefficient '1/0'\n"
 
+    @pytest.mark.parametrize("line, token", [
+        ("1 : 0^2 1^2", "0^2"),  # once 'variable index -1 outside [0, 2)'
+        ("1 : a^2 2^2", "a^2"),  # once Python's int() message
+        ("1 : 1^x 2^3", "1^x"),
+        ("1 : 1^0 2^4", "1^0"),  # once 'exponent key ((0, 0), (1, 4)) holds ...'
+    ])
+    def test_bad_polynomial_monomial_exit_code(self, tmp_path, line, token):
+        poly = tmp_path / "poly.txt"
+        poly.write_text(f"# two variables\n{line}\n")
+        err = io.StringIO()
+        argv = ["debug", "estimate", "--poly", str(poly), "--num-vars", "2",
+                "--fingerprint", "1:2 2:1"]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue() == (
+            f"error: line 2: bad monomial {token!r}: expected i^e with i in [1, 2] and e >= 1\n"
+        )
+
     def test_invalid_plan_exit_code(self, tmp_path):
         plan_path = tmp_path / "bad.kv"
         plan_path.write_text("nonsense=1\n")
@@ -634,7 +652,7 @@ class TestCLI:
         def no_memory(*args):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-        monkeypatch.setattr(testers, "sample_poissonized", no_memory)
+        monkeypatch.setattr(testers, "poissonized_codes", no_memory)
         err = io.StringIO()
         argv = ["test", "--mode", "general", "--eps", "0.5", "--m", str(10**12),
                 "--dist", str(pinned_files[1])]

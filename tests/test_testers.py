@@ -1,15 +1,16 @@
 """Testers: sample-size formulas, statistics, thresholds, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cit import testers
-from cit.dist_core import DistributionError, JointDistribution, sample_fixed
+from cit.dist_core import DistributionError, JointDistribution, sample_fixed, sample_poissonized
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
-from cit.seeding import child_seed, seed_sequence
+from cit.seeding import child_seed, int_seed, seed_sequence
 from cit.testers import (
     TesterConfig,
     TesterInputError,
@@ -336,10 +337,32 @@ class TestGeneralTester:
         cfg = TesterConfig(epsilon=0.4, mode="general", m_override=800, seed=123)
         assert general_test(p, cfg) == general_test(p, cfg)
 
+    def test_draws_and_sample_arrays_share_one_path(self):
+        # a distribution's draw, handed in again as (x, y, z) rows, gives the same verdict
+        p = gen_random_far(3, 4, 30, 0.2, 2)[0]
+        for seed in (5, seed_sequence(6, "rows")):
+            cfg = TesterConfig(epsilon=0.5, mode="general", m_override=3000, seed=seed)
+            rows = sample_poissonized(p, 3000, int_seed(seed))
+            drawn = run_tester(p, cfg)
+            given = run_tester(rows, replace(cfg, m_override=None), dims=p.dims)
+            assert drawn.per_bin and given.M_drawn == rows.shape[0]
+            assert (drawn.statistic_A, drawn.per_bin, drawn.M_drawn) == (
+                given.statistic_A, given.per_bin, given.M_drawn)
+
+    def test_memory_per_drawn_sample(self):
+        # the draw and the pass hold a few int64 arrays per sample, not (N, 3) rows
+        p = gen_random_far(3, 4, 2000, 0.1, 1)[0]
+        cfg = TesterConfig(epsilon=0.5, mode="general", m_override=200_000, seed=3)
+        tracemalloc.start()
+        try:
+            v = run_tester(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * v.M_drawn
+
     def test_agreement_with_binary_on_ci(self):
         # same seed and the same fixed sample multiset for both testers
-        from cit.dist_core import sample_poissonized
-
         agree = 0
         trials = 500
         for t in range(trials):
