@@ -271,8 +271,12 @@ def _read_cells(path, layout: str):
     tab-separated fields "i<TAB>j<TAB>z" then any extra value columns.
 
     Returns (dims, 0-based int64 (N, 3) cell indices, float (N, k) extra
-    columns).  Blank lines are skipped; any malformed header, row, field
-    or index raises DistributionError naming the path.
+    columns).  One structured `np.loadtxt` pass reads the indices as
+    decimal integers straight into int64 and the extra columns as floats.
+    Empty lines are skipped; lines of blanks are stripped and the body
+    parsed again only when the first parse fails.  Any malformed header,
+    row, field or index (`1.0` included) raises DistributionError naming
+    the path.
     """
     header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
     parts = header.split()
@@ -281,23 +285,24 @@ def _read_cells(path, layout: str):
     dims = tuple(int(v) for v in parts[1:])
     if min(dims) < 1:
         raise DistributionError(f"{path}: dimensions must be positive")
-    columns = layout.count("<TAB>") + 1
-    body = _BLANK_LINE.sub("", body)
-    if body.strip():
-        try:
-            rows = np.loadtxt(io.StringIO(body), delimiter="\t", ndmin=2, comments=None)
-        except ValueError as exc:
-            raise DistributionError(f"{path}: expected {layout!r} per line: {exc}") from None
-    else:
-        rows = np.empty((0, columns))
-    if rows.shape[1] != columns:
-        raise DistributionError(f"{path}: expected {layout!r} per line")
-    cells = rows[:, :3]
-    if np.any(cells != np.floor(cells)):
-        raise DistributionError(f"{path}: non-integral cell index")
+    dtype = [("cell", np.int64, (3,)), ("value", float, (layout.count("<TAB>") - 2,))]
+    rows = _parse_rows(path, body, dtype, layout) if body.strip() else np.empty(0, dtype)
+    cells = rows["cell"]
     if np.any((cells < 1) | (cells > dims)):
         raise DistributionError(f"{path}: cell index outside declared dims")
-    return dims, cells.astype(np.int64) - 1, rows[:, 3:]
+    return dims, cells - 1, rows["value"]
+
+
+def _parse_rows(path, body: str, dtype, layout: str) -> np.ndarray:
+    """`body` as a structured array of `dtype` rows; on a failed parse, try
+    once more with the lines of blanks removed (empty lines need no help)."""
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=dtype, delimiter="\t", ndmin=1, comments=None)
+    except ValueError as exc:
+        stripped = _BLANK_LINE.sub("", body)
+        if stripped == body:
+            raise DistributionError(f"{path}: expected {layout!r} per line: {exc}") from None
+    return _parse_rows(path, stripped, dtype, layout)
 
 
 def write_sample_file(path, samples: np.ndarray, dims: tuple[int, int, int]) -> None:

@@ -533,8 +533,10 @@ def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
     l1, l2, n = dims
     if codes is None:
         codes = poissonized_codes(source, m, int_seed(seed))
-    # stable sort by z keeps each bin's samples in arrival order
-    z = codes % n
+    # stable sort by z keeps each bin's samples in arrival order; numpy
+    # radix-sorts keys of 16 bits or fewer, and a stable sort's permutation
+    # does not depend on the key dtype
+    z = (codes % n).astype(np.min_scalar_type(n - 1))
     sizes = np.bincount(z, minlength=n)
     codes = codes[np.argsort(z, kind="stable")]
     del z

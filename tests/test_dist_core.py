@@ -428,6 +428,12 @@ class TestFileFormats:
         assert read_distribution_file(path).mass.shape == (2, 2, 2)
         assert not recwarn.list
 
+    def test_large_indices_read_exactly(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("#dims 1 1 9007199254740993\n1\t1\t9007199254740993\n")
+        s, _ = read_sample_file(path)
+        assert s.dtype == np.int64 and s[0, 2] == 9007199254740992
+
     @pytest.mark.parametrize("body", [
         "1\t1\n",            # too few fields
         "1\t1\t1\t1\n",      # too many fields
@@ -435,6 +441,8 @@ class TestFileFormats:
         "1\t1.5\t1\n",       # non-integral index
         "1\t3\t1\n",         # index outside dims
         "0\t1\t1\n",         # indices are 1-based
+        "1\t1.0\t1\n",       # indices are decimal integers
+        "\t \n1\tx\t1\n",    # still malformed once blank-only lines go
     ])
     def test_malformed_sample_rows(self, tmp_path, body):
         path = tmp_path / "bad.tsv"
@@ -447,6 +455,7 @@ class TestFileFormats:
         "1\t1.5\t1\t0.5\n2\t2\t1\t0.5\n",                # non-integral index
         "1\t1\t1\n",                                      # no probability
         "1\t1\t1\t-0.5\n",                                # negative mass
+        "1.0\t1\t1\t0.5\n",                               # index not an integer
     ])
     def test_malformed_distribution_rows(self, tmp_path, body):
         path = tmp_path / "bad.tsv"
