@@ -13,10 +13,12 @@ here use 1-based indices (see `write_distribution_file`).
 from __future__ import annotations
 
 import io
+import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -265,6 +267,9 @@ def poissonized_count_tensor(
 
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
+#: names that `np.loadtxt` decompresses by suffix rather than reading as text
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _read_cells(path, layout: str):
     """Parse a "#dims l1 l2 n" file whose lines follow `layout`, the
@@ -273,36 +278,90 @@ def _read_cells(path, layout: str):
     Returns (dims, 0-based int64 (N, 3) cell indices, float (N, k) extra
     columns).  One structured `np.loadtxt` pass reads the indices as
     decimal integers straight into int64 and the extra columns as floats.
-    Empty lines are skipped; lines of blanks are stripped and the body
-    parsed again only when the first parse fails.  Any malformed header,
-    row, field or index (`1.0` included) raises DistributionError naming
-    the path.
+    Empty lines are skipped, and a body of blank lines is zero rows.  Any
+    malformed header, row, field or index (`1.0` included), and any text
+    that is not UTF-8, raises DistributionError naming the path; a
+    malformed row also names its line, the header being line 1.
     """
-    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "#dims" or not all(v.isdigit() for v in parts[1:]):
-        raise DistributionError(f"{path}: expected '#dims l1 l2 n' header, got {header!r}")
-    dims = tuple(int(v) for v in parts[1:])
-    if min(dims) < 1:
-        raise DistributionError(f"{path}: dimensions must be positive")
     dtype = [("cell", np.int64, (3,)), ("value", float, (layout.count("<TAB>") - 2,))]
-    rows = _parse_rows(path, body, dtype, layout) if body.strip() else np.empty(0, dtype)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            dims = _read_header(path, fh.readline())
+            if _parses_by_name(path):
+                # None: numpy parses the file; "": no line holds more than blanks
+                body = None if any(line.strip() for line in fh) else ""
+            else:
+                body = fh.read()
+        rows = _parse_rows(path, body, dtype, layout)
+    except UnicodeDecodeError as exc:
+        # no offset: numpy's reader counts it from the start of its chunk
+        byte = exc.object[exc.start]
+        raise DistributionError(
+            f"{path}: not UTF-8 text: byte {byte:#04x}: {exc.reason}"
+        ) from None
     cells = rows["cell"]
     if np.any((cells < 1) | (cells > dims)):
         raise DistributionError(f"{path}: cell index outside declared dims")
     return dims, cells - 1, rows["value"]
 
 
-def _parse_rows(path, body: str, dtype, layout: str) -> np.ndarray:
-    """`body` as a structured array of `dtype` rows; on a failed parse, try
-    once more with the lines of blanks removed (empty lines need no help)."""
+def _read_header(path, header: str) -> tuple[int, int, int]:
+    header = header.removesuffix("\n")
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != "#dims" or not all(v.isdigit() for v in parts[1:]):
+        raise DistributionError(f"{path}: expected '#dims l1 l2 n' header, got {header!r}")
+    dims = tuple(int(v) for v in parts[1:])
+    if min(dims) < 1:
+        raise DistributionError(f"{path}: dimensions must be positive")
+    return dims
+
+
+def _parses_by_name(path) -> bool:
+    """Whether `np.loadtxt(path)` reads the file again from its start, as
+    plain text: a regular file (a pipe is read once), not a name numpy
+    decompresses, nor one its DataSource takes for a URL and would fetch."""
+    name = os.fspath(path)
+    url = urlsplit(name)
+    return (
+        os.path.isfile(name)
+        and not name.endswith(_COMPRESSED)
+        and not (url.scheme and url.netloc)
+    )
+
+
+def _parse_rows(path, body: str | None, dtype, layout: str) -> np.ndarray:
+    """The rows after the header as a structured array of `dtype`.
+
+    With `body` None numpy's chunked C reader parses the named file, and
+    only if that fails is the text read.  The text is parsed with the lines
+    of blanks emptied, one line at a time, so that a failure names the
+    first line numpy rejects.
+    """
+    parse = partial(np.loadtxt, dtype=dtype, delimiter="\t", ndmin=1, comments=None)
+    if body is None:
+        try:
+            return parse(path, skiprows=1, encoding="utf-8")
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            body = Path(path).read_text(encoding="utf-8").partition("\n")[2]
+    if not body.strip():
+        return np.empty(0, dtype)
+    lineno, line = 1, ""
+
+    def numbered(lines):
+        nonlocal lineno, line
+        for lineno, line in enumerate(lines, start=2):
+            yield line
+
     try:
-        return np.loadtxt(io.StringIO(body), dtype=dtype, delimiter="\t", ndmin=1, comments=None)
+        return parse(numbered(io.StringIO(_BLANK_LINE.sub("", body))))
     except ValueError as exc:
-        stripped = _BLANK_LINE.sub("", body)
-        if stripped == body:
-            raise DistributionError(f"{path}: expected {layout!r} per line: {exc}") from None
-    return _parse_rows(path, stripped, dtype, layout)
+        fields, width = line.rstrip("\n").count("\t") + 1, layout.count("<TAB>") + 1
+        reason = f"found {fields} fields" if fields != width else str(exc).partition(" at row ")[0]
+        raise DistributionError(
+            f"{path}: line {lineno}: expected {layout!r} per line: {reason}"
+        ) from None
 
 
 def write_sample_file(path, samples: np.ndarray, dims: tuple[int, int, int]) -> None:

@@ -391,9 +391,14 @@ def _resolve_source(source, cfg, dims):
                 f"requested {cfg.m_override} samples, file provides {samples.shape[0]}"
             )
         samples = samples[: cfg.m_override]
-    if samples.size and ((samples < 0).any() or (samples.max(axis=0) >= dims).any()):
-        raise DistributionError("sample indices outside the declared domain")
-    return tuple(dims), samples.shape[0], np.ravel_multi_index(samples.T, dims)
+    try:
+        codes = np.ravel_multi_index(samples.T, dims)
+    except ValueError:
+        # the range check is numpy's; dims too large to index keep its message
+        if ((samples < 0) | (samples >= dims)).any():
+            raise DistributionError("sample indices outside the declared domain") from None
+        raise
+    return tuple(dims), samples.shape[0], codes
 
 
 def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:

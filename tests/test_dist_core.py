@@ -1,9 +1,18 @@
 """Distribution core: distances, conditional structure, CMI, sampling, file I/O."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scistats
 
+from cit import dist_core
 from cit.dist_core import (
     DistributionError,
     JointDistribution,
@@ -30,6 +39,11 @@ N2 = np.array([[46, 24], [24, 6]]) / 100
 N3 = np.array([[26, 24], [24, 26]]) / 100
 Y1 = np.array([[16, 24], [24, 36]]) / 100
 UNIFORM = np.full((2, 2), 0.25)
+#: each example rewrites one file in the test's tmp_path
+FILE_PROPERTY = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def random_joint(rng, l1=2, l2=2, n=5):
@@ -462,3 +476,117 @@ class TestFileFormats:
         path.write_text("#dims 2 2 1\n" + body)
         with pytest.raises(DistributionError, match="bad.tsv"):
             read_distribution_file(path)
+
+    @pytest.mark.parametrize("body, line, reason", [
+        ("1\t1\t1\n1\t1.0\t1\n", 3, "could not convert string '1.0' to int64"),
+        ("1\t1\t1\n \t\n\n1\t1\n", 5, "found 2 fields"),
+        ("1\t1\t1\t1\n", 2, "found 4 fields"),
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, body, line, reason):
+        # lines count from the header as line 1, blank lines included
+        path = tmp_path / "bad.tsv"
+        path.write_text("#dims 2 2 2\n" + body)
+        with pytest.raises(DistributionError) as info:
+            read_sample_file(path)
+        expected = f"{path}: line {line}: expected 'x<TAB>y<TAB>z' per line: {reason}"
+        assert str(info.value) == expected
+
+    def test_malformed_distribution_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#dims 2 2 1\n1\t1\t1\t0.5\n\n2\t2\t1\n")
+        with pytest.raises(DistributionError) as info:
+            read_distribution_file(path)
+        assert str(info.value) == (
+            f"{path}: line 4: expected 'i<TAB>j<TAB>z<TAB>prob' per line: found 3 fields"
+        )
+
+    @pytest.mark.parametrize("rows_before", [1, 20_000])
+    def test_non_utf8_names_the_file(self, tmp_path, monkeypatch, rows_before):
+        # a bad byte past the header's chunk is met by numpy's reader, whose
+        # UnicodeDecodeError is a ValueError: it must not reach the retry
+        def no_retry(*args, **kwargs):
+            raise AssertionError("the retry read undecodable text again")
+
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"#dims 2 2 2\n" + b"1\t1\t1\n" * rows_before + b"\xff\n")
+        monkeypatch.setattr(Path, "read_text", no_retry)
+        with pytest.raises(DistributionError) as info:
+            read_sample_file(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: byte 0xff: invalid start byte"
+
+    @pytest.mark.parametrize("data", [
+        b"#dims 2 2 2\r\n1\t2\t1\r\n2\t1\t2\r\n",  # CRLF line endings
+        b"#dims 2 2 2\n1\t2\t1\n2\t1\t2",          # no trailing newline
+    ])
+    def test_line_endings_read_the_same(self, tmp_path, data):
+        path = tmp_path / "s.tsv"
+        path.write_bytes(data)
+        s, dims = read_sample_file(path)
+        assert s.dtype == np.int64 and dims == (2, 2, 2)
+        np.testing.assert_array_equal(s, [[0, 1, 0], [1, 0, 1]])
+
+    def test_blank_body_gives_zero_rows(self, tmp_path, recwarn):
+        path = tmp_path / "s.tsv"
+        path.write_text("#dims 2 2 2\n \t\n\n  \n")
+        s, _ = read_sample_file(path)
+        assert s.shape == (0, 3) and s.dtype == np.int64
+        assert read_distribution_file(path).mass.shape == (2, 2, 2)
+        assert not recwarn.list
+
+    def test_compressed_suffix_read_as_text(self, tmp_path):
+        # numpy's loadtxt would gunzip a path named *.gz; the readers never do
+        path = tmp_path / "s.tsv.gz"
+        path.write_text("#dims 2 2 2\n1\t2\t1\n \t\n2\t1\t2\n")
+        s, _ = read_sample_file(path)
+        np.testing.assert_array_equal(s, [[0, 1, 0], [1, 0, 1]])
+
+    def test_pipe_read_once(self, tmp_path):
+        # a pipe can be read only once, so it is never reopened by its name;
+        # in a child process, so that a reopen that blocks fails the timeout
+        fifo = tmp_path / "s.fifo"
+        os.mkfifo(fifo)
+        code = (
+            "import pathlib, sys, threading\n"
+            "from cit.dist_core import read_sample_file\n"
+            "path = pathlib.Path(sys.argv[1])\n"
+            "text = '#dims 2 2 2\\n1\\t2\\t1\\n'\n"
+            "threading.Thread(target=path.write_text, args=(text,)).start()\n"
+            "print(read_sample_file(path)[0].tolist())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(dist_core.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(fifo)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "[[0, 1, 0]]\n"
+
+    @FILE_PROPERTY
+    @given(
+        dims=st.tuples(*[st.integers(1, 6)] * 3),
+        rows=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_written_sample_files_read_back(self, tmp_path, dims, rows, seed):
+        samples = np.random.default_rng(seed).integers(0, dims, size=(rows, 3))
+        path = tmp_path / "s.tsv"
+        write_sample_file(path, samples, dims)
+        s, read_dims = read_sample_file(path)
+        assert read_dims == dims and s.dtype == np.int64 and s.shape == (rows, 3)
+        assert np.array_equal(s, samples)
+
+    @FILE_PROPERTY
+    @given(
+        dims=st.tuples(*[st.integers(1, 5)] * 3),
+        zero_frac=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_written_distribution_files_read_back(self, tmp_path, dims, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        mass = rng.dirichlet(np.ones(math.prod(dims))) * (rng.random(math.prod(dims)) >= zero_frac)
+        if mass.sum() == 0:
+            mass[0] = 1.0
+        p = JointDistribution((mass / mass.sum()).reshape(dims), normalized=False)
+        path = tmp_path / "d.tsv"
+        write_distribution_file(path, p)
+        q = read_distribution_file(path)
+        assert q.mass.dtype == np.float64 and np.array_equal(q.mass, p.mass)

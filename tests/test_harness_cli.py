@@ -641,6 +641,26 @@ class TestCLI:
         paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
         assert run_cli([a.format(**paths) for a in argv]) == (2, "")
 
+    def test_non_utf8_sample_file_exit_code(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"#dims 2 2 2\n1\t1\t1\n\xff\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["test", "--eps", "0.5", "--samples", str(path)]) == (2, "")
+        assert err.getvalue() == f"error: {path}: not UTF-8 text: byte 0xff: invalid start byte\n"
+
+    @pytest.mark.parametrize("mode", ["binary", "general"])
+    def test_oversized_dims_exit_code(self, tmp_path, mode):
+        # indices in range of dims with more cells than an index can hold
+        path = tmp_path / "big.tsv"
+        path.write_text("#dims 4294967296 4294967296 2\n1\t1\t1\n")
+        err = io.StringIO()
+        argv = ["test", "--mode", mode, "--eps", "0.5", "--samples", str(path)]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue().startswith("error: invalid dims: array size")
+        assert "outside the declared domain" not in err.getvalue()
+
     def test_minm_trials_below_floor_exit_code(self):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
