@@ -52,6 +52,14 @@ class JointDistribution:
     samplers reject those, instance generators normalize before sampling
     and record the factor in their metadata.  The bin marginal cache is
     always derived from the tensor, never set independently.
+
+    `mass` keeps the memory order its producer built.  `from_slices`
+    transposes an (n, l1, l2) stack, so the instances it builds (the
+    binary, `paninski_no` and random families) are bin-major: a
+    `no_binary_r1` instance at n = 100 has strides (16, 8, 32), a
+    `random_far` one at 10 x 10 x 50 has (80, 8, 800).
+    `total_mass` and `z_marginal` sum in that order, so they can differ in
+    their last bits from the same sums over a C-ordered copy.
     """
 
     mass: np.ndarray
@@ -279,9 +287,12 @@ def _read_cells(path, layout: str):
     columns).  One structured `np.loadtxt` pass reads the indices as
     decimal integers straight into int64 and the extra columns as floats.
     Empty lines are skipped, and a body of blank lines is zero rows.  Any
-    malformed header, row, field or index (`1.0` included), and any text
-    that is not UTF-8, raises DistributionError naming the path; a
-    malformed row also names its line, the header being line 1.
+    malformed header, row, field or index (`1.0` included), any index
+    outside dims, and any text that is not UTF-8, raises DistributionError
+    naming the path; a malformed row or an index outside dims also names
+    its line, the header being line 1.  The range check guards callers
+    that use the cells unchecked, such as `cit debug flatten-grid`; the
+    testers check again, for sample arrays passed to them directly.
     """
     dtype = [("cell", np.int64, (3,)), ("value", float, (layout.count("<TAB>") - 2,))]
     try:
@@ -301,8 +312,24 @@ def _read_cells(path, layout: str):
         ) from None
     cells = rows["cell"]
     if np.any((cells < 1) | (cells > dims)):
-        raise DistributionError(f"{path}: cell index outside declared dims")
+        if body is None:  # numpy parsed the named file: a regular file, read again
+            body = Path(path).read_text(encoding="utf-8").partition("\n")[2]
+        raise _index_error(path, body, cells, dims, layout)
     return dims, cells - 1, rows["value"]
+
+
+def _index_error(path, body: str, cells, dims, layout: str) -> DistributionError:
+    """The error for the first index in `cells` outside `dims`, naming its
+    field in `layout` and its file line: row k of `cells` is the k-th line
+    of `body` that holds more than blanks, and `body` starts at line 2."""
+    bad = (cells < 1) | (cells > dims)
+    row = int(bad.any(axis=1).argmax())
+    col = int(bad[row].argmax())
+    lineno = [i for i, line in enumerate(body.split("\n"), start=2) if line.strip()][row]
+    field = layout.split("<TAB>")[col]
+    return DistributionError(
+        f"{path}: line {lineno}: {field} index {cells[row, col]} outside [1, {dims[col]}]"
+    )
 
 
 def _read_header(path, header: str) -> tuple[int, int, int]:

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import FAMILIES, EnsembleSpec, make_instance
+from .instances import (
+    FAMILIES, NNN_FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
+)
 from .seeding import child_seed, seed_sequence
 from .testers import _MODES, TesterConfig, calibrate_threshold, run_trials, sample_budget
 
@@ -39,7 +41,7 @@ class PlanError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Search or time budget exhausted (CLI exit code 3)."""
+    """Search budget exhausted (CLI exit code 3)."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class ExperimentPlan:
     zeta: float = 2.0
     gen_m: object = "half_n"
     calibration_trials: int = 0
-    budget_seconds: float | None = None
 
     def __post_init__(self):
         if self.trials < MIN_TRIALS:
@@ -70,6 +71,12 @@ class ExperimentPlan:
         for fam in (self.null_family, self.alt_family):
             if fam not in FAMILIES:
                 raise PlanError(f"unknown family {fam!r}")
+            try:
+                check_alphabet(fam, self.ell1, self.ell2)
+            except RegimeError as exc:
+                raise PlanError(str(exc)) from None
+            if fam in NNN_FAMILIES and "auto" in self.m_values:
+                raise PlanError(f"family {fam!r} is 2n x n x n: give explicit m, not m=auto")
         if self.mode not in _MODES:
             raise PlanError(f"unknown mode {self.mode!r}")
         if self.calibration_trials and self.calibration_trials < 100:
@@ -82,7 +89,7 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class PowerRow:
-    """One grid cell's outcome; rates are NaN for skipped cells."""
+    """One grid cell's outcome, with status `ok`."""
 
     schema_version: int
     mode: str
@@ -107,10 +114,9 @@ class PowerRow:
     wall_time_s: float  # not emitted to CSV (would break byte determinism)
 
     def __post_init__(self):
-        if self.status.startswith("ok"):
-            for rate in (self.accept_rate_null, self.reject_rate_alt):
-                if not 0.0 <= rate <= 1.0:
-                    raise PlanError(f"rate {rate} outside [0, 1]")
+        for rate in (self.accept_rate_null, self.reject_rate_alt):
+            if not 0.0 <= rate <= 1.0:
+                raise PlanError(f"rate {rate} outside [0, 1]")
 
 
 #: CSV column order, PowerRow's fields without the wall time (schema_version
@@ -143,7 +149,6 @@ _PLAN_KEYS = {
     "zeta": ("zeta", float),
     "gen_m": ("gen_m", lambda v: v if v == "half_n" else int(v)),
     "calibration_trials": ("calibration_trials", int),
-    "budget_seconds": ("budget_seconds", float),
 }
 
 
@@ -222,23 +227,7 @@ def _trial_column(cfg: TesterConfig, trials: int, instance, seed):
     return accepts, stats
 
 
-def _cell_fields(plan: ExperimentPlan, n: int, eps: float, m: int) -> dict:
-    """The PowerRow fields that name the grid cell (n, eps) at budget m."""
-    return dict(
-        schema_version=SCHEMA_VERSION,
-        mode=plan.mode,
-        null_family=plan.null_family,
-        alt_family=plan.alt_family,
-        n=n,
-        ell1=plan.ell1,
-        ell2=plan.ell2,
-        eps=eps,
-        m=m,
-        gen_m=_resolve_gen_m(plan.gen_m, n),
-    )
-
-
-def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> PowerRow:
+def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
     n, eps, m_spec = cell
     start = time.perf_counter()
     cfg = TesterConfig(epsilon=eps, mode=plan.mode, beta=plan.beta, zeta=plan.zeta)
@@ -268,7 +257,16 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> 
     reject_rate = float(1.0 - alt_acc.mean())
     t_trials = plan.trials
     return PowerRow(
-        **_cell_fields(plan, n, eps, m),
+        schema_version=SCHEMA_VERSION,
+        mode=plan.mode,
+        null_family=plan.null_family,
+        alt_family=plan.alt_family,
+        n=n,
+        ell1=plan.ell1,
+        ell2=plan.ell2,
+        eps=eps,
+        m=m,
+        gen_m=_resolve_gen_m(plan.gen_m, n),
         trials=t_trials,
         tau=float(tau) if tau is not None else float("nan"),
         accept_rate_null=accept_rate,
@@ -278,61 +276,25 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell, status: str = "ok") -> 
         var_A_null=float(null_stats.var(ddof=1)) if t_trials > 1 else 0.0,
         se_accept_null=float(np.sqrt(accept_rate * (1 - accept_rate) / t_trials)),
         se_reject_alt=float(np.sqrt(reject_rate * (1 - reject_rate) / t_trials)),
-        status=status,
+        status="ok",
         wall_time_s=time.perf_counter() - start,
     )
 
 
-def _skipped_row(plan: ExperimentPlan, cell, reason: str) -> PowerRow:
-    n, eps, m_spec = cell
-    m = -1 if m_spec == "auto" else int(m_spec)
-    return PowerRow(**{
-        **dict.fromkeys(CSV_COLUMNS, float("nan")),
-        **_cell_fields(plan, n, eps, m),
-        "trials": 0,
-        "status": f"skipped:{reason}",
-        "wall_time_s": 0.0,
-    })
-
-
 def run_power_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1) -> list[PowerRow]:
-    """Run every grid cell; one row per cell, always (skipped cells are
-    marked, never dropped).  With a time budget, later cells first degrade
-    to MIN_TRIALS and finally are skipped explicitly; both adjustments are
-    visible in the trials/status fields.  `workers` (>= 1) processes run
-    the cells of an unbudgeted plan, never more than it has cells."""
+    """Run every grid cell in full; one row per cell, in grid order.
+    `workers` (>= 1) processes run the cells, never more than the plan has
+    cells, and every worker count writes the same CSV."""
     if workers < 1:
         raise PlanError(f"workers must be >= 1, got {workers}")
     cells = plan.grid
     workers = min(workers, len(cells))
-    rows: list[PowerRow] = [None] * len(cells)  # type: ignore[list-item]
-    start = time.perf_counter()
-    # budgeted runs stay sequential: parallel scheduling would make the
-    # degrade/skip decisions depend on timing
-    if workers > 1 and plan.budget_seconds is None:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_cell, plan, idx, cell): idx
-                for idx, cell in enumerate(cells)
-            }
-            for fut, idx in futures.items():
-                rows[idx] = fut.result()
+            futures = [pool.submit(_run_cell, plan, idx, cell) for idx, cell in enumerate(cells)]
+            rows = [fut.result() for fut in futures]
     else:
-        current_plan = plan
-        status = "ok"
-        for idx, cell in enumerate(cells):
-            if plan.budget_seconds is not None:
-                elapsed = time.perf_counter() - start
-                if elapsed > plan.budget_seconds:
-                    rows[idx] = _skipped_row(plan, cell, "budget")
-                    continue
-                if (
-                    elapsed > 0.5 * plan.budget_seconds
-                    and current_plan.trials > MIN_TRIALS
-                ):
-                    current_plan = replace(plan, trials=MIN_TRIALS)
-                    status = "ok:degraded"
-            rows[idx] = _run_cell(current_plan, idx, cell, status=status)
+        rows = [_run_cell(plan, idx, cell) for idx, cell in enumerate(cells)]
     for row in rows:
         print(
             f"cell n={row.n} eps={row.eps} m={row.m} status={row.status} "
@@ -387,8 +349,9 @@ def find_min_m(
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
-    Raises PlanError when `trials` is below MIN_TRIALS or `m_start` below
-    1, and BudgetExhaustedError if no m <= m_cap succeeds.
+    Raises PlanError when `trials` is below MIN_TRIALS, `m_start` below 1
+    or a family cannot take ell1 x ell2, and BudgetExhaustedError if no
+    m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
@@ -398,6 +361,7 @@ def find_min_m(
         alt_family=alt_family,
         n_values=(n,),
         eps_values=(eps,),
+        m_values=(m_start,),  # probes set m, so no m=auto check applies
         mode=mode,
         ell1=ell1,
         ell2=ell2,

@@ -45,12 +45,33 @@ _UNIFORM_2X2 = np.full((2, 2), 0.25)
 _INDEP_SLICES = np.array(_INDEP_CELLS, dtype=float).reshape(2, 2, 2) / 100.0
 _DEP_SLICES = np.array(_DEP_CELLS, dtype=float).reshape(3, 2, 2) / 100.0
 
+#: the families that take their alphabet sizes ell1 x ell2 from the spec; every
+#: other family builds its own alphabet, 2 x 2 but for the nnn pair
+FREE_ALPHABET = ("random_ci", "random_far")
+
+#: the families on ({0,1} x [n]) x [n] x [n], a 2n x n x n domain
+NNN_FAMILIES = ("nnn_d0", "nnn_d1")
+
 #: heavy-bin parameter must stay below this fraction of n for the binary ensembles
 REGIME_MAX_M_FRACTION = 0.9
 
 
 class RegimeError(ValueError):
     """Spec parameters fall outside the family's validity regime."""
+
+
+def check_alphabet(family: str, ell1: int, ell2: int) -> None:
+    """Raise RegimeError unless `family` takes ell1 x ell2: any sizes >= 1
+    for the `FREE_ALPHABET` families, the defaults (2, 2) for the others,
+    whose instances never read them."""
+    for field, value in (("ell1", ell1), ("ell2", ell2)):
+        if family in FREE_ALPHABET:
+            if value < 1:
+                raise RegimeError(f"family {family!r} needs {field} >= 1, got {value}")
+        elif value != 2:
+            raise RegimeError(
+                f"family {family!r} builds its own alphabet: {field} must be 2, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,6 +89,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RegimeError(f"unknown family {self.family!r}")
+        check_alphabet(self.family, self.ell1, self.ell2)
         if self.n < 1:
             raise RegimeError("n must be >= 1")
 
@@ -80,7 +102,7 @@ def make_instance(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
     if fam in ("paninski_yes", "paninski_no"):
         which = "uniform" if fam == "paninski_yes" else "perturbed"
         return paninski_reduction(4 * spec.n, spec.eps, which, spec.seed)
-    if fam in ("nnn_d0", "nnn_d1"):
+    if fam in NNN_FAMILIES:
         return gen_nnn(spec.n, fam == "nnn_d1", spec.seed)
     if fam == "random_ci":
         return gen_random_ci(spec.ell1, spec.ell2, spec.n, spec.seed)

