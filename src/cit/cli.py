@@ -119,9 +119,8 @@ def _cmd_test(args) -> int:
         seed=args.seed,
     )
     if args.dist is not None:
-        source = read_distribution_file(args.dist)
-        if not source.normalized:
-            source, factor = source.normalize()
+        source, factor = read_distribution_file(args.dist)
+        if factor != 1.0:
             print(f"note: normalized pseudo-distribution by factor {factor!r}", file=sys.stderr)
         dims = None
     else:

@@ -35,7 +35,8 @@ class ShapeMismatchError(DistributionError):
 
 
 class NotNormalizedError(DistributionError):
-    """An operation required a normalized distribution."""
+    """A tensor given to `JointDistribution` does not sum to 1 within
+    `NORMALIZED_ATOL`; `JointDistribution.from_mass` divides raw tensors."""
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -48,22 +49,21 @@ def _readonly(values, dtype=float) -> np.ndarray:
 class JointDistribution:
     """Dense joint mass on [l1] x [l2] x [n], axes ordered (x, y, z).
 
-    `normalized=False` marks a pseudo-distribution (total mass != 1);
-    samplers reject those, instance generators normalize before sampling
-    and record the factor in their metadata.  The bin marginal cache is
-    always derived from the tensor, never set independently.
+    Always a distribution: the mass sums to 1 within `NORMALIZED_ATOL`.
+    `from_mass` divides a raw tensor, such as a pseudo-distribution, by
+    its total.  The bin marginal cache is always derived from the tensor,
+    never set independently.
 
-    `mass` keeps the memory order its producer built.  `from_slices`
-    transposes an (n, l1, l2) stack, so the instances it builds (the
-    binary, `paninski_no` and random families) are bin-major: a
+    `mass` keeps the memory order its producer built.  `from_slices`, and
+    the binary and random generators, transpose an (n, l1, l2) stack, so
+    the binary, `paninski_no` and random instances are bin-major: a
     `no_binary_r1` instance at n = 100 has strides (16, 8, 32), a
     `random_far` one at 10 x 10 x 50 has (80, 8, 800).
-    `total_mass` and `z_marginal` sum in that order, so they can differ in
-    their last bits from the same sums over a C-ordered copy.
+    `from_mass` and `z_marginal` sum in that order, so their sums can differ
+    in their last bits from the same sums over a C-ordered copy.
     """
 
     mass: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         arr = np.array(self.mass, dtype=float)
@@ -73,10 +73,9 @@ class JointDistribution:
             raise ShapeMismatchError("all three dimensions must be positive")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise DistributionError("mass entries must be finite and >= 0")
-        if self.normalized and abs(float(arr.sum()) - 1.0) > NORMALIZED_ATOL:
-            raise NotNormalizedError(
-                f"total mass {arr.sum()!r} not within {NORMALIZED_ATOL} of 1"
-            )
+        total = float(arr.sum())
+        if abs(total - 1.0) > NORMALIZED_ATOL:
+            raise NotNormalizedError(f"total mass {total!r} not within {NORMALIZED_ATOL} of 1")
         arr.setflags(write=False)
         object.__setattr__(self, "mass", arr)
 
@@ -89,10 +88,6 @@ class JointDistribution:
         """p_Z, the bin-weight vector (derived cache)."""
         return _readonly(self.mass.sum(axis=(0, 1)))
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.mass.sum())
-
     def slice_table(self, z: int) -> np.ndarray:
         """Conditional table at bin z (uniform when the bin has no mass)."""
         l1, l2, _ = self.dims
@@ -101,15 +96,19 @@ class JointDistribution:
             return np.full((l1, l2), 1.0 / (l1 * l2))
         return self.mass[:, :, z] / w
 
-    def normalize(self) -> tuple["JointDistribution", float]:
-        """Return (normalized copy, total mass divided out)."""
-        total = self.total_mass
-        if total <= 0:
-            raise DistributionError("cannot normalize a zero-mass tensor")
-        return JointDistribution(self.mass / total, normalized=True), total
+    @classmethod
+    def from_mass(cls, mass) -> tuple["JointDistribution", float]:
+        """(`mass` divided by its total, that total); DistributionError
+        unless the total is positive and finite."""
+        arr = np.asarray(mass, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused below
+            total = float(arr.sum())
+        if not 0.0 < total < np.inf:
+            raise DistributionError(f"total mass {total!r} is not positive and finite")
+        return cls(arr / total), total
 
     @classmethod
-    def from_slices(cls, weights, tables, normalized: bool = True) -> "JointDistribution":
+    def from_slices(cls, weights, tables) -> "JointDistribution":
         """Assemble p(x, y, z) = weights[z] * tables[z][x, y].
 
         `tables` has shape (n, l1, l2); rows with zero weight may hold any
@@ -119,8 +118,7 @@ class JointDistribution:
         tables = np.asarray(tables, dtype=float)
         if tables.ndim != 3 or weights.shape != (tables.shape[0],):
             raise ShapeMismatchError("need weights (n,) and tables (n, l1, l2)")
-        mass = tables.transpose(1, 2, 0) * weights
-        return cls(mass, normalized=normalized)
+        return cls(tables.transpose(1, 2, 0) * weights)
 
     @classmethod
     def uniform(cls, l1: int, l2: int, n: int) -> "JointDistribution":
@@ -162,8 +160,6 @@ def mixture_q(p: JointDistribution) -> JointDistribution:
     Every slice of the result is the product of its own marginals, and the
     bin marginal matches p's exactly (up to float rounding).
     """
-    if not p.normalized:
-        raise NotNormalizedError("mixture_q requires a normalized distribution")
     mass = p.mass
     pz = p.z_marginal
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -172,7 +168,7 @@ def mixture_q(p: JointDistribution) -> JointDistribution:
     py = cond.sum(axis=0)  # (l2, n)
     qmass = pz * px[:, None, :] * py[None, :, :]
     # zero-weight bins contribute no mass either way
-    return JointDistribution(qmass, normalized=True)
+    return JointDistribution(qmass)
 
 
 def ci_distance_proxy(p: JointDistribution) -> float:
@@ -191,8 +187,6 @@ def conditional_mutual_information(p: JointDistribution) -> float:
     Terms with zero conditional mass contribute zero.  Nonnegative; zero
     (within float rounding) exactly for conditionally independent p.
     """
-    if not p.normalized:
-        raise NotNormalizedError("CMI requires a normalized distribution")
     mass = p.mass
     pz = p.z_marginal
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -215,8 +209,6 @@ def conditional_mutual_information(p: JointDistribution) -> float:
 
 def sample_fixed(p: JointDistribution, count: int, seed) -> np.ndarray:
     """`count` i.i.d. samples as an (count, 3) int array of (x, y, z) rows."""
-    if not p.normalized:
-        raise NotNormalizedError("sampling requires a normalized distribution")
     if count < 0:
         raise ValueError("count must be >= 0")
     flat = p.mass.ravel()
@@ -230,8 +222,6 @@ def poissonized_codes(p: JointDistribution, m: float, seed) -> np.ndarray:
 
     Per-bin counts are then independent Poisson(m * p_Z(z)) variables.
     """
-    if not p.normalized:
-        raise NotNormalizedError("sampling requires a normalized distribution")
     if m < 0:
         raise ValueError("Poissonized sampling needs m >= 0")
     rng = np.random.default_rng(seed)
@@ -257,8 +247,6 @@ def poissonized_count_tensor(
     the (l1, l2, n) draw, so bins are innermost in memory.  The counts and
     M are int64: callers keep m small enough for M to fit.
     """
-    if not p.normalized:
-        raise NotNormalizedError("sampling requires a normalized distribution")
     counts = rng.poisson(m * p.mass)
     return int(counts.sum()), counts.transpose(2, 0, 1)
 
@@ -414,8 +402,11 @@ def write_distribution_file(path, p: JointDistribution) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_distribution_file(path) -> JointDistribution:
-    """Read a distribution file; a cell listed twice is an error."""
+def read_distribution_file(path) -> tuple[JointDistribution, float]:
+    """Read a distribution file as (distribution, factor); a cell listed
+    twice is an error, and so is a total that `from_mass` refuses.  A file
+    whose total is within `NORMALIZED_ATOL` of 1 is kept as read, with
+    factor 1.0; any other is divided by its total, the factor."""
     dims, cells, probs = _read_cells(path, "i<TAB>j<TAB>z<TAB>prob")
     flat = np.ravel_multi_index(tuple(cells.T), dims)
     hits = np.bincount(flat)
@@ -424,8 +415,10 @@ def read_distribution_file(path) -> JointDistribution:
         raise DistributionError(f"{path}: cell {cell} listed {hits.max()} times")
     mass = np.zeros(dims)
     mass[tuple(cells.T)] = probs[:, 0]
-    normalized = abs(float(mass.sum()) - 1.0) <= NORMALIZED_ATOL
     try:
-        return JointDistribution(mass, normalized=normalized)
+        dist, total = JointDistribution.from_mass(mass)
+        if abs(total - 1.0) <= NORMALIZED_ATOL:
+            return JointDistribution(mass), 1.0
+        return dist, total
     except DistributionError as exc:
         raise DistributionError(f"{path}: {exc}") from None

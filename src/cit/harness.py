@@ -25,7 +25,9 @@ from .instances import (
     FAMILIES, NNN_FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
 )
 from .seeding import child_seed, seed_sequence
-from .testers import _MODES, TesterConfig, calibrate_threshold, run_trials, sample_budget
+from .testers import (
+    _MODES, MAX_TRIALS, TesterConfig, calibrate_threshold, run_trials, sample_budget
+)
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +68,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.trials < MIN_TRIALS:
             raise PlanError(f"trials must be >= {MIN_TRIALS}")
+        trial_counts = {"trials": self.trials, "calibration_trials": self.calibration_trials}
+        for field, value in trial_counts.items():
+            if value > MAX_TRIALS:
+                raise PlanError(f"{field} must be <= {MAX_TRIALS}, got {value}")
         if not self.n_values or not self.eps_values or not self.m_values:
             raise PlanError("grid must be non-empty")
         for fam in (self.null_family, self.alt_family):
@@ -77,6 +83,11 @@ class ExperimentPlan:
                 raise PlanError(str(exc)) from None
             if fam in NNN_FAMILIES and "auto" in self.m_values:
                 raise PlanError(f"family {fam!r} is 2n x n x n: give explicit m, not m=auto")
+        if (self.null_family in NNN_FAMILIES) != (self.alt_family in NNN_FAMILIES):
+            raise PlanError(
+                f"families {self.null_family!r} and {self.alt_family!r} have different "
+                "domains: pair an nnn family only with an nnn family"
+            )
         if self.mode not in _MODES:
             raise PlanError(f"unknown mode {self.mode!r}")
         if self.calibration_trials and self.calibration_trials < 100:
@@ -256,14 +267,16 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
     accept_rate = float(null_acc.mean())
     reject_rate = float(1.0 - alt_acc.mean())
     t_trials = plan.trials
+    # the nnn families build their own 2n x n x n alphabet
+    ell1, ell2 = (2 * n, n) if plan.null_family in NNN_FAMILIES else (plan.ell1, plan.ell2)
     return PowerRow(
         schema_version=SCHEMA_VERSION,
         mode=plan.mode,
         null_family=plan.null_family,
         alt_family=plan.alt_family,
         n=n,
-        ell1=plan.ell1,
-        ell2=plan.ell2,
+        ell1=ell1,
+        ell2=ell2,
         eps=eps,
         m=m,
         gen_m=_resolve_gen_m(plan.gen_m, n),
@@ -349,9 +362,9 @@ def find_min_m(
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
-    Raises PlanError when `trials` is below MIN_TRIALS, `m_start` below 1
-    or a family cannot take ell1 x ell2, and BudgetExhaustedError if no
-    m <= m_cap succeeds.
+    Raises PlanError when `trials` is outside [MIN_TRIALS, MAX_TRIALS],
+    `m_start` below 1 or a family cannot take ell1 x ell2, and
+    BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")

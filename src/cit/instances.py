@@ -1,11 +1,12 @@
 """Instance generators: random CI/far families and adversarial ensembles.
 
 Every generator is a pure function of its spec and seed and returns a
-normalized `JointDistribution` plus a metadata dict.  Ensembles that are
-naturally pseudo-distributions (total mass in [1, 1+eps]) are divided by
-their realized total mass; the factor is recorded under
-``raw_total_mass`` so experiments can report both raw and normalized
-distance scales (normalization changes distances by at most that factor).
+`JointDistribution` plus a metadata dict.  Ensembles that are naturally
+pseudo-distributions (total mass in [1, 1+eps]) are built as raw tensors
+and divided by their realized total mass in `JointDistribution.from_mass`;
+the factor is recorded under ``raw_total_mass`` so experiments can report
+both raw and normalized distance scales (normalization changes distances
+by at most that factor).
 """
 
 from __future__ import annotations
@@ -173,9 +174,7 @@ def gen_binary_ensemble(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
         heavy = np.concatenate([heavy, [True]])
         kind = np.concatenate([kind, [-1]]).astype(np.int8)
 
-    raw = JointDistribution.from_slices(weights, tables, normalized=False)
-    total = raw.total_mass
-    dist = JointDistribution(raw.mass / total)
+    dist, total = JointDistribution.from_mass(tables.transpose(1, 2, 0) * weights)
     meta = {
         "family": fam,
         "n": n,
@@ -384,8 +383,7 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
     mass = np.empty((2 * n, n, n))
     mass[0::2] = w0.transpose(1, 2, 0)
     mass[1::2] = w1.transpose(1, 2, 0)
-    total = float(mass.sum())
-    dist = JointDistribution(mass / total)
+    dist, total = JointDistribution.from_mass(mass)
     meta = {
         "family": "nnn_d1" if far else "nnn_d0",
         "n": n,
@@ -425,8 +423,7 @@ def gen_random_ci(l1: int, l2: int, n: int, seed: int) -> tuple[JointDistributio
     px = rng.dirichlet(np.ones(l1), size=n)  # (n, l1)
     py = rng.dirichlet(np.ones(l2), size=n)
     tables = px[:, :, None] * py[:, None, :]
-    raw = JointDistribution.from_slices(pz, tables, normalized=False)
-    dist = JointDistribution(raw.mass / raw.total_mass)
+    dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0) * pz)
     return dist, {"family": "random_ci", "n": n, "seed": seed}
 
 
@@ -462,8 +459,7 @@ def gen_random_far(
         w = min(1.0, 1.1 * eps)
         while True:
             tables = (1 - w) * product + w * matchings
-            raw = JointDistribution.from_slices(pz, tables, normalized=False)
-            dist = JointDistribution(raw.mass / raw.total_mass)
+            dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0) * pz)
             proxy = ci_distance_proxy(dist)
             if proxy >= eps:
                 meta = {

@@ -213,17 +213,6 @@ class Fingerprint:
         return sum(self.counts)
 
     @classmethod
-    def from_samples(cls, symbols, num_symbols: int) -> "Fingerprint":
-        counts = np.bincount(np.asarray(symbols, dtype=np.int64), minlength=num_symbols)
-        if counts.size > num_symbols:
-            raise ValueError("sample symbol outside [0, num_symbols)")
-        return cls(tuple(int(c) for c in counts))
-
-    def to_text(self) -> str:
-        """'i:count' pairs, 1-based, zero counts omitted."""
-        return " ".join(f"{i + 1}:{c}" for i, c in enumerate(self.counts) if c)
-
-    @classmethod
     def parse(cls, text: str, num_symbols: int) -> "Fingerprint":
         counts = [0] * num_symbols
         for token in text.split():
@@ -565,14 +554,6 @@ def oracle_moments(Q: HomogeneousPolynomial, p, N: int) -> tuple[Fraction, Fract
 # Text format for test vectors: one term per line, "coeff : i1^e1 i2^e2 ..."
 # with 1-based variable indices and Fraction-parsable coefficients.
 # ---------------------------------------------------------------------------
-
-
-def format_polynomial(Q: HomogeneousPolynomial) -> str:
-    lines = []
-    for key, c in sorted(Q.terms.items()):
-        mono = " ".join(f"{i + 1}^{e}" for i, e in key)
-        lines.append(f"{c} : {mono}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_polynomial(text: str, num_vars: int, degree: int | None = None) -> HomogeneousPolynomial:

@@ -56,6 +56,11 @@ _TRIAL_BLOCK_CELLS = 1 << 12
 #: m <= 2^62
 _MAX_BUDGET = 1 << 62
 
+#: most trials a calibration or a power plan column runs: every trial builds
+#: and tests its own instance, so no larger count finishes, and the per-trial
+#: arrays (8 bytes a trial) would pass numpy's index range or memory first
+MAX_TRIALS = 10**9
+
 
 class TesterInputError(ValueError):
     """Bad tester configuration or sample input."""
@@ -575,6 +580,8 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     """
     if trials < 100:
         raise TesterInputError("calibration needs at least 100 trials")
+    if trials > MAX_TRIALS:
+        raise TesterInputError(f"calibration trials must be <= {MAX_TRIALS}, got {trials}")
 
     def instances():
         for t in range(trials):

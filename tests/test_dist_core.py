@@ -253,13 +253,6 @@ class TestSampling:
         sigma = np.sqrt(count * (1 / 20) * (19 / 20))
         assert np.all(np.abs(counts - expect) < 5 * sigma)
 
-    def test_rejects_pseudo_distribution(self):
-        pseudo = JointDistribution(np.full((2, 2, 2), 0.25), normalized=False)
-        with pytest.raises(NotNormalizedError):
-            sample_fixed(pseudo, 5, 0)
-        with pytest.raises(NotNormalizedError):
-            sample_poissonized(pseudo, 5.0, 0)
-
     def test_poissonized_mean(self):
         p = JointDistribution.uniform(2, 2, 4)
         sizes = [
@@ -376,13 +369,13 @@ class TestInvariants:
 
     def test_zero_size_dimension_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            JointDistribution(np.zeros((0, 2, 3)), normalized=False)
+            JointDistribution(np.zeros((0, 2, 3)))
 
     def test_normalization_tolerance(self):
         mass = np.full((2, 2, 2), 1 / 8) * (1 + 1e-10)
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(NotNormalizedError, match=r"total mass 1\.0000000001 not within"):
             JointDistribution(mass)
-        JointDistribution(mass, normalized=False)  # pseudo flag allows it
+        JointDistribution(mass * (1 + 1e-13) / (1 + 1e-10))  # inside the tolerance
 
     def test_z_marginal_is_derived(self):
         rng = np.random.default_rng(6)
@@ -390,10 +383,21 @@ class TestInvariants:
         np.testing.assert_array_equal(p.z_marginal, p.mass.sum(axis=(0, 1)))
 
     def test_normalize_round_trip(self):
-        pseudo = JointDistribution(np.full((2, 2, 2), 0.25), normalized=False)
-        norm, factor = pseudo.normalize()
-        assert factor == pytest.approx(2.0)
-        assert norm.total_mass == pytest.approx(1.0)
+        pseudo = np.full((2, 2, 2), 0.25)
+        norm, factor = JointDistribution.from_mass(pseudo)
+        assert factor == 2.0
+        np.testing.assert_array_equal(norm.mass, pseudo / 2.0)
+
+    @pytest.mark.parametrize("mass, total", [
+        (np.zeros((2, 2, 2)), "0.0"),
+        (np.full((1, 1, 2), 1e308), "inf"),
+        (np.array([[[np.inf, 0.5]]]), "inf"),
+        (np.array([[[np.nan, 0.5]]]), "nan"),
+    ])
+    def test_from_mass_needs_positive_finite_total(self, mass, total):
+        with pytest.raises(DistributionError) as info:
+            JointDistribution.from_mass(mass)
+        assert str(info.value) == f"total mass {total} is not positive and finite"
 
 
 class TestFileFormats:
@@ -402,9 +406,9 @@ class TestFileFormats:
         p = random_joint(rng, 3, 2, 4)
         path = tmp_path / "dist.tsv"
         write_distribution_file(path, p)
-        q = read_distribution_file(path)
+        q, factor = read_distribution_file(path)
         np.testing.assert_array_equal(p.mass, q.mass)
-        assert q.normalized
+        assert factor == 1.0
 
     def test_sample_round_trip(self, tmp_path):
         p = JointDistribution.uniform(2, 3, 4)
@@ -439,7 +443,30 @@ class TestFileFormats:
         path.write_text("#dims 2 2 2\n\n")
         s, dims = read_sample_file(path)
         assert s.shape == (0, 3) and s.dtype == np.int64 and dims == (2, 2, 2)
-        assert read_distribution_file(path).mass.shape == (2, 2, 2)
+        with pytest.raises(DistributionError, match="total mass 0.0 is not positive"):
+            read_distribution_file(path)
+        assert not recwarn.list
+
+    def test_pseudo_distribution_file_divided_by_its_total(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("#dims 1 1 2\n1\t1\t1\t0.5\n1\t1\t2\t1.5\n")
+        p, factor = read_distribution_file(path)
+        assert factor == 2.0
+        np.testing.assert_array_equal(p.mass, [[[0.25, 0.75]]])
+
+    @pytest.mark.parametrize("body, total", [
+        ("1\t1\t1\t1e308\n1\t1\t2\t1e308\n", "inf"),  # finite cells, overflowing sum
+        ("1\t1\t1\tinf\n", "inf"),
+        ("", "0.0"),
+        ("1\t1\t1\t0.0\n", "0.0"),
+    ])
+    def test_total_not_positive_and_finite_names_the_file(self, tmp_path, recwarn, body,
+                                                          total):
+        path = tmp_path / "d.tsv"
+        path.write_text("#dims 1 1 2\n" + body)
+        with pytest.raises(DistributionError) as info:
+            read_distribution_file(path)
+        assert str(info.value) == f"{path}: total mass {total} is not positive and finite"
         assert not recwarn.list
 
     def test_large_indices_read_exactly(self, tmp_path):
@@ -550,7 +577,8 @@ class TestFileFormats:
         path.write_text("#dims 2 2 2\n \t\n\n  \n")
         s, _ = read_sample_file(path)
         assert s.shape == (0, 3) and s.dtype == np.int64
-        assert read_distribution_file(path).mass.shape == (2, 2, 2)
+        with pytest.raises(DistributionError, match="total mass 0.0 is not positive"):
+            read_distribution_file(path)
         assert not recwarn.list
 
     def test_compressed_suffix_read_as_text(self, tmp_path):
@@ -605,8 +633,9 @@ class TestFileFormats:
         mass = rng.dirichlet(np.ones(math.prod(dims))) * (rng.random(math.prod(dims)) >= zero_frac)
         if mass.sum() == 0:
             mass[0] = 1.0
-        p = JointDistribution((mass / mass.sum()).reshape(dims), normalized=False)
+        p, _ = JointDistribution.from_mass(mass.reshape(dims))
         path = tmp_path / "d.tsv"
         write_distribution_file(path, p)
-        q = read_distribution_file(path)
+        q, factor = read_distribution_file(path)
         assert q.mass.dtype == np.float64 and np.array_equal(q.mass, p.mass)
+        assert factor == 1.0

@@ -28,7 +28,7 @@ from cit.harness import (
     write_power_csv,
 )
 from cit.instances import EnsembleSpec, make_instance
-from cit.poly_estimator import format_polynomial, l2_diff_polynomial
+from cit.poly_estimator import l2_diff_polynomial, parse_polynomial
 from cit.testers import TesterConfig, run_tester
 
 PLAN_TEXT = """
@@ -194,6 +194,26 @@ class TestPowerExperiment:
         row = (tmp_path / "cmi.csv").read_text().splitlines()[1].split(",")
         assert int(row[CSV_COLUMNS.index("m")]) == want
 
+    def test_nnn_rows_report_their_alphabet(self, tmp_path):
+        # the instances are 32 x 16 x 16; the row once read ell1=2, ell2=2.
+        # gen_m stays the plan's resolved value, which gen_nnn does not read
+        plan = ExperimentPlan(
+            null_family="nnn_d0",
+            alt_family="nnn_d1",
+            n_values=(16,),
+            eps_values=(0.5,),
+            m_values=(300,),
+            mode="general",
+            trials=50,
+            master_seed=3,
+        )
+        run_power_experiment(plan, out_path=tmp_path / "nnn.csv")
+        assert (tmp_path / "nnn.csv").read_text().splitlines()[1] == (
+            "1,general,nnn_d0,nnn_d1,16,32,16,0.5,300,8,50,nan,0.94,0.09999999999999998,"
+            "-0.26038154443170625,0.8895895266048605,5.7766192892997505,"
+            "0.03358571124749334,0.04242640687119285,ok"
+        )
+
 
 class TestFindMinM:
     def test_indistinguishable_pair_exhausts_budget(self):
@@ -292,6 +312,12 @@ PINNED_DIST = (
     "1\t1\t2\t0.2\n2\t2\t2\t0.1\n1\t2\t3\t0.15\n2\t1\t3\t0.15\n2\t2\t3\t0.1\n"
 )
 
+#: PINNED_DIST at total mass 1.2, a pseudo-distribution like the lower-bound ensembles
+PINNED_PSEUDO_DIST = (
+    "#dims 2 2 3\n1\t1\t1\t0.12\n1\t2\t1\t0.06\n2\t1\t1\t0.06\n2\t2\t1\t0.12\n"
+    "1\t1\t2\t0.24\n2\t2\t2\t0.12\n1\t2\t3\t0.18\n2\t1\t3\t0.18\n2\t2\t3\t0.12\n"
+)
+
 
 @pytest.fixture
 def pinned_files(tmp_path):
@@ -361,9 +387,23 @@ class TestPinnedOutputs:
                 "--dist", str(pinned_files[1]), "--json"]
         assert run_cli(argv) == (0, self.DIST_VERDICTS[mode])
 
+    @pytest.mark.parametrize("mode", list(DIST_VERDICTS))
+    def test_pseudo_distribution_file_verdicts(self, tmp_path, mode):
+        # divided by its total, the file draws the same counts as PINNED_DIST
+        path = tmp_path / "pseudo.tsv"
+        path.write_text(PINNED_PSEUDO_DIST)
+        argv = ["test", "--mode", mode, "--eps", "0.5", "--m", "2000", "--seed", "3",
+                "--dist", str(path), "--json"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (0, self.DIST_VERDICTS[mode])
+        note = "note: normalized pseudo-distribution by factor 1.1999999999999997\n"
+        assert err.getvalue() == note
+
     def test_debug_estimate(self, tmp_path):
         l2, poly = tmp_path / "l2.txt", tmp_path / "poly.txt"
-        l2.write_text(format_polynomial(l2_diff_polynomial(2, 2)))
+        l2.write_text("-8 : 1^1 2^1 3^1 4^1\n4 : 1^2 4^2\n4 : 2^2 3^2\n")
+        assert parse_polynomial(l2.read_text(), 4).terms == l2_diff_polynomial(2, 2).terms
         poly.write_text("3/2 : 1^2 2^1\n-1/3 : 3^3\n")
         for path, num_vars, fp, want in (
             (l2, "4", "1:3 2:1 3:2 4:2", "estimate=-1/35\n"),
@@ -428,8 +468,8 @@ class TestCLI:
              "--m", "20", "--seed", "3", "--out", str(out)]
         )
         assert code == 0 and "wrote" in text
-        dist = read_distribution_file(out)
-        assert dist.dims == (2, 2, 50)
+        dist, factor = read_distribution_file(out)
+        assert dist.dims == (2, 2, 50) and factor == 1.0
         code, text = run_cli(
             ["test", "--mode", "binary", "--eps", "0.4", "--m", "800",
              "--seed", "1", "--dist", str(out)]
@@ -669,6 +709,66 @@ class TestCLI:
             assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
         assert err.getvalue() == f"error: {message}\n" and not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # once an OverflowError traceback (exit 1) from calibrate_threshold
+        ({"gen_m=16": "calibration_trials=100000000000000000000"},
+         "calibration_trials must be <= 1000000000, got 100000000000000000000"),
+        # once numpy's "Maximum allowed dimension exceeded", naming no field
+        ({"trials=60": "trials=100000000000000000000"},
+         "trials must be <= 1000000000, got 100000000000000000000"),
+        # once ran, and reported both columns as 2 x 2
+        ({"null_family=yes_binary_r1": "null_family=nnn_d0", "n=40": "n=16"},
+         "families 'nnn_d0' and 'no_binary_r1' have different domains: "
+         "pair an nnn family only with an nnn family"),
+    ])
+    def test_plan_refused_before_any_trial_exit_code(self, monkeypatch, tmp_path, edit,
+                                                     message):
+        def no_instance(spec):
+            raise AssertionError("built an instance before rejecting the plan")
+
+        monkeypatch.setattr(harness, "make_instance", no_instance)
+        text = PLAN_TEXT
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        plan_path, out = tmp_path / "plan.kv", tmp_path / "power.csv"
+        plan_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
+        assert err.getvalue() == f"error: {message}\n" and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # once an OverflowError traceback (exit 1) from calibrate_threshold
+        (["calibrate", "--n", "20", "--m", "400", "--trials", "100000000000000000000"],
+         "calibration trials must be <= 1000000000, got 100000000000000000000"),
+        # once numpy's "Maximum allowed dimension exceeded", naming no field
+        (["minm", "--n", "20", "--eps", "0.5", "--trials", "100000000000000000000"],
+         "trials must be <= 1000000000, got 100000000000000000000"),
+    ])
+    def test_trials_above_bound_exit_code(self, monkeypatch, argv, message):
+        def no_instance(spec):
+            raise AssertionError("built an instance before rejecting the trial count")
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "make_instance", no_instance)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue() == f"error: {message}\n"
+
+    @pytest.mark.parametrize("body, total", [
+        ("1\t1\t1\t1e308\n2\t2\t1\t1e308\n", "inf"),  # once "np.float64(0.0) not within"
+        ("", "0.0"),  # once "cannot normalize a zero-mass tensor", naming no file
+    ])
+    def test_distribution_total_exit_code(self, tmp_path, recwarn, body, total):
+        path = tmp_path / "d.tsv"
+        path.write_text("#dims 2 2 1\n" + body)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["test", "--eps", "0.5", "--dist", str(path)]) == (2, "")
+        assert err.getvalue() == f"error: {path}: total mass {total} is not positive and finite\n"
+        assert not recwarn.list
+
     @pytest.mark.parametrize("argv, message", [
         # once a 2x2 file and exit code 0
         (["gen", "--family", "no_binary_r1", "--n", "40", "--m", "10", "--ell1", "7",
@@ -778,8 +878,8 @@ class TestCLI:
             ["gen", "--family", "nnn_d0", "--n", "16", "--seed", "2", "--out", str(out)]
         )
         assert code == 0
-        dist = read_distribution_file(out)
-        assert dist.dims == (32, 16, 16)
+        dist, factor = read_distribution_file(out)
+        assert dist.dims == (32, 16, 16) and factor == 1.0
 
     def test_debug_flatten_grid(self, tmp_path):
         path = tmp_path / "s.tsv"
