@@ -230,6 +230,9 @@ def main(argv=None) -> int:
         "debug": _cmd_debug,
     }
     try:
+        # numpy's SeedSequence would refuse it later, naming no flag
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     # PlanError, DistributionError, TesterInputError and RegimeError are ValueErrors
     except (ValueError, OSError) as exc:

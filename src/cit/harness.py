@@ -66,6 +66,8 @@ class ExperimentPlan:
     calibration_trials: int = 0
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise PlanError(f"seed must be >= 0, got {self.master_seed}")
         if self.trials < MIN_TRIALS:
             raise PlanError(f"trials must be >= {MIN_TRIALS}")
         trial_counts = {"trials": self.trials, "calibration_trials": self.calibration_trials}

@@ -446,9 +446,10 @@ def gen_random_far(
 ) -> tuple[JointDistribution, dict]:
     """Random instance with ci_distance_proxy >= eps, by mixing each random
     product slice with a random matching table and escalating the mixing
-    weight until the proxy target is met (resampling on failure)."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    weight until the proxy target is met (resampling on failure).  The
+    proxy is a TV distance, at most 1, so eps must lie in (0, 1]."""
+    if not 0 < eps <= 1:
+        raise RegimeError(f"eps must lie in (0, 1], got {eps!r}: the proxy is a TV distance")
     rng = generator(seed, "random_far", l1, l2, n)
     for attempt in range(_FAR_ATTEMPTS):
         pz = rng.dirichlet(np.ones(n))

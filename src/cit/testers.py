@@ -47,8 +47,9 @@ from .seeding import int_seed, seed_sequence
 
 _MODES = ("binary", "general", "cmi")
 
-#: cells per kernel call when `run_trials` stacks binary trials (about 10
-#: trials at n = 100); a bound, not a knob: larger blocks only add memory
+#: cells per kernel call when `run_trials` stacks binary trials of one
+#: count-tensor shape (n, l1, l2) (10 trials at n = 100 with binary
+#: alphabets); a bound, not a knob: larger blocks only add memory
 _TRIAL_BLOCK_CELLS = 1 << 12
 
 #: largest sample budget drawn from a distribution: the drawn counts and
@@ -281,17 +282,32 @@ def binary_bin_statistics(counts: np.ndarray):
 
     Arithmetic is in double precision, with the denominator
     sigma (sigma-1) (sigma-2) (sigma-3) formed in float (never int64, which
-    overflows near sigma = 55,000).  Each bin adds its cell terms one after
-    another in C cell order, so Phi_z depends on bin z's counts alone.  On
-    random 2x2, 3x3 and 8x8 bins (300 per size), Phi_z is the correctly
-    rounded exact value (Fraction path) up to 2^14 samples; from 2^15 to
-    2^22 samples its absolute error stays below 6e-17, 4e-17 and 2e-17.
+    overflows near sigma = 55,000).  Phi_z depends on bin z's counts alone.
+
+    A 2x2 bin (a, b; c, d) has four equal cell terms T, so its Phi is
+    4 T / (sigma (sigma-1) (sigma-2) (sigma-3)), with T in the closed form
+    (ad - bc)^2 - ad (a + d - 1) - bc (b + c - 1).  Up to 2^14 samples
+    every step is exact, so Phi_z has the bytes of the four-term sum and is
+    the correctly rounded exact value (Fraction path).  From 2^15 to 2^22
+    samples (8,000 random bins per size) its absolute error stays below
+    6e-17 (at most 4.7e-17 seen), where 4 to 67% of the bins differ from
+    the four-term sum in their last digits.
+
+    Other shapes add their cell terms (`_l2_cell_terms`) one after another
+    in C cell order.  On random 3x3 and 8x8 bins (300 per size), Phi_z is
+    the correctly rounded exact value up to 2^14 samples; from 2^15 to 2^22
+    samples its absolute error stays below 4e-17 and 2e-17.
     """
     c = np.ascontiguousarray(counts.transpose(1, 2, 0), dtype=float)
     sigma = c.sum(axis=(0, 1))
-    rows, cols = c.sum(axis=1, keepdims=True), c.sum(axis=0, keepdims=True)
-    # from +0.0, as numpy's sums start: a bin whose terms are all -0.0 gets 0.0
-    raw = reduce(np.add, _l2_cell_terms(c, rows, cols, sigma).reshape(-1, sigma.size), 0.0)
+    if c.shape[:2] == (2, 2):
+        a, b, c10, d = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+        ad, bc = a * d, b * c10
+        raw = 4 * ((ad - bc) ** 2 - ad * (a + d - 1) - bc * (b + c10 - 1))
+    else:
+        rows, cols = c.sum(axis=1, keepdims=True), c.sum(axis=0, keepdims=True)
+        # from +0.0, as numpy's sums start: a bin whose terms are all -0.0 gets 0.0
+        raw = reduce(np.add, _l2_cell_terms(c, rows, cols, sigma).reshape(-1, sigma.size), 0.0)
     active = sigma >= 4
     den = np.where(active, sigma * (sigma - 1) * (sigma - 2) * (sigma - 3), 1.0)
     return sigma.astype(np.int64), np.where(active, raw / den, 0.0)
@@ -469,10 +485,12 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
     domain `dims`.  `sources` and `seeds` may be lazy iterables of the same
     length; they are consumed at most one block ahead of the verdicts.  A
     seed is an int or a `SeedSequence`.  In binary and cmi mode each trial
-    draws its counts from `default_rng(seed)`, and blocks of trials of at
-    most 2^12 cells share one kernel call, whose fixed per-bin summation
-    order keeps the verdicts the same at every block size.  General mode
-    evaluates one trial at a time on flat cell codes (x l2 + y) n + z
+    draws its counts from `default_rng(seed)`, and blocks of consecutive
+    trials with the same (n, l1, l2), at most 2^12 cells each, share one
+    kernel call and one row-wise sum of their statistics.  A bin's Phi
+    depends on its counts alone and each row is summed as a one-trial call
+    sums it, so the verdicts are the same at every block size.  General
+    mode evaluates one trial at a time on flat cell codes (x l2 + y) n + z
     drawn with `int_seed(seed)`, so a `seed_sequence(...)` seed gives the
     verdict its `child_seed(...)` int would.
     """
@@ -488,9 +506,10 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
 
     Each trial draws its count tensor from its own `default_rng(seed)`,
     with per-cell Poisson counts (`poissonized_count_tensor`).
-    Consecutive trials with the same (l1, l2) are stacked into blocks of
-    at most `_TRIAL_BLOCK_CELLS` cells (a larger trial is a block of its
-    own), and each block is one kernel call.
+    Consecutive trials with the same count-tensor shape (n, l1, l2) are
+    stacked into blocks of at most `_TRIAL_BLOCK_CELLS` cells (a larger
+    trial is a block of its own); a change of n, l1 or l2 starts a new
+    block, and each block is one kernel call.
     """
     block, cells = [], 0
     for source, seed in zip(sources, seeds, strict=True):
@@ -505,8 +524,7 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
             counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(l1, l2, n)
             big_m, counts = m, counts.transpose(2, 0, 1)
         if block and not (
-            cells + counts.size <= _TRIAL_BLOCK_CELLS
-            and counts.shape[1:] == block[-1][3].shape[1:]
+            cells + counts.size <= _TRIAL_BLOCK_CELLS and counts.shape == block[-1][3].shape
         ):
             yield from _binary_verdicts(block, cfg)
             block, cells = [], 0
@@ -517,21 +535,23 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
 
 
 def _binary_verdicts(block, cfg: TesterConfig):
-    """Verdicts of a block of binary trials (n, m, M, counts), from one
-    kernel call over their count tensors stacked along the bin axis.
+    """Verdicts of a block of k binary trials (n, m, M, counts) on one
+    count-tensor shape, from one kernel call over their count tensors
+    stacked along the bin axis.
 
     The stack is one float buffer with bins innermost, so the kernel makes
-    no second copy.  Each bin's Phi, and so each trial's A (the sum of its
-    a_z in ascending z), is the same as in a one-trial call.
+    no second copy.  Each bin's Phi is the same as in a one-trial call.
+    The statistics are the rows of sigma Phi as a (k, n) array, each
+    summed in ascending z by one row-wise sum, which numpy reduces row by
+    row as it reduces a one-trial call's 1-D array: the same bytes.
     """
+    n = block[0][0]
     stacked = np.concatenate([c.transpose(1, 2, 0) for *_, c in block], axis=2, dtype=float)
     sigma_all, phi = binary_bin_statistics(stacked.transpose(2, 0, 1))
-    a_all = sigma_all * phi
-    lo = 0
-    for n, m, big_m, _ in block:
-        sigma, a_z = sigma_all[lo : lo + n], a_all[lo : lo + n]
-        lo += n
-        stat = float(a_z.sum())  # bins ascending in z: deterministic reduction
+    sigma_all = sigma_all.reshape(-1, n)
+    a_all = sigma_all * phi.reshape(-1, n)
+    stats = a_all.sum(axis=1).tolist()
+    for (_, m, big_m, _), sigma, a_z, stat in zip(block, sigma_all, a_all, stats):
         active = np.flatnonzero(sigma >= 4)
         bins = (active, sigma[active], np.ones(active.size), a_z[active])
         yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, bins)
@@ -572,10 +592,10 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     `null_generator` maps a trial index to a JointDistribution; trial t
     runs the configured tester with the seed
     `seed_sequence(cfg.seed, "calibrate", t)`.  The trials go through
-    `run_trials`, so in binary and cmi mode blocks of trials (at most 2^12
-    cells each) share one kernel call, and instances are asked for one
-    block ahead of their statistics.  The
-    generator is called once per trial index; a caller that needs the same
+    `run_trials`, so in binary and cmi mode blocks of consecutive trials
+    with the same (n, l1, l2) (at most 2^12 cells each) share one kernel
+    call, and instances are asked for one block ahead of their statistics.
+    The generator is called once per trial index; a caller that needs the same
     instances again (as `find_min_m` does) keeps them itself.
     """
     if trials < 100:

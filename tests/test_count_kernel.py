@@ -11,12 +11,36 @@ from hypothesis import strategies as st
 
 from cit.flattening import implicit_flattening
 from cit.instances import gen_random_far
-from cit.poly_estimator import l2_estimator
+from cit.poly_estimator import _l2_cell_terms, l2_estimator
 from cit.testers import TesterConfig, binary_bin_statistics
 from cit.testers import test_binary as binary_test
 from cit.testers import test_general as general_test
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+#: the absolute error `binary_bin_statistics` states for 2x2 bins of 2^15 to
+#: 2^22 samples
+CLOSED_FORM_ERROR = 6e-17
+
+
+def four_term_phi(counts):
+    """Phi of the bins of an (n, 2, 2) count tensor by the general-shape
+    formula: a bin's four `_l2_cell_terms` added in C cell order from 0.0,
+    over sigma (sigma-1) (sigma-2) (sigma-3) formed in float."""
+    c = counts.transpose(1, 2, 0).astype(float)
+    sigma = c.sum(axis=(0, 1))
+    terms = _l2_cell_terms(c, c.sum(axis=1, keepdims=True), c.sum(axis=0, keepdims=True), sigma)
+    raw = 0.0
+    for term in terms.reshape(4, -1):
+        raw = raw + term
+    den = sigma * (sigma - 1) * (sigma - 2) * (sigma - 3)
+    return np.where(sigma >= 4, raw / np.where(sigma >= 4, den, 1.0), 0.0)
+
+
+def random_binary_bins(rng, size, count):
+    """`count` (2, 2) bins of `size` samples each, from random tables."""
+    tables = rng.dirichlet(np.ones(4), size=count)
+    return np.stack([rng.multinomial(size, t) for t in tables]).reshape(count, 2, 2)
 
 
 def reference_general(samples, dims):
@@ -141,6 +165,40 @@ class TestKernelSummationOrder:
         stack = np.concatenate([neighbours[:j], counts, neighbours[j:]])
         for layout in (stack, np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)):
             assert binary_bin_statistics(layout)[1][j : j + n].tobytes() == want
+
+
+class TestBinaryClosedForm:
+    """The 2x2 closed form against the general-shape four-term sum: the
+    same bytes up to 2^14 samples, the stated error beyond."""
+
+    def test_every_small_bin_matches_four_term_sum(self):
+        # every 2x2 fingerprint of at most 40 samples, empty and sub-4 bins included
+        counts = np.array([
+            (a, b, c, s - a - b - c)
+            for s in range(41) for a in range(s + 1) for b in range(s - a + 1)
+            for c in range(s - a - b + 1)
+        ]).reshape(-1, 2, 2)
+        assert binary_bin_statistics(counts)[1].tobytes() == four_term_phi(counts).tobytes()
+
+    def test_bins_up_to_2_14_samples_match_four_term_sum(self):
+        rng = np.random.default_rng(3)
+        counts = np.concatenate(
+            [random_binary_bins(rng, 2**k, 500) for k in range(2, 15)]
+            # the largest products: all samples on one diagonal, in one cell or one row
+            + [np.array([[[2**13, 0], [0, 2**13]], [[0, 2**13], [2**13, 0]],
+                         [[2**14, 0], [0, 0]], [[2**13, 2**13], [0, 0]],
+                         [[2**13 - 1, 1], [1, 2**13 - 1]]])]
+        )
+        assert binary_bin_statistics(counts)[1].tobytes() == four_term_phi(counts).tobytes()
+
+    def test_large_bins_within_stated_error(self):
+        rng = np.random.default_rng(4)
+        counts = np.concatenate([random_binary_bins(rng, 2**k, 150) for k in range(15, 23)])
+        phi = binary_bin_statistics(counts)[1]
+        errors = [abs(F(float(v)) - l2_estimator(c.astype(object))) for v, c in zip(phi, counts)]
+        assert max(errors) <= CLOSED_FORM_ERROR
+        # the cell sums round here, so the closed form is a different float path
+        assert phi.tobytes() != four_term_phi(counts).tobytes()
 
 
 class TestGeneralSplitAgainstReference:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from cit import cli, harness, testers
+from cit import cli, harness, instances, testers
 from cit.cli import main
 from cit.dist_core import (
     JointDistribution,
@@ -716,6 +716,8 @@ class TestCLI:
         # once numpy's "Maximum allowed dimension exceeded", naming no field
         ({"trials=60": "trials=100000000000000000000"},
          "trials must be <= 1000000000, got 100000000000000000000"),
+        # once numpy's "expected non-negative integer", naming no field
+        ({"seed=7": "seed=-1"}, "seed must be >= 0, got -1"),
         # once ran, and reported both columns as 2 x 2
         ({"null_family=yes_binary_r1": "null_family=nnn_d0", "n=40": "n=16"},
          "families 'nnn_d0' and 'no_binary_r1' have different domains: "
@@ -755,6 +757,41 @@ class TestCLI:
         with contextlib.redirect_stderr(err):
             assert run_cli(argv) == (2, "")
         assert err.getvalue() == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--eps", "0.5", "--m", "100", "--dist", "{dist}", "--seed", "-1"],
+        ["gen", "--family", "random_far", "--n", "20", "--seed", "-1", "--out", "{out}"],
+        ["calibrate", "--n", "20", "--m", "400", "--seed", "-1"],
+        ["minm", "--n", "20", "--eps", "0.5", "--seed", "-1"],
+    ])
+    def test_negative_seed_exit_code(self, monkeypatch, pinned_files, tmp_path, argv):
+        # once numpy's "expected non-negative integer", naming no flag
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a run before rejecting the seed")
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "make_instance", refuse)
+        monkeypatch.setattr(cli, "run_tester", refuse)
+        out = tmp_path / "inst.tsv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli([a.format(dist=pinned_files[1], out=out) for a in argv])
+        assert code == (2, "")
+        assert err.getvalue() == "error: --seed must be >= 0, got -1\n" and not out.exists()
+
+    def test_gen_random_far_eps_above_one_exit_code(self, monkeypatch, tmp_path):
+        # once 100 escalating resamples (about 2 s) before exit code 2
+        def no_draw(*key):
+            raise AssertionError("drew an instance before refusing eps")
+
+        monkeypatch.setattr(instances, "generator", no_draw)
+        out = tmp_path / "inst.tsv"
+        argv = ["gen", "--family", "random_far", "--n", "2000", "--eps", "1.5", "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        want = "error: eps must lie in (0, 1], got 1.5: the proxy is a TV distance\n"
+        assert err.getvalue() == want and not out.exists()
 
     @pytest.mark.parametrize("body, total", [
         ("1\t1\t1\t1e308\n2\t2\t1\t1e308\n", "inf"),  # once "np.float64(0.0) not within"

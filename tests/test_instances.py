@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cit import instances
 from cit.dist_core import (
     NORMALIZED_ATOL,
     ci_distance_proxy,
@@ -237,6 +238,17 @@ class TestRandomFamilies:
     def test_random_far_unreachable_target(self):
         with pytest.raises(RegimeError):
             gen_random_far(2, 2, 5, 0.9, 0)
+
+    @pytest.mark.parametrize("eps", [1.5, float("nan"), 0.0])
+    def test_random_far_refuses_eps_outside_unit_interval_before_drawing(self, monkeypatch,
+                                                                          eps):
+        # once 100 escalating resamples (about 2 s at n = 2000) before giving up
+        def no_draw(*key):
+            raise AssertionError("drew an instance before refusing eps")
+
+        monkeypatch.setattr(instances, "generator", no_draw)
+        with pytest.raises(RegimeError, match=r"eps must lie in \(0, 1\], got "):
+            gen_random_far(2, 2, 2000, eps, 0)
 
     def test_determinism_and_metadata(self):
         d1, m1 = gen_random_far(2, 2, 8, 0.25, 42)

@@ -264,6 +264,37 @@ class TestRunTrials:
         assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
         assert calls == [10]
 
+    def test_interleaved_shapes_match_run_tester(self, monkeypatch):
+        # 2x2 bins of ~5 * 10^4 samples: their estimates and sums round
+        shapes = [(2, 2, 20), (2, 2, 20), (2, 2, 50), (2, 2, 20), (3, 3, 20), (2, 2, 20)]
+        instances = [
+            gen_random_far(l1, l2, n, 0.5, child_seed(21, t))[0]
+            for t, (l1, l2, n) in enumerate(shapes)
+        ]
+        seeds = [child_seed(22, t) for t in range(len(shapes))]
+        cfg = TesterConfig(epsilon=0.5, m_override=10**6)
+        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
+        calls = []
+        kernel = testers.binary_bin_statistics
+
+        def recording_kernel(counts):
+            calls.append(counts.shape)
+            return kernel(counts)
+
+        monkeypatch.setattr(testers, "binary_bin_statistics", recording_kernel)
+        assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
+        # a change of n, l1 or l2 starts a block
+        assert calls == [(40, 2, 2), (50, 2, 2), (20, 2, 2), (20, 3, 3), (20, 2, 2)]
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (3, 7), (5, 8), (2, 9), (40, 20), (10, 100),
+                                      (4, 128), (3, 129), (7, 1000), (2, 100_003)])
+    def test_row_sums_are_one_dimensional_sums(self, k, n):
+        # a block's statistics are the row sums of a (k, n) array, one trial's
+        # the sum of its 1-D row: numpy must add both in the same order
+        rng = np.random.default_rng(k * n)
+        a = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8, 8, (k, n))
+        assert a.sum(axis=1).tobytes() == np.array([row.sum() for row in a]).tobytes()
+
     @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
     def test_one_verdict_per_trial(self, monkeypatch, mode):
         # the benchmark counts verdicts and drawn rows through Verdict.__init__
