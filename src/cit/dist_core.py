@@ -239,16 +239,16 @@ def poissonized_count_tensor(
     p: JointDistribution, m: float, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Independent per-cell counts N(x, y, z) ~ Poisson(m * p(x, y, z)) and
-    their total M, as (M, count tensor (n, l1, l2)).
+    their total M, as (M, count tensor).
 
     Equal in law to binning `sample_poissonized` output (M ~ Poisson(m),
     then a multinomial split), and used where a statistic depends on
-    samples only through per-bin fingerprints.  The tensor is a view of
-    the (l1, l2, n) draw, so bins are innermost in memory.  The counts and
-    M are int64: callers keep m small enough for M to fit.
+    samples only through per-bin fingerprints.  The tensor is the draw
+    itself: (l1, l2, n) like `p.mass`, in C order.  The counts and M are
+    int64: callers keep m small enough for M to fit.
     """
     counts = rng.poisson(m * p.mass)
-    return int(counts.sum()), counts.transpose(2, 0, 1)
+    return int(counts.sum()), counts
 
 
 # ---------------------------------------------------------------------------

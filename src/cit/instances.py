@@ -360,29 +360,24 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
 
     heavy_mass = 1.0 / (2 * k)  # equals n^{-3/4}/2 whenever n^{3/4} is an integer
     light_mass = 1.0 / (2 * (n - k))
-    px = np.full((n, n), light_mass)  # (z, x)
-    np.put_along_axis(px, sets_a, heavy_mass, axis=1)
-    py = np.full((n, n), light_mass)  # (z, y)
-    np.put_along_axis(py, sets_b, heavy_mass, axis=1)
+    zs = np.arange(n)[:, None]
+    heavy_x = np.zeros((n, n), dtype=bool)  # (x, z)
+    heavy_x[sets_a, zs] = True
+    heavy_y = np.zeros((n, n), dtype=bool)  # (y, z)
+    heavy_y[sets_b, zs] = True
+    px = np.where(heavy_x, heavy_mass, light_mass)
+    py = np.where(heavy_y, heavy_mass, light_mass)
 
-    base = px[:, :, None] * py[:, None, :] / n  # (z, x, y): joint mass without W
+    base = px[:, None, :] * py[None, :, :] / n  # (x, y, z): joint mass without W
     if not far:
-        w0 = 0.5 * base
-        w1 = 0.5 * base
+        w0 = w1 = 0.5 * base
     else:
-        heavy_x = np.zeros((n, n), dtype=bool)
-        np.put_along_axis(heavy_x, sets_a, True, axis=1)
-        heavy_y = np.zeros((n, n), dtype=bool)
-        np.put_along_axis(heavy_y, sets_b, True, axis=1)
-        coin = heavy_x[:, :, None] | heavy_y[:, None, :]  # (z, x, y)
-        fbits = _hash_bit_table(seed, n).transpose(2, 0, 1)  # (z, x, y)
-        w1_share = np.where(coin, 0.5, fbits.astype(float))
-        w1 = base * w1_share
+        coin = heavy_x[:, None, :] | heavy_y[None, :, :]
+        w1 = base * np.where(coin, 0.5, _hash_bit_table(seed, n))
         w0 = base - w1
     # first coordinate is the pair (x, w) with index x*2 + w
     mass = np.empty((2 * n, n, n))
-    mass[0::2] = w0.transpose(1, 2, 0)
-    mass[1::2] = w1.transpose(1, 2, 0)
+    mass[0::2], mass[1::2] = w0, w1
     dist, total = JointDistribution.from_mass(mass)
     meta = {
         "family": "nnn_d1" if far else "nnn_d0",
@@ -446,10 +441,23 @@ def gen_random_far(
 ) -> tuple[JointDistribution, dict]:
     """Random instance with ci_distance_proxy >= eps, by mixing each random
     product slice with a random matching table and escalating the mixing
-    weight until the proxy target is met (resampling on failure).  The
-    proxy is a TV distance, at most 1, so eps must lie in (0, 1]."""
+    weight until the proxy target is met (resampling on failure).
+
+    The proxy is the p_Z-weighted TV distance of each slice from the
+    product of its marginals, at most 1 - 1/min(l1, l2) (a uniform full
+    matching reaches it).  So eps must lie in (0, 1] and must not pass
+    that bound by more than a relative slack of 1e-9, left for float
+    rounding: other eps, and every eps when min(l1, l2) = 1, raise
+    RegimeError before anything is drawn.
+    """
     if not 0 < eps <= 1:
         raise RegimeError(f"eps must lie in (0, 1], got {eps!r}: the proxy is a TV distance")
+    bound = 1 - 1 / min(l1, l2)
+    if eps * (1 - 1e-9) > bound:
+        raise RegimeError(
+            f"eps {eps!r} is above 1 - 1/min(ell1, ell2) = {bound!r}: no {l1} x {l2} "
+            "instance is that far from conditional independence"
+        )
     rng = generator(seed, "random_far", l1, l2, n)
     for attempt in range(_FAR_ATTEMPTS):
         pz = rng.dirichlet(np.ones(n))

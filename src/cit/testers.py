@@ -48,7 +48,7 @@ from .seeding import int_seed, seed_sequence
 _MODES = ("binary", "general", "cmi")
 
 #: cells per kernel call when `run_trials` stacks binary trials of one
-#: count-tensor shape (n, l1, l2) (10 trials at n = 100 with binary
+#: count-tensor shape (l1, l2, n) (10 trials at n = 100 with binary
 #: alphabets); a bound, not a knob: larger blocks only add memory
 _TRIAL_BLOCK_CELLS = 1 << 12
 
@@ -275,7 +275,8 @@ def sample_budget(cfg: TesterConfig, dims) -> int:
 def binary_bin_statistics(counts: np.ndarray):
     """Per-bin sample counts sigma_z and l2 estimates Phi_z.
 
-    `counts` is a (n, l1, l2) tensor of per-bin fingerprints.  Phi_z is the
+    `counts` is an (l1, l2, n) tensor of per-bin fingerprints, the layout
+    of `JointDistribution.mass`, in any memory order.  Phi_z is the
     unbiased l2 estimate of bin z, and 0 for bins with fewer than 4
     samples.  The binary and cmi testers evaluate their bins here; the
     general tester's weighted estimates come from `_general_bins`.
@@ -298,7 +299,7 @@ def binary_bin_statistics(counts: np.ndarray):
     the correctly rounded exact value up to 2^14 samples; from 2^15 to 2^22
     samples its absolute error stays below 4e-17 and 2e-17.
     """
-    c = np.ascontiguousarray(counts.transpose(1, 2, 0), dtype=float)
+    c = np.ascontiguousarray(counts, dtype=float)
     sigma = c.sum(axis=(0, 1))
     if c.shape[:2] == (2, 2):
         a, b, c10, d = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
@@ -486,7 +487,7 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
     length; they are consumed at most one block ahead of the verdicts.  A
     seed is an int or a `SeedSequence`.  In binary and cmi mode each trial
     draws its counts from `default_rng(seed)`, and blocks of consecutive
-    trials with the same (n, l1, l2), at most 2^12 cells each, share one
+    trials with the same (l1, l2, n), at most 2^12 cells each, share one
     kernel call and one row-wise sum of their statistics.  A bin's Phi
     depends on its counts alone and each row is summed as a one-trial call
     sums it, so the verdicts are the same at every block size.  General
@@ -504,14 +505,14 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
 def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
     """Binary-tester verdicts for the (source, seed) pairs, in order.
 
-    Each trial draws its count tensor from its own `default_rng(seed)`,
-    with per-cell Poisson counts (`poissonized_count_tensor`).
-    Consecutive trials with the same count-tensor shape (n, l1, l2) are
-    stacked into blocks of at most `_TRIAL_BLOCK_CELLS` cells (a larger
-    trial is a block of its own); a change of n, l1 or l2 starts a new
-    block, and each block is one kernel call.
+    A trial's count tensor has the (l1, l2, n) layout of the mass: drawn
+    per cell from its own `default_rng(seed)` (`poissonized_count_tensor`)
+    for a distribution, the bincount of its flat cell codes for samples.
+    Consecutive trials with the same shape are stacked into blocks of at
+    most `_TRIAL_BLOCK_CELLS` cells (a larger trial is a block of its own);
+    a change of shape starts a new block, and each block is one kernel call.
     """
-    block, cells = [], 0
+    block = []
     for source, seed in zip(sources, seeds, strict=True):
         (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
         if cfg.mode == "cmi" and (l1, l2) != (2, 2):
@@ -521,37 +522,35 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
         if codes is None:
             big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
         else:
-            counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(l1, l2, n)
-            big_m, counts = m, counts.transpose(2, 0, 1)
+            big_m, counts = m, np.bincount(codes, minlength=l1 * l2 * n).reshape(l1, l2, n)
         if block and not (
-            cells + counts.size <= _TRIAL_BLOCK_CELLS and counts.shape == block[-1][3].shape
+            (len(block) + 1) * counts.size <= _TRIAL_BLOCK_CELLS
+            and counts.shape == block[-1][2].shape
         ):
             yield from _binary_verdicts(block, cfg)
-            block, cells = [], 0
-        block.append((n, int(m), big_m, counts))
-        cells += counts.size
+            block = []
+        block.append((int(m), big_m, counts))
     if block:
         yield from _binary_verdicts(block, cfg)
 
 
 def _binary_verdicts(block, cfg: TesterConfig):
-    """Verdicts of a block of k binary trials (n, m, M, counts) on one
-    count-tensor shape, from one kernel call over their count tensors
-    stacked along the bin axis.
+    """Verdicts of a block of k binary trials (m, M, counts) on one
+    count-tensor shape (l1, l2, n), from one kernel call over their count
+    tensors concatenated along the bin axis.
 
-    The stack is one float buffer with bins innermost, so the kernel makes
-    no second copy.  Each bin's Phi is the same as in a one-trial call.
-    The statistics are the rows of sigma Phi as a (k, n) array, each
-    summed in ascending z by one row-wise sum, which numpy reduces row by
-    row as it reduces a one-trial call's 1-D array: the same bytes.
+    Each bin's Phi is the same as in a one-trial call.  The statistics are
+    the rows of sigma Phi as a (k, n) array, each summed in ascending z by
+    one row-wise sum, which numpy reduces row by row as it reduces a
+    one-trial call's 1-D array: the same bytes.
     """
-    n = block[0][0]
-    stacked = np.concatenate([c.transpose(1, 2, 0) for *_, c in block], axis=2, dtype=float)
-    sigma_all, phi = binary_bin_statistics(stacked.transpose(2, 0, 1))
+    n = block[0][2].shape[2]
+    stacked = np.concatenate([c for *_, c in block], axis=2, dtype=float)
+    sigma_all, phi = binary_bin_statistics(stacked)
     sigma_all = sigma_all.reshape(-1, n)
     a_all = sigma_all * phi.reshape(-1, n)
     stats = a_all.sum(axis=1).tolist()
-    for (_, m, big_m, _), sigma, a_z, stat in zip(block, sigma_all, a_all, stats):
+    for (m, big_m, _), sigma, a_z, stat in zip(block, sigma_all, a_all, stats):
         active = np.flatnonzero(sigma >= 4)
         bins = (active, sigma[active], np.ones(active.size), a_z[active])
         yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, bins)
@@ -593,7 +592,7 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     runs the configured tester with the seed
     `seed_sequence(cfg.seed, "calibrate", t)`.  The trials go through
     `run_trials`, so in binary and cmi mode blocks of consecutive trials
-    with the same (n, l1, l2) (at most 2^12 cells each) share one kernel
+    with the same (l1, l2, n) (at most 2^12 cells each) share one kernel
     call, and instances are asked for one block ahead of their statistics.
     The generator is called once per trial index; a caller that needs the same
     instances again (as `find_min_m` does) keeps them itself.

@@ -24,10 +24,10 @@ CLOSED_FORM_ERROR = 6e-17
 
 
 def four_term_phi(counts):
-    """Phi of the bins of an (n, 2, 2) count tensor by the general-shape
+    """Phi of the bins of a (2, 2, n) count tensor by the general-shape
     formula: a bin's four `_l2_cell_terms` added in C cell order from 0.0,
     over sigma (sigma-1) (sigma-2) (sigma-3) formed in float."""
-    c = counts.transpose(1, 2, 0).astype(float)
+    c = counts.astype(float)
     sigma = c.sum(axis=(0, 1))
     terms = _l2_cell_terms(c, c.sum(axis=1, keepdims=True), c.sum(axis=0, keepdims=True), sigma)
     raw = 0.0
@@ -38,9 +38,9 @@ def four_term_phi(counts):
 
 
 def random_binary_bins(rng, size, count):
-    """`count` (2, 2) bins of `size` samples each, from random tables."""
+    """A (2, 2, count) tensor of bins of `size` samples each, from random tables."""
     tables = rng.dirichlet(np.ones(4), size=count)
-    return np.stack([rng.multinomial(size, t) for t in tables]).reshape(count, 2, 2)
+    return np.stack([rng.multinomial(size, t) for t in tables], axis=1).reshape(2, 2, count)
 
 
 def reference_general(samples, dims):
@@ -71,19 +71,19 @@ def reference_general(samples, dims):
 
 @st.composite
 def count_tensors(draw):
-    """A count tensor (n, l1, l2)."""
+    """A count tensor (l1, l2, n)."""
     n = draw(st.integers(1, 4))
     l1, l2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     ints = st.integers(0, 2**31 - 1)
     rng = np.random.default_rng(draw(ints))
     # cell counts mostly small, so bins below 4 samples and empty bins occur
     hi = draw(st.sampled_from([2, 5, 40]))
-    return rng.integers(0, hi, size=(n, l1, l2))
+    return rng.integers(0, hi, size=(l1, l2, n))
 
 
 @st.composite
 def large_count_tensors(draw):
-    """(counts (n, l, l), neighbours (k, l, l)) with l in {3, 8}, n in
+    """(counts (l, l, n), neighbours (l, l, k)) with l in {3, 8}, n in
     [1, 4] and k in [1, 3], every bin holding 10^4 to 10^6 samples: enough
     for the kernel's cell sums to round."""
     l = draw(st.sampled_from([3, 8]))
@@ -91,8 +91,9 @@ def large_count_tensors(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     sizes = rng.integers(10**4, 10**6, size=n + k, endpoint=True)
     tables = rng.dirichlet(np.ones(l * l), size=n + k)
-    bins = np.stack([rng.multinomial(s, t) for s, t in zip(sizes, tables)]).reshape(-1, l, l)
-    return bins[:n], bins[n:]
+    bins = np.stack([rng.multinomial(s, t) for s, t in zip(sizes, tables)], axis=1)
+    bins = bins.reshape(l, l, n + k)
+    return bins[:, :, :n], bins[:, :, n:]
 
 
 @st.composite
@@ -138,12 +139,12 @@ class TestKernelAgainstExact:
     @given(count_tensors())
     def test_per_bin_estimates(self, counts):
         sigma, phi = binary_bin_statistics(counts)
-        np.testing.assert_array_equal(sigma, counts.sum(axis=(1, 2)))
-        for z in range(counts.shape[0]):
+        np.testing.assert_array_equal(sigma, counts.sum(axis=(0, 1)))
+        for z in range(counts.shape[2]):
             if sigma[z] < 4:
                 assert phi[z] == 0.0
                 continue
-            exact = l2_estimator(counts[z].astype(object))
+            exact = l2_estimator(counts[:, :, z].astype(object))
             assert abs(F(float(phi[z])) - exact) <= 1e-12
 
 
@@ -155,15 +156,15 @@ class TestKernelSummationOrder:
     @given(large_count_tensors())
     def test_phi_bytes(self, data):
         counts, neighbours = data
-        n = counts.shape[0]
+        n = counts.shape[2]
         want = binary_bin_statistics(np.ascontiguousarray(counts))[1].tobytes()
-        bins_innermost = np.ascontiguousarray(counts.transpose(1, 2, 0)).transpose(2, 0, 1)
-        assert binary_bin_statistics(bins_innermost)[1].tobytes() == want
-        slices = [binary_bin_statistics(counts[z : z + 1])[1] for z in range(n)]
+        bins_outermost = np.ascontiguousarray(counts.transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert binary_bin_statistics(bins_outermost)[1].tobytes() == want
+        slices = [binary_bin_statistics(counts[:, :, z : z + 1])[1] for z in range(n)]
         assert np.concatenate(slices).tobytes() == want
-        j = neighbours.shape[0] // 2
-        stack = np.concatenate([neighbours[:j], counts, neighbours[j:]])
-        for layout in (stack, np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)):
+        j = neighbours.shape[2] // 2
+        stack = np.concatenate([neighbours[:, :, :j], counts, neighbours[:, :, j:]], axis=2)
+        for layout in (stack, np.ascontiguousarray(stack.transpose(2, 0, 1)).transpose(1, 2, 0)):
             assert binary_bin_statistics(layout)[1][j : j + n].tobytes() == want
 
 
@@ -177,7 +178,7 @@ class TestBinaryClosedForm:
             (a, b, c, s - a - b - c)
             for s in range(41) for a in range(s + 1) for b in range(s - a + 1)
             for c in range(s - a - b + 1)
-        ]).reshape(-1, 2, 2)
+        ]).T.reshape(2, 2, -1)
         assert binary_bin_statistics(counts)[1].tobytes() == four_term_phi(counts).tobytes()
 
     def test_bins_up_to_2_14_samples_match_four_term_sum(self):
@@ -187,15 +188,21 @@ class TestBinaryClosedForm:
             # the largest products: all samples on one diagonal, in one cell or one row
             + [np.array([[[2**13, 0], [0, 2**13]], [[0, 2**13], [2**13, 0]],
                          [[2**14, 0], [0, 0]], [[2**13, 2**13], [0, 0]],
-                         [[2**13 - 1, 1], [1, 2**13 - 1]]])]
+                         [[2**13 - 1, 1], [1, 2**13 - 1]]]).transpose(1, 2, 0)],
+            axis=2,
         )
         assert binary_bin_statistics(counts)[1].tobytes() == four_term_phi(counts).tobytes()
 
     def test_large_bins_within_stated_error(self):
         rng = np.random.default_rng(4)
-        counts = np.concatenate([random_binary_bins(rng, 2**k, 150) for k in range(15, 23)])
+        counts = np.concatenate(
+            [random_binary_bins(rng, 2**k, 150) for k in range(15, 23)], axis=2
+        )
         phi = binary_bin_statistics(counts)[1]
-        errors = [abs(F(float(v)) - l2_estimator(c.astype(object))) for v, c in zip(phi, counts)]
+        errors = [
+            abs(F(float(v)) - l2_estimator(counts[:, :, z].astype(object)))
+            for z, v in enumerate(phi)
+        ]
         assert max(errors) <= CLOSED_FORM_ERROR
         # the cell sums round here, so the closed form is a different float path
         assert phi.tobytes() != four_term_phi(counts).tobytes()

@@ -32,6 +32,7 @@ from cit.dist_core import (
     write_distribution_file,
     write_sample_file,
 )
+from cit.instances import EnsembleSpec, gen_binary_ensemble
 from cit.seeding import child_seed, generator
 
 N1 = np.array([[6, 24], [24, 46]]) / 100
@@ -308,7 +309,7 @@ class TestPoissonizedCountTensor:
         p = random_joint(np.random.default_rng(21), 2, 3, 4)
         m, reps = 60.0, 4000
         totals, counts = self.draws(p, m, reps, 22)
-        lam = m * p.mass.transpose(2, 0, 1)
+        lam = m * p.mass
         mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
         # Var of a Poisson sample mean is lam/reps, of its sample variance
         # about (lam + 2 lam^2)/reps
@@ -320,7 +321,7 @@ class TestPoissonizedCountTensor:
     def test_bin_totals_independent(self):
         p = JointDistribution.uniform(2, 2, 2)
         _, counts = self.draws(p, 8.0, 1500, 23)
-        buckets = np.clip(counts.sum(axis=(2, 3)), 0, 7)
+        buckets = np.clip(counts.sum(axis=(1, 2)), 0, 7)
         table = np.zeros((8, 8))
         np.add.at(table, (buckets[:, 0], buckets[:, 1]), 1)
         keep_r = table.sum(1) > 0
@@ -331,10 +332,14 @@ class TestPoissonizedCountTensor:
     def test_zero_budget_and_layout(self):
         p = random_joint(np.random.default_rng(24), 3, 2, 5)
         big_m, counts = poissonized_count_tensor(p, 0, generator(25, "count-tensor"))
-        assert big_m == 0 and counts.shape == (5, 3, 2) and not counts.any()
-        # bins innermost in memory
-        _, counts = poissonized_count_tensor(p, 50.0, generator(25, "count-tensor"))
-        assert counts.transpose(1, 2, 0).flags.c_contiguous
+        assert big_m == 0 and counts.shape == (3, 2, 5) and not counts.any()
+        # the draw itself, in the layout of the mass, on a bin-major instance
+        q = gen_binary_ensemble(EnsembleSpec("no_binary_r1", n=100, eps=0.5, m=50))[0]
+        assert not q.mass.flags.c_contiguous
+        big_m, counts = poissonized_count_tensor(q, 900.0, generator(25, "count-tensor"))
+        want = generator(25, "count-tensor").poisson(900.0 * q.mass)
+        assert counts.shape == (2, 2, 100) and counts.flags.c_contiguous
+        assert counts.tobytes() == want.tobytes() and big_m == want.sum()
 
 
 class TestTruncatedPoissonMoments:

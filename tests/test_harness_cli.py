@@ -779,19 +779,23 @@ class TestCLI:
         assert code == (2, "")
         assert err.getvalue() == "error: --seed must be >= 0, got -1\n" and not out.exists()
 
-    def test_gen_random_far_eps_above_one_exit_code(self, monkeypatch, tmp_path):
-        # once 100 escalating resamples (about 2 s) before exit code 2
+    @pytest.mark.parametrize("eps, message", [
+        ("1.5", "eps must lie in (0, 1], got 1.5: the proxy is a TV distance"),
+        ("0.9", "eps 0.9 is above 1 - 1/min(ell1, ell2) = 0.5: no 2 x 2 instance is that far "
+                "from conditional independence"),
+    ])
+    def test_gen_random_far_unreachable_eps_exit_code(self, monkeypatch, tmp_path, eps, message):
+        # once 100 escalating resamples (about 3 s) before exit code 2
         def no_draw(*key):
             raise AssertionError("drew an instance before refusing eps")
 
         monkeypatch.setattr(instances, "generator", no_draw)
         out = tmp_path / "inst.tsv"
-        argv = ["gen", "--family", "random_far", "--n", "2000", "--eps", "1.5", "--out", str(out)]
+        argv = ["gen", "--family", "random_far", "--n", "2000", "--eps", eps, "--out", str(out)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run_cli(argv) == (2, "")
-        want = "error: eps must lie in (0, 1], got 1.5: the proxy is a TV distance\n"
-        assert err.getvalue() == want and not out.exists()
+        assert err.getvalue() == f"error: {message}\n" and not out.exists()
 
     @pytest.mark.parametrize("body, total", [
         ("1\t1\t1\t1e308\n2\t2\t1\t1e308\n", "inf"),  # once "np.float64(0.0) not within"

@@ -235,20 +235,37 @@ class TestRandomFamilies:
             assert ci_distance_proxy(dist) >= 0.3
             assert meta["proxy"] == pytest.approx(ci_distance_proxy(dist))
 
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def no_draw(*key):
+            raise AssertionError("drew an instance before refusing eps")
+
+        monkeypatch.setattr(instances, "generator", no_draw)
+
     def test_random_far_unreachable_target(self):
         with pytest.raises(RegimeError):
             gen_random_far(2, 2, 5, 0.9, 0)
 
     @pytest.mark.parametrize("eps", [1.5, float("nan"), 0.0])
-    def test_random_far_refuses_eps_outside_unit_interval_before_drawing(self, monkeypatch,
-                                                                          eps):
+    def test_random_far_refuses_eps_outside_unit_interval_before_drawing(self, no_draws, eps):
         # once 100 escalating resamples (about 2 s at n = 2000) before giving up
-        def no_draw(*key):
-            raise AssertionError("drew an instance before refusing eps")
-
-        monkeypatch.setattr(instances, "generator", no_draw)
         with pytest.raises(RegimeError, match=r"eps must lie in \(0, 1\], got "):
             gen_random_far(2, 2, 2000, eps, 0)
+
+    @pytest.mark.parametrize("l1, l2, eps", [(2, 2, 0.9), (3, 3, 0.7), (1, 4, 0.1), (4, 1, 1e-12),
+                                             (2, 5, 0.500001), (4, 4, 0.76)])
+    def test_random_far_refuses_eps_past_the_alphabet_bound_before_drawing(self, no_draws,
+                                                                           l1, l2, eps):
+        # no table is farther than 1 - 1/min(l1, l2) in TV from the product
+        # of its marginals; such eps once took 100 resamples to refuse
+        with pytest.raises(RegimeError, match=r"is above 1 - 1/min\(ell1, ell2\) = "):
+            gen_random_far(l1, l2, 2000, eps, 0)
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_random_far_reaches_the_alphabet_bound(self, l):
+        dist, meta = gen_random_far(l, l, 20, 1 - 1 / l, 0)
+        assert meta["proxy"] >= 1 - 1 / l
+        assert ci_distance_proxy(dist) == meta["proxy"]
 
     def test_determinism_and_metadata(self):
         d1, m1 = gen_random_far(2, 2, 8, 0.25, 42)

@@ -308,7 +308,7 @@ class TestL2Estimator:
                 qval = ((t - pi) ** 2).sum()
                 big_n = int(local.integers(4, 25))
                 draws = local.multinomial(big_n, t.ravel(), size=reps)
-                vals = binary_bin_statistics(draws.reshape(reps, l1, l2))[1]
+                vals = binary_bin_statistics(draws.T.reshape(l1, l2, reps))[1]
                 envelope = qval * np.sqrt(b) / big_n + b / big_n**2
                 worst = max(worst, np.var(vals) / envelope)
             return worst

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from cit import testers
-from cit.dist_core import DistributionError, JointDistribution, sample_fixed, sample_poissonized
+from cit.dist_core import (
+    DistributionError,
+    JointDistribution,
+    poissonized_count_tensor,
+    sample_fixed,
+    sample_poissonized,
+)
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
 from cit.seeding import child_seed, int_seed, seed_sequence
 from cit.testers import (
@@ -257,7 +263,7 @@ class TestRunTrials:
         kernel = testers.binary_bin_statistics
 
         def counting_kernel(counts):
-            calls.append(counts.shape[0])
+            calls.append(counts.shape[2])
             return kernel(counts)
 
         monkeypatch.setattr(testers, "binary_bin_statistics", counting_kernel)
@@ -284,7 +290,26 @@ class TestRunTrials:
         monkeypatch.setattr(testers, "binary_bin_statistics", recording_kernel)
         assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
         # a change of n, l1 or l2 starts a block
-        assert calls == [(40, 2, 2), (50, 2, 2), (20, 2, 2), (20, 3, 3), (20, 2, 2)]
+        assert calls == [(2, 2, 40), (2, 2, 50), (2, 2, 20), (3, 3, 20), (2, 2, 20)]
+
+    @pytest.mark.parametrize("l, n, m", [(2, 20, 10**6), (2, 50, 900), (8, 10, 10**6),
+                                         (3, 1, 10**6)])
+    def test_sample_rows_with_drawn_counts_match_distribution(self, l, n, m):
+        # the sample-array and distribution branches hand the kernel one layout:
+        # shuffled rows holding a draw's counts give the distribution's verdict
+        p = gen_random_far(l, l, n, 0.5, child_seed(23, l, n))[0]
+        s = child_seed(24, l, n)
+        big_m, counts = poissonized_count_tensor(p, m, np.random.default_rng(s))
+        cells = np.repeat(np.arange(counts.size), counts.ravel())
+        rows = np.column_stack(np.unravel_index(cells, counts.shape))
+        rows = rows[np.random.default_rng(s).permutation(big_m)]
+        cfg = TesterConfig(epsilon=0.5)
+        from_rows = run_tester(rows, cfg, dims=p.dims)
+        from_dist = run_tester(p, replace(cfg, m_override=m, seed=s))
+        assert from_rows.statistic_A == from_dist.statistic_A
+        assert from_rows.per_bin == from_dist.per_bin
+        assert from_rows.M_drawn == from_dist.M_drawn == big_m
+        assert from_rows.accept == from_dist.accept
 
     @pytest.mark.parametrize("k, n", [(1, 1), (3, 7), (5, 8), (2, 9), (40, 20), (10, 100),
                                       (4, 128), (3, 129), (7, 1000), (2, 100_003)])
