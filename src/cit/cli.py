@@ -20,7 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dist_core import read_distribution_file, read_sample_file, write_distribution_file
+from .dist_core import (
+    ci_distance_proxy, read_distribution_file, read_sample_file, write_distribution_file
+)
 from .flattening import implicit_flattening
 from .harness import (
     BudgetExhaustedError,
@@ -150,9 +152,8 @@ def _cmd_gen(args) -> int:
     dist, meta = make_instance(spec)
     write_distribution_file(args.out, dist)
     raw = meta.get("raw_total_mass", 1.0)
-    proxy = meta.get("proxy", meta.get("ci_proxy"))
-    extra = f" proxy={proxy!r}" if proxy is not None else ""
-    print(f"wrote {args.out} family={args.family} n={args.n} raw_mass={raw!r}{extra}")
+    proxy = ci_distance_proxy(dist)
+    print(f"wrote {args.out} family={args.family} n={args.n} raw_mass={raw!r} proxy={proxy!r}")
     return 0
 
 

@@ -154,18 +154,22 @@ def product_table(table: np.ndarray) -> np.ndarray:
     return np.outer(t.sum(axis=1), t.sum(axis=0))
 
 
+def _conditional_marginals(p: JointDistribution):
+    """(p_Z, p(x, y | z), p(x | z), p(y | z)), bins along the last axis;
+    a bin of zero weight gets zero tables."""
+    pz = p.z_marginal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(pz > 0, p.mass / pz, 0.0)
+    return pz, cond, cond.sum(axis=1), cond.sum(axis=0)
+
+
 def mixture_q(p: JointDistribution) -> JointDistribution:
     """The conditionally independent mixture with q(i,j,z) = p_Z(z) q_z(i,j).
 
     Every slice of the result is the product of its own marginals, and the
     bin marginal matches p's exactly (up to float rounding).
     """
-    mass = p.mass
-    pz = p.z_marginal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(pz > 0, mass / pz, 0.0)
-    px = cond.sum(axis=1)  # (l1, n)
-    py = cond.sum(axis=0)  # (l2, n)
+    pz, _, px, py = _conditional_marginals(p)
     qmass = pz * px[:, None, :] * py[None, :, :]
     # zero-weight bins contribute no mass either way
     return JointDistribution(qmass)
@@ -187,12 +191,8 @@ def conditional_mutual_information(p: JointDistribution) -> float:
     Terms with zero conditional mass contribute zero.  Nonnegative; zero
     (within float rounding) exactly for conditionally independent p.
     """
-    mass = p.mass
-    pz = p.z_marginal
+    pz, cond, px, py = _conditional_marginals(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(pz > 0, mass / pz, 0.0)
-        px = cond.sum(axis=1)  # (l1, n)
-        py = cond.sum(axis=0)  # (l2, n)
         prod = px[:, None, :] * py[None, :, :]
         ratio = np.where(cond > 0, cond / np.where(prod > 0, prod, 1.0), 1.0)
         terms = np.where(cond > 0, cond * np.log2(ratio), 0.0)
@@ -207,13 +207,22 @@ def conditional_mutual_information(p: JointDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _draw_codes(p: JointDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` i.i.d. flat cell codes, as `poissonized_codes` returns them."""
+    flat = p.mass.ravel()
+    return rng.choice(flat.size, size=count, p=flat)
+
+
+def _code_rows(p: JointDistribution, codes: np.ndarray) -> np.ndarray:
+    """Flat cell codes as an (len(codes), 3) int array of (x, y, z) rows."""
+    return np.column_stack(np.unravel_index(codes, p.dims))
+
+
 def sample_fixed(p: JointDistribution, count: int, seed) -> np.ndarray:
     """`count` i.i.d. samples as an (count, 3) int array of (x, y, z) rows."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    flat = p.mass.ravel()
-    codes = np.random.default_rng(seed).choice(flat.size, size=count, p=flat)
-    return np.column_stack(np.unravel_index(codes, p.dims))
+    return _code_rows(p, _draw_codes(p, count, np.random.default_rng(seed)))
 
 
 def poissonized_codes(p: JointDistribution, m: float, seed) -> np.ndarray:
@@ -225,14 +234,12 @@ def poissonized_codes(p: JointDistribution, m: float, seed) -> np.ndarray:
     if m < 0:
         raise ValueError("Poissonized sampling needs m >= 0")
     rng = np.random.default_rng(seed)
-    big_m = int(rng.poisson(m))
-    flat = p.mass.ravel()
-    return rng.choice(flat.size, size=big_m, p=flat)
+    return _draw_codes(p, int(rng.poisson(m)), rng)
 
 
 def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
     """`poissonized_codes` as an (M, 3) int array of (x, y, z) rows."""
-    return np.column_stack(np.unravel_index(poissonized_codes(p, m, seed), p.dims))
+    return _code_rows(p, poissonized_codes(p, m, seed))
 
 
 def poissonized_count_tensor(

@@ -26,7 +26,8 @@ from .instances import (
 )
 from .seeding import child_seed, seed_sequence
 from .testers import (
-    _MODES, MAX_TRIALS, TesterConfig, calibrate_threshold, run_trials, sample_budget
+    _MODES, MAX_TRIALS, TesterConfig, TesterInputError, calibrate_threshold, run_trials,
+    sample_budget,
 )
 
 SCHEMA_VERSION = 1
@@ -92,6 +93,13 @@ class ExperimentPlan:
             )
         if self.mode not in _MODES:
             raise PlanError(f"unknown mode {self.mode!r}")
+        if min(self.n_values) < 1:
+            raise PlanError(f"n must be >= 1, got {min(self.n_values)}")
+        for eps, m in itertools.product(self.eps_values, self.m_values):
+            try:
+                TesterConfig(eps, self.mode, self.beta, self.zeta, None if m == "auto" else m)
+            except TesterInputError as exc:
+                raise PlanError(f"cell eps={eps!r} m={m}: {exc}") from None
         if self.calibration_trials and self.calibration_trials < 100:
             raise PlanError("calibration_trials must be 0 or >= 100")
 
@@ -180,14 +188,14 @@ def parse_plan_text(text: str) -> ExperimentPlan:
             raise PlanError(f"line {lineno}: unknown plan key {key!r}")
         if key in raw:
             raise PlanError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = lineno, value
     kwargs: dict = {}
-    try:
-        for key, value in raw.items():
-            field, parse = _PLAN_KEYS[key]
+    for key, (lineno, value) in raw.items():
+        field, parse = _PLAN_KEYS[key]
+        try:
             kwargs[field] = parse(value)
-    except ValueError as exc:
-        raise PlanError(f"bad plan value: {exc}") from exc
+        except ValueError as exc:
+            raise PlanError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     for required in ("null_family", "alt_family", "n"):
         if required not in raw:
             raise PlanError(f"plan is missing {required!r}")
@@ -370,6 +378,8 @@ def find_min_m(
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
+    if m_start < 1:
+        raise PlanError(f"m_start must be >= 1, got {m_start}")
     null_family, alt_family = families
     plan = ExperimentPlan(
         null_family=null_family,
@@ -383,8 +393,6 @@ def find_min_m(
         trials=trials,
         master_seed=seed,
     )
-    if m_start < 1:
-        raise PlanError(f"m_start must be >= 1, got {m_start}")
     builders = {family: _instances(plan, family, n, eps)[1] for family in families}
     cache: dict = {}
     cached_cells = 0

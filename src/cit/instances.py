@@ -389,20 +389,6 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
         "sets_b": sets_b,
         "raw_total_mass": total,
     }
-    if 2 * n**3 <= 4_000_000:
-        meta["ci_proxy"] = ci_distance_proxy(dist)
-    else:
-        # estimate on a bin subsample: Z is uniform, so the proxy is the
-        # average over bins of each slice's TV distance to its product
-        from .dist_core import product_table, tv_distance
-
-        sampled = rng.choice(n, size=min(n, 48), replace=False)
-        dists = [
-            tv_distance(dist.slice_table(int(z)), product_table(dist.slice_table(int(z))))
-            for z in sampled
-        ]
-        meta["ci_proxy_estimate"] = float(np.mean(dists))
-        meta["ci_proxy_bins_sampled"] = int(sampled.size)
     return dist, meta
 
 
@@ -411,13 +397,17 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
 # ---------------------------------------------------------------------------
 
 
-def gen_random_ci(l1: int, l2: int, n: int, seed: int) -> tuple[JointDistribution, dict]:
-    """Random bin weights with independent random product slices: exactly CI."""
-    rng = generator(seed, "random_ci", l1, l2, n)
+def _product_slices(l1: int, l2: int, n: int, rng: np.random.Generator):
+    """(p_Z, (n, l1, l2) product slices) from three Dirichlet(1, ..., 1) draws."""
     pz = rng.dirichlet(np.ones(n))
     px = rng.dirichlet(np.ones(l1), size=n)  # (n, l1)
     py = rng.dirichlet(np.ones(l2), size=n)
-    tables = px[:, :, None] * py[:, None, :]
+    return pz, px[:, :, None] * py[:, None, :]
+
+
+def gen_random_ci(l1: int, l2: int, n: int, seed: int) -> tuple[JointDistribution, dict]:
+    """Random bin weights with independent random product slices: exactly CI."""
+    pz, tables = _product_slices(l1, l2, n, generator(seed, "random_ci", l1, l2, n))
     dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0) * pz)
     return dist, {"family": "random_ci", "n": n, "seed": seed}
 
@@ -460,10 +450,7 @@ def gen_random_far(
         )
     rng = generator(seed, "random_far", l1, l2, n)
     for attempt in range(_FAR_ATTEMPTS):
-        pz = rng.dirichlet(np.ones(n))
-        px = rng.dirichlet(np.ones(l1), size=n)
-        py = rng.dirichlet(np.ones(l2), size=n)
-        product = px[:, :, None] * py[:, None, :]
+        pz, product = _product_slices(l1, l2, n, rng)
         matchings = np.stack([_matching_table(l1, l2, rng) for _ in range(n)])
         w = min(1.0, 1.1 * eps)
         while True:

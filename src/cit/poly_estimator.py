@@ -152,13 +152,7 @@ class HomogeneousPolynomial:
         values = list(values)
         if len(values) != self.num_vars:
             raise PolynomialError(f"expected {self.num_vars} values")
-        total = 0
-        for key, c in sorted(self.terms.items()):
-            term = c
-            for i, e in key:
-                term = term * values[i] ** e
-            total = total + term
-        return total
+        return self.derivative_value(values, ())
 
     def abs_poly(self) -> "HomogeneousPolynomial":
         """The companion polynomial with absolute coefficients."""

@@ -722,6 +722,14 @@ class TestCLI:
         ({"null_family=yes_binary_r1": "null_family=nnn_d0", "n=40": "n=16"},
          "families 'nnn_d0' and 'no_binary_r1' have different domains: "
          "pair an nnn family only with an nnn family"),
+        # once "bad plan value: ...", naming neither the key nor the line
+        ({"m=600": "m=600  # budget"},
+         "line 8: bad value for 'm': invalid literal for int() with base 10: '600  # budget'"),
+        # the next three once ran every earlier cell, then exited 2 with no CSV
+        ({"mode=binary": "mode=cmi", "eps=0.5": "eps=0.3,0.5"},
+         "cell eps=0.5 m=600: cmi mode needs epsilon in (0, 1/2)"),
+        ({"m=600": "m=20000,-5"}, "cell eps=0.5 m=-5: m_override must be >= 0"),
+        ({"n=40": "n=100,0"}, "n must be >= 1, got 0"),
     ])
     def test_plan_refused_before_any_trial_exit_code(self, monkeypatch, tmp_path, edit,
                                                      message):
