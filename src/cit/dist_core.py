@@ -207,10 +207,35 @@ def conditional_mutual_information(p: JointDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: samples `_draw_codes` draws and sorts at a time: a memory bound, not a knob
+_DRAW_CHUNK = 1 << 16
+
+
 def _draw_codes(p: JointDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` i.i.d. flat cell codes, as `poissonized_codes` returns them."""
-    flat = p.mass.ravel()
-    return rng.choice(flat.size, size=count, p=flat)
+    """`count` i.i.d. flat cell codes, as `poissonized_codes` returns them.
+
+    The codes, and the generator's state after the draw, are those of
+    `rng.choice(K, size=count, p=p.mass.ravel())`: that call draws
+    `rng.random(count)` and nothing else, and searches each double in the
+    C-order cumulative mass divided by its last entry, the CDF built here.
+    Here the doubles come in chunks of at most `_DRAW_CHUNK`, and
+    successive `random` calls give the doubles of one call.  Each chunk's
+    keys are searched in ascending order, which keeps the search in cache,
+    and the codes are put back in arrival order; the code `searchsorted`
+    gives a key does not depend on the other keys.  `choice` also checks p
+    at every call (no entry negative, the total within sqrt(machine eps)
+    of 1); `JointDistribution` checks more, once (finite, >= 0, total
+    within `NORMALIZED_ATOL`).  Besides the codes, a draw holds the K-cell
+    CDF and a few chunk-sized arrays.
+    """
+    cdf = p.mass.ravel().cumsum()
+    cdf /= cdf[-1]
+    codes = np.empty(count, dtype=np.int64)
+    for start in range(0, count, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, count - start))
+        order = np.argsort(u)
+        codes[start:start + u.size][order] = cdf.searchsorted(u[order], side="right")
+    return codes
 
 
 def _code_rows(p: JointDistribution, codes: np.ndarray) -> np.ndarray:

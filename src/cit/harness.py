@@ -100,6 +100,14 @@ class ExperimentPlan:
                 TesterConfig(eps, self.mode, self.beta, self.zeta, None if m == "auto" else m)
             except TesterInputError as exc:
                 raise PlanError(f"cell eps={eps!r} m={m}: {exc}") from None
+        for family, n, eps in itertools.product(
+            (self.null_family, self.alt_family), self.n_values, self.eps_values
+        ):
+            try:  # the spec of every instance the cell builds, but for its seed
+                EnsembleSpec(family, n, eps, _resolve_gen_m(self.gen_m, n),
+                             ell1=self.ell1, ell2=self.ell2)
+            except RegimeError as exc:
+                raise PlanError(f"family {family!r} at n={n} eps={eps!r}: {exc}") from None
         if self.calibration_trials and self.calibration_trials < 100:
             raise PlanError("calibration_trials must be 0 or >= 100")
 
@@ -373,7 +381,8 @@ def find_min_m(
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
     Raises PlanError when `trials` is outside [MIN_TRIALS, MAX_TRIALS],
-    `m_start` below 1 or a family cannot take ell1 x ell2, and
+    `m_start` below 1 or a family cannot take ell1 x ell2 or its regime
+    refuses (n, eps), and
     BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:

@@ -50,6 +50,9 @@ _DEP_SLICES = np.array(_DEP_CELLS, dtype=float).reshape(3, 2, 2) / 100.0
 #: other family builds its own alphabet, 2 x 2 but for the nnn pair
 FREE_ALPHABET = ("random_ci", "random_far")
 
+#: the heavy-bins-plus-light-bins 2 x 2 x n ensembles
+BINARY_FAMILIES = ("yes_binary_r1", "no_binary_r1", "yes_binary_r2", "no_binary_r2")
+
 #: the families on ({0,1} x [n]) x [n] x [n], a 2n x n x n domain
 NNN_FAMILIES = ("nnn_d0", "nnn_d1")
 
@@ -75,9 +78,49 @@ def check_alphabet(family: str, ell1: int, ell2: int) -> None:
             )
 
 
+def _check_binary_regime(n: int, eps: float, m, anchored: bool) -> None:
+    if not 0 < eps <= 1:
+        raise RegimeError("eps must lie in (0, 1]")
+    if m is None or m < 1:
+        raise RegimeError("the binary ensembles need a positive heavy-bin parameter m")
+    if m >= REGIME_MAX_M_FRACTION * n:
+        raise RegimeError(
+            f"regime requires m < {REGIME_MAX_M_FRACTION} * n (got m={m}, n={n})"
+        )
+    if anchored and n < 2:
+        raise RegimeError("the anchored variant needs n >= 2")
+
+
+def _check_paninski_eps(eps: float) -> None:
+    if not 0 < eps <= 0.5:
+        raise RegimeError(f"perturbed variant needs eps in (0, 1/2], got {eps!r}")
+
+
+def _check_nnn_size(n: int) -> None:
+    if n < 16:
+        raise RegimeError(f"the nnn families need n >= 16, got {n}")
+
+
+def _check_far_eps(l1: int, l2: int, eps: float) -> None:
+    if not 0 < eps <= 1:
+        raise RegimeError(f"eps must lie in (0, 1], got {eps!r}: the proxy is a TV distance")
+    bound = 1 - 1 / min(l1, l2)
+    if eps * (1 - 1e-9) > bound:
+        raise RegimeError(
+            f"eps {eps!r} is above 1 - 1/min(ell1, ell2) = {bound!r}: no {l1} x {l2} "
+            "instance is that far from conditional independence"
+        )
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Parameters selecting one instance from a family."""
+    """Parameters selecting one instance from a family.
+
+    A spec is refused, with nothing drawn, when its family cannot take
+    ell1 x ell2 or its generator would refuse it: each family's rule is
+    one function that the generator applies too.  A power plan makes the
+    spec of each of its cells before any runs.
+    """
 
     family: str
     n: int
@@ -93,12 +136,20 @@ class EnsembleSpec:
         check_alphabet(self.family, self.ell1, self.ell2)
         if self.n < 1:
             raise RegimeError("n must be >= 1")
+        if self.family in BINARY_FAMILIES:
+            _check_binary_regime(self.n, self.eps, self.m, anchored=self.family.endswith("r2"))
+        elif self.family == "paninski_no":
+            _check_paninski_eps(self.eps)
+        elif self.family in NNN_FAMILIES:
+            _check_nnn_size(self.n)
+        elif self.family == "random_far":
+            _check_far_eps(self.ell1, self.ell2, self.eps)
 
 
 def make_instance(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
     """Dispatch a spec to its generator."""
     fam = spec.family
-    if fam in ("yes_binary_r1", "no_binary_r1", "yes_binary_r2", "no_binary_r2"):
+    if fam in BINARY_FAMILIES:
         return gen_binary_ensemble(spec)
     if fam in ("paninski_yes", "paninski_no"):
         which = "uniform" if fam == "paninski_yes" else "perturbed"
@@ -136,22 +187,14 @@ def gen_binary_ensemble(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
     that for `no_binary_r2` (about 0.03 * eps / (4 + eps)).
 
     Returns the mass-normalized distribution; metadata records the raw
-    total mass, the heavy mask, and each light bin's table kind.
+    total mass, the heavy mask, and each light bin's table kind.  The
+    spec's regime (eps in (0, 1], 1 <= m < 0.9 n, and n >= 2 for regime 2)
+    was checked when it was made.
     """
     fam = spec.family
     yes = fam.startswith("yes")
     regime2 = fam.endswith("r2")
     n, eps, m = spec.n, spec.eps, spec.m
-    if not 0 < eps <= 1:
-        raise RegimeError("eps must lie in (0, 1]")
-    if m is None or m < 1:
-        raise RegimeError("the binary ensembles need a positive heavy-bin parameter m")
-    if m >= REGIME_MAX_M_FRACTION * n:
-        raise RegimeError(
-            f"regime requires m < {REGIME_MAX_M_FRACTION} * n (got m={m}, n={n})"
-        )
-    if regime2 and n < 2:
-        raise RegimeError("the anchored variant needs n >= 2")
     if not yes:
         assert_moment_matched()
 
@@ -289,8 +332,7 @@ def paninski_reduction(N: int, eps: float, which: str, seed: int) -> tuple[Joint
         dist = JointDistribution.uniform(2, 2, n)
         meta = {"family": "paninski_yes", "n": n, "eps": eps, "seed": seed}
         return dist, meta
-    if not 0 < eps <= 0.5:
-        raise ValueError("perturbed variant needs eps in (0, 1/2]")
+    _check_paninski_eps(eps)
     rng = generator(seed, "paninski", n)
     signs = rng.choice((-1.0, 1.0), size=(n, 2))  # one sign per consecutive pair
     tables = np.empty((n, 2, 2))
@@ -349,8 +391,7 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
 
     Memory is Theta(n^3); intended for desk-scale n.
     """
-    if n < 16:
-        raise ValueError("need n >= 16")
+    _check_nnn_size(n)
     k = int(np.floor(n**0.75 + 1e-9))
     rng = generator(seed, "nnn", n, int(far))
     order = np.argsort(rng.random((n, n)), axis=1)
@@ -412,14 +453,25 @@ def gen_random_ci(l1: int, l2: int, n: int, seed: int) -> tuple[JointDistributio
     return dist, {"family": "random_ci", "n": n, "seed": seed}
 
 
-def _matching_table(l1: int, l2: int, rng: np.random.Generator) -> np.ndarray:
-    """A strongly dependent table: uniform mass on a random partial matching."""
+def _matching_tables(l1: int, l2: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, l1, l2) strongly dependent tables, each uniform on a random
+    partial matching: bin z matches the first min(l1, l2) entries of a
+    permutation of [l1] with those of a permutation of [l2], drawn in turn.
+
+    With l1 == l2 one `rng.permuted` call shuffles the 2n rows of a tiled
+    arange, rows 2z and 2z + 1 for bin z; these are the shuffles that
+    2n successive `rng.permutation(l1)` calls make, from the same stream.
+    """
     r = min(l1, l2)
-    rows = rng.permutation(l1)[:r]
-    cols = rng.permutation(l2)[:r]
-    t = np.zeros((l1, l2))
-    t[rows, cols] = 1.0 / r
-    return t
+    if l1 == l2:
+        perms = rng.permuted(np.tile(np.arange(r), (2 * n, 1)), axis=1)
+        rows, cols = perms[0::2], perms[1::2]
+    else:
+        pairs = [(rng.permutation(l1)[:r], rng.permutation(l2)[:r]) for _ in range(n)]
+        rows, cols = (np.array(side) for side in zip(*pairs))
+    tables = np.zeros((n, l1, l2))
+    tables[np.arange(n)[:, None], rows, cols] = 1.0 / r
+    return tables
 
 
 #: resamples `gen_random_far` draws before it gives up on its target distance
@@ -440,18 +492,11 @@ def gen_random_far(
     rounding: other eps, and every eps when min(l1, l2) = 1, raise
     RegimeError before anything is drawn.
     """
-    if not 0 < eps <= 1:
-        raise RegimeError(f"eps must lie in (0, 1], got {eps!r}: the proxy is a TV distance")
-    bound = 1 - 1 / min(l1, l2)
-    if eps * (1 - 1e-9) > bound:
-        raise RegimeError(
-            f"eps {eps!r} is above 1 - 1/min(ell1, ell2) = {bound!r}: no {l1} x {l2} "
-            "instance is that far from conditional independence"
-        )
+    _check_far_eps(l1, l2, eps)
     rng = generator(seed, "random_far", l1, l2, n)
     for attempt in range(_FAR_ATTEMPTS):
         pz, product = _product_slices(l1, l2, n, rng)
-        matchings = np.stack([_matching_table(l1, l2, rng) for _ in range(n)])
+        matchings = _matching_tables(l1, l2, n, rng)
         w = min(1.0, 1.1 * eps)
         while True:
             tables = (1 - w) * product + w * matchings

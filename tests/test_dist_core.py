@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from cit.dist_core import (
     write_distribution_file,
     write_sample_file,
 )
-from cit.instances import EnsembleSpec, gen_binary_ensemble
+from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_far
 from cit.seeding import child_seed, generator
 
 N1 = np.array([[6, 24], [24, 46]]) / 100
@@ -294,6 +295,62 @@ class TestSampling:
         # Poisson(0) draws nothing
         empty = sample_poissonized(p, 0.0, 0)
         assert empty.shape == (0, 3) and empty.dtype == np.int64
+
+
+#: draw sizes around the categorical draw's chunk of 2^16 samples
+DRAW_SIZES = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
+
+
+@pytest.fixture(scope="module")
+def draw_masses():
+    dense = generator(3, "codes").dirichlet(np.ones(60)).reshape(3, 4, 5)
+    sparse = dense.copy()
+    sparse.flat[[0, 1, 17, 30, 31, 58, 59]] = 0.0  # zero cells at both ends too
+    point = np.zeros((2, 3, 4))
+    point[1, 2, 3] = 1.0
+    return {
+        "bin_major": gen_random_far(3, 4, 50, 0.3, 1)[0],
+        "c_order": JointDistribution(dense),
+        "zero_cells": JointDistribution.from_mass(sparse)[0],
+        "point": JointDistribution(point),
+    }
+
+
+class TestCategoricalDraw:
+    """The inverse-CDF draw is `Generator.choice` with p, sample for sample."""
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    @pytest.mark.parametrize("mass", ["bin_major", "c_order", "zero_cells", "point"])
+    def test_draw_matches_generator_choice(self, draw_masses, mass, size):
+        p = draw_masses[mass]
+        flat = p.mass.ravel()
+
+        def choice(rng, count):
+            return rng.choice(flat.size, size=count, p=flat)
+
+        ours, ref = np.random.default_rng(size), np.random.default_rng(size)
+        codes = dist_core._draw_codes(p, size, ours)
+        expect = choice(ref, size)
+        assert codes.dtype == expect.dtype == np.int64
+        np.testing.assert_array_equal(codes, expect)
+        assert ours.random() == ref.random()  # the same doubles were used up
+        rows = np.column_stack(np.unravel_index(choice(np.random.default_rng(5), size), p.dims))
+        np.testing.assert_array_equal(sample_fixed(p, size, 5), rows)
+        ref = np.random.default_rng(9)
+        np.testing.assert_array_equal(
+            poissonized_codes(p, size, 9), choice(ref, int(ref.poisson(size)))
+        )
+
+    def test_draw_memory(self):
+        # the codes at 8 bytes a sample, the CDF and a few chunk-sized arrays
+        p = gen_random_far(3, 4, 2000, 0.1, 1)[0]
+        tracemalloc.start()
+        try:
+            codes = poissonized_codes(p, 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * codes.size + 4 * 2**20
 
 
 class TestPoissonizedCountTensor:

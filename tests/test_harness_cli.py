@@ -730,6 +730,22 @@ class TestCLI:
          "cell eps=0.5 m=600: cmi mode needs epsilon in (0, 1/2)"),
         ({"m=600": "m=20000,-5"}, "cell eps=0.5 m=-5: m_override must be >= 0"),
         ({"n=40": "n=100,0"}, "n must be >= 1, got 0"),
+        # the next four once ran every earlier cell, then exited 2 with no CSV; each
+        # is one family rule, which the plan shares with the family's generator
+        ({"n=40": "n=40,16"}, "family 'yes_binary_r1' at n=16 eps=0.5: "
+         "regime requires m < 0.9 * n (got m=16, n=16)"),
+        ({"null_family=yes_binary_r1": "null_family=paninski_yes",
+          "alt_family=no_binary_r1": "alt_family=paninski_no", "eps=0.5": "eps=0.5,0.7"},
+         "family 'paninski_no' at n=40 eps=0.7: perturbed variant needs eps in (0, 1/2], "
+         "got 0.7"),
+        ({"null_family=yes_binary_r1": "null_family=nnn_d0",
+          "alt_family=no_binary_r1": "alt_family=nnn_d1", "n=40": "n=16,8"},
+         "family 'nnn_d0' at n=8 eps=0.5: the nnn families need n >= 16, got 8"),
+        ({"mode=binary": "mode=general", "null_family=yes_binary_r1": "null_family=random_ci",
+          "alt_family=no_binary_r1": "alt_family=random_far\nell1=3\nell2=3",
+          "eps=0.5": "eps=0.5,0.7"},
+         "family 'random_far' at n=40 eps=0.7: eps 0.7 is above 1 - 1/min(ell1, ell2) = "
+         "0.6666666666666667: no 3 x 3 instance is that far from conditional independence"),
     ])
     def test_plan_refused_before_any_trial_exit_code(self, monkeypatch, tmp_path, edit,
                                                      message):

@@ -294,6 +294,19 @@ class TestDispatch:
         dist, _ = make_instance(spec)
         assert dist.dims == (32, 16, 16)
 
+    @pytest.mark.parametrize("family, n, eps, build", [
+        ("paninski_no", 10, 0.7, lambda: paninski_reduction(40, 0.7, "perturbed", 0)),
+        ("nnn_d1", 8, 0.5, lambda: gen_nnn(8, True, 0)),
+        ("random_far", 10, 0.7, lambda: gen_random_far(3, 3, 10, 0.7, 0)),
+    ])
+    def test_spec_refuses_what_the_generator_refuses(self, family, n, eps, build):
+        ell = 3 if family == "random_far" else 2
+        with pytest.raises(RegimeError) as spec_error:
+            EnsembleSpec(family, n=n, eps=eps, ell1=ell, ell2=ell)
+        with pytest.raises(RegimeError) as generator_error:
+            build()
+        assert str(spec_error.value) == str(generator_error.value)
+
     def test_unknown_family(self):
         with pytest.raises(RegimeError):
             EnsembleSpec(family="mystery", n=10)
