@@ -89,7 +89,7 @@ class JointDistribution:
         return _readonly(self.mass.sum(axis=(0, 1)))
 
     def slice_table(self, z: int) -> np.ndarray:
-        """Conditional table at bin z (uniform when the bin has no mass)."""
+        """Conditional table at bin z (uniform if no mass); the dist and instance tests' oracle."""
         l1, l2, _ = self.dims
         w = self.z_marginal[z]
         if w == 0.0:

@@ -44,16 +44,13 @@ class SplitSpec:
         object.__setattr__(self, "a", a)
 
     @property
-    def num_bins(self) -> int:
-        return len(self.a)
-
-    @property
     def extra(self) -> int:
         """|S|: total number of added bins; sum(a) = n + |S|."""
         return sum(self.a) - len(self.a)
 
     @classmethod
     def from_multiset(cls, n: int, multiset) -> "SplitSpec":
+        """The paper's split by a multiset over [0, n); kept for `split_distribution`'s tests."""
         counts = np.bincount(np.asarray(list(multiset), dtype=np.int64), minlength=n)
         if counts.size > n:
             raise ValueError("multiset element outside [0, n)")
@@ -63,7 +60,7 @@ class SplitSpec:
 def split_distribution(p, spec: SplitSpec) -> np.ndarray:
     """The split of p by `spec`: bin i becomes a_i consecutive bins of mass p_i/a_i."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size != spec.num_bins:
+    if p.ndim != 1 or p.size != len(spec.a):
         raise ShapeMismatchError("p must be a vector matching the split spec")
     a = np.asarray(spec.a, dtype=np.int64)
     return np.repeat(p / a, a)
@@ -153,7 +150,7 @@ def rescaled_l2_value(table, coeffs: FlatteningCoefficients):
 
     Equals the squared l2 distance between the split bivariate table and
     the product of its marginals.  Exact for object-dtype (Fraction)
-    tables.
+    tables: the exact target of the flattening and acceptance tests.
     """
     arr = np.asarray(table)
     if arr.shape != coeffs.shape:

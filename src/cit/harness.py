@@ -381,14 +381,14 @@ def find_min_m(
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
     Raises PlanError when `trials` is outside [MIN_TRIALS, MAX_TRIALS],
-    `m_start` below 1 or a family cannot take ell1 x ell2 or its regime
-    refuses (n, eps), and
+    `m_start` below 1 or above `m_cap`, or a family cannot take ell1 x ell2
+    or its regime refuses (n, eps), and
     BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
-    if m_start < 1:
-        raise PlanError(f"m_start must be >= 1, got {m_start}")
+    if not 1 <= m_start <= m_cap:
+        raise PlanError(f"m_start must be >= 1 and <= m_cap {m_cap}, got {m_start}")
     null_family, alt_family = families
     plan = ExperimentPlan(
         null_family=null_family,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +88,7 @@ def mul_keys(a: ExponentKey, b: ExponentKey) -> ExponentKey:
 
 
 def key_from_dense(exps) -> ExponentKey:
+    """Sparse key of a dense exponent vector; kept since the acceptance tests import it."""
     return tuple((i, int(e)) for i, e in enumerate(exps) if e)
 
 
@@ -210,11 +212,11 @@ class Fingerprint:
     def parse(cls, text: str, num_symbols: int) -> "Fingerprint":
         counts = [0] * num_symbols
         for token in text.split():
-            idx, _, cnt = token.partition(":")
-            i = int(idx) - 1
-            if not 0 <= i < num_symbols:
-                raise ValueError(f"fingerprint index {idx} outside 1..{num_symbols}")
-            counts[i] += int(cnt)
+            match = re.fullmatch(r"([0-9]+):([0-9]+)", token)
+            if match is None or not 1 <= int(match[1]) <= num_symbols:
+                raise ValueError(f"fingerprint token {token!r} is not i:count in decimal "
+                                 f"digits with 1 <= i <= {num_symbols}")
+            counts[int(match[1]) - 1] += int(match[2])
         return cls(tuple(counts))
 
 

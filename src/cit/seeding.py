@@ -10,7 +10,9 @@ A trial's stream is `default_rng(seed_sequence(master, *path))`, one
 `SeedSequence` per trial.  `child_seed` turns the same sequence into a
 plain int, for APIs that take an int seed; `int_seed` does so for a
 sequence already built, so an int-seeded consumer gets the same stream
-from either.
+from either.  Both keep one 32-bit word: instance seeds and general trial
+seeds come from 2^32 values, so by the birthday bound two trials of one
+column likely share a seed (and their draws) from ~7.7e4 trials on.
 """
 
 from __future__ import annotations

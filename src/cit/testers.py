@@ -113,13 +113,13 @@ class TesterConfig:
 class Verdict:
     """Tester outcome: accept iff statistic_A <= threshold_tau.
 
-    `bins` holds the bins that contributed (sigma_z >= 4) as four columns
-    (z, sigma_z, omega_z, A_z): numpy arrays from the testers, or any
-    sequences.  sigma_z is the bin's estimator sample count and omega_z
-    the extra weight factor (1 for the binary tester).  `per_bin` lists
-    the same bins as rows of Python scalars; it is built on first read
-    (`to_json` reads it), because the harness only reads A and the flag.
-    Verdicts are equal when their scalar fields and `per_bin` are.
+    `bins` holds columns (sigma_z, omega_z, A_z) over every bin z, numpy
+    arrays or any sequences: the bin's estimator sample count, its extra
+    weight factor (1 for the binary tester) and its term of statistic_A.
+    `per_bin` lists the bins that contributed (sigma_z >= 4), ascending, as
+    rows (z, sigma_z, omega_z, A_z) of Python scalars, built on first read
+    (`to_json` reads it; the harness reads only A and the flag).  Verdicts
+    are equal when their scalar fields and `per_bin` are.
     """
 
     accept: bool
@@ -135,7 +135,9 @@ class Verdict:
 
     @cached_property
     def per_bin(self) -> tuple:
-        return tuple(zip(*(np.asarray(column).tolist() for column in self.bins)))
+        sigma, omega, a_z = map(np.asarray, self.bins)
+        z = np.flatnonzero(sigma >= 4)
+        return tuple(zip(z.tolist(), sigma[z].tolist(), omega[z].tolist(), a_z[z].tolist()))
 
     def _key(self) -> tuple:
         return (self.accept, self.statistic_A, self.threshold_tau, self.m_used,
@@ -315,10 +317,10 @@ def binary_bin_statistics(counts: np.ndarray):
 
 
 def _general_bins(codes, sizes, l1: int, l2: int):
-    """(bins, sigma, Phi) of the general tester (see `test_general`) on the
-    flat cell codes (x l2 + y) n + z stably sorted by z, sizes[z] of them in
-    bin z: the bins with at least 4 samples, ascending, their test sample
-    counts and l2 estimates.
+    """(sigma, Phi) of the general tester (see `test_general`) on the flat
+    cell codes (x l2 + y) n + z stably sorted by z, sizes[z] of them in bin
+    z: every bin's test sample count and l2 estimate, both 0 for a bin of
+    fewer than 4 samples (the contract of `binary_bin_statistics`).
 
     The cell weights 1/((1 + b_x)(1 + c_y)) are rank-1 and an empty cell's
     term is R_x (R_x-1) C_y (C_y-1), for the test fingerprint's row and
@@ -334,7 +336,7 @@ def _general_bins(codes, sizes, l1: int, l2: int):
     # in arrival order, a bin's samples flatten its rows, then its columns,
     # then test; a bin of fewer than 4 samples has t = -1 and uses none
     t = (sizes - 4) // 4
-    sigma = 2 * t + 4
+    sigma = np.where(t >= 0, 2 * t + 4, 0)
     runs = np.where(t >= 0, [np.minimum(t, l1), np.minimum(t, l2), sigma], 0)
     runs = np.vstack([runs, sizes - runs.sum(axis=0)])
     # each sample's phase: 0 rows, 1 columns, 2 test, 3 unused
@@ -368,9 +370,7 @@ def _general_bins(codes, sizes, l1: int, l2: int):
 
     raw = per_bin(rows // l1, row_terms) * per_bin(cols // l2, col_terms)
     raw += per_bin(zc, cell - row_terms[ri] * col_terms[ci])
-    bins = np.flatnonzero(sizes >= 4)
-    s = s[bins]
-    return bins, sigma[bins], raw[bins] / (s * (s - 1) * (s - 2) * (s - 3))
+    return sigma, raw / np.where(t >= 0, s * (s - 1) * (s - 2) * (s - 3), 1.0)
 
 # ---------------------------------------------------------------------------
 # Testers
@@ -542,18 +542,17 @@ def _binary_verdicts(block, cfg: TesterConfig):
     Each bin's Phi is the same as in a one-trial call.  The statistics are
     the rows of sigma Phi as a (k, n) array, each summed in ascending z by
     one row-wise sum, which numpy reduces row by row as it reduces a
-    one-trial call's 1-D array: the same bytes.
+    one-trial call's 1-D array: the same bytes.  Each verdict's columns are
+    views of its rows of sigma and sigma Phi, and one shared omega = 1 row.
     """
     n = block[0][2].shape[2]
     stacked = np.concatenate([c for *_, c in block], axis=2, dtype=float)
-    sigma_all, phi = binary_bin_statistics(stacked)
-    sigma_all = sigma_all.reshape(-1, n)
-    a_all = sigma_all * phi.reshape(-1, n)
+    sigma_all, phi = (a.reshape(-1, n) for a in binary_bin_statistics(stacked))
+    a_all = sigma_all * phi
     stats = a_all.sum(axis=1).tolist()
+    omega = np.ones(n)
     for (m, big_m, _), sigma, a_z, stat in zip(block, sigma_all, a_all, stats):
-        active = np.flatnonzero(sigma >= 4)
-        bins = (active, sigma[active], np.ones(active.size), a_z[active])
-        yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, bins)
+        yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, (sigma, omega, a_z))
 
 
 def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
@@ -569,12 +568,12 @@ def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
     sizes = np.bincount(z, minlength=n)
     codes = codes[np.argsort(z, kind="stable")]
     del z
-    bins, sigma, phi = _general_bins(codes, sizes, l1, l2)
+    sigma, phi = _general_bins(codes, sizes, l1, l2)
     omega = np.sqrt(np.minimum(sigma, l1) * np.minimum(sigma, l2))
     a_z = sigma * omega * phi
-    # add the bins one at a time in ascending z, starting from 0.0
+    # add the bins one at a time in ascending z from 0.0 (bins below 4 add +0.0)
     stat = float(np.cumsum(np.concatenate(([0.0], a_z)))[-1])
-    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), codes.size, (bins, sigma, omega, a_z))
+    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), codes.size, (sigma, omega, a_z))
 
 
 # ---------------------------------------------------------------------------

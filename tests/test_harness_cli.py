@@ -269,6 +269,16 @@ class TestFindMinM:
             find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
                        calibration_trials=100, m_start=m_start, m_cap=64)
 
+    def test_m_cap_below_m_start_rejected_before_any_probe(self, monkeypatch):
+        # no m in [m_start, m_cap] exists: the search used to report an exhausted budget
+        def no_probe(spec):
+            raise AssertionError("probed before rejecting m_cap")
+
+        monkeypatch.setattr(harness, "make_instance", no_probe)
+        with pytest.raises(PlanError, match="m_start must be >= 1 and <= m_cap 16, got 32"):
+            find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
+                       calibration_trials=100, m_start=32, m_cap=16)
+
 
 class TestBatchedEngine:
     """Trial blocks and the min-m instance cache leave every output as it is."""
@@ -660,6 +670,46 @@ class TestCLI:
         assert err.getvalue() == (
             f"error: line 2: bad monomial {token!r}: expected i^e with i in [1, 2] and e >= 1\n"
         )
+
+    @pytest.mark.parametrize("fingerprint, token", [
+        ("1", "1"),  # once Python's "invalid literal for int() with base 10: ''"
+        ("a:2", "a:2"),
+        ("1:2:3", "1:2:3"),
+        ("1:-2 1:6", "1:-2"),  # once read as count 4
+        ("1:+3", "1:+3"),
+        ("1_0:1", "1_0:1"),
+    ])
+    def test_bad_fingerprint_token_exit_code(self, tmp_path, fingerprint, token):
+        poly = tmp_path / "poly.txt"
+        poly.write_text("1 : 1^1 2^1\n")
+        err = io.StringIO()
+        argv = ["debug", "estimate", "--poly", str(poly), "--num-vars", "2",
+                "--fingerprint", fingerprint]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        assert err.getvalue() == (f"error: fingerprint token {token!r} is not i:count in "
+                                  "decimal digits with 1 <= i <= 2\n")
+
+    def test_fingerprint_index_range_and_repeats(self, tmp_path):
+        poly = tmp_path / "poly.txt"
+        poly.write_text("1 : 1^1 2^1\n")
+        argv = ["debug", "estimate", "--poly", str(poly), "--num-vars", "2", "--fingerprint"]
+        # a repeated index adds up: 1:1 1:1 2:1 is the fingerprint 1:2 2:1
+        assert run_cli([*argv, "1:1 1:1 2:1"]) == run_cli([*argv, "1:2 2:1"]) == (
+            0, "estimate=1/3\n")
+        for token in ("0:1", "3:1"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_cli([*argv, f"1:2 {token}"]) == (2, "")
+            assert err.getvalue() == (f"error: fingerprint token {token!r} is not i:count in "
+                                      "decimal digits with 1 <= i <= 2\n")
+
+    def test_minm_cap_below_start_exit_code(self):
+        # once 'budget exhausted: no m <= 16 reached power 0.7' (exit 3) with no probe run
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["minm", "--n", "40", "--eps", "0.5", "--m-cap", "16"]) == (2, "")
+        assert err.getvalue() == "error: m_start must be >= 1 and <= m_cap 16, got 32\n"
 
     def test_invalid_plan_exit_code(self, tmp_path):
         plan_path = tmp_path / "bad.kv"

@@ -338,28 +338,36 @@ class TestRunTrials:
         assert built == [v.M_drawn for v in verdicts]
         assert all(isinstance(m, int) and m > 0 for m in built)
 
-    @pytest.mark.parametrize("mode", ["binary", "general"])
+    @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
     def test_lazy_bins_match_eager_rows(self, mode):
+        # bins holds every bin; per_bin keeps the sigma >= 4 rows, ascending
         ell = 3 if mode == "general" else 2
-        instances = [gen_random_far(ell, ell, 30, 0.5, child_seed(17, t))[0] for t in range(6)]
+        instances = [gen_random_far(ell, ell, 30, 0.3, child_seed(17, t))[0] for t in range(6)]
         seeds = [seed_sequence(18, t) for t in range(6)]
-        cfg = TesterConfig(epsilon=0.5, mode=mode, m_override=900)
+        cfg = TesterConfig(epsilon=0.3, mode=mode, m_override=150)  # ~5 samples a bin
         sparse = np.array([[0, 0, 1]] * 3)  # no bin reaches 4 samples
         verdicts = [
             *run_trials(instances, cfg, seeds),
+            run_tester(instances[0], replace(cfg, seed=seeds[0])),
             run_tester(sparse, replace(cfg, m_override=None), dims=(2, 2, 2)),
         ]
+        assert verdicts[-2] == verdicts[0]
         for lazy in verdicts:
             text = lazy.to_json()  # the rows are first built here
             columns = [np.asarray(c).tolist() for c in lazy.bins]
+            assert len(columns) == 3 and {len(c) for c in columns} == {len(lazy.bins[0])}
+            rows = tuple((z, *row) for z, row in enumerate(zip(*columns)) if row[0] >= 4)
+            assert lazy.per_bin == rows
+            assert all(type(v) is t for row in lazy.per_bin
+                       for v, t in zip(row, (int, int, float, float)))
+            assert all(a_z == 0.0 for sigma, _, a_z in zip(*columns) if sigma < 4)
             eager = Verdict(lazy.accept, lazy.statistic_A, lazy.threshold_tau, lazy.m_used,
                             lazy.M_drawn, columns)
             assert lazy == eager and hash(lazy) == hash(eager)
             assert text == eager.to_json()
-            assert lazy.per_bin == tuple(zip(*columns))
-            assert all(isinstance(v, t) for row in lazy.per_bin
-                       for v, t in zip(row, (int, int, float, float)))
-        assert verdicts[-1].per_bin == ()
+        # the block mixes bins below and above 4 samples, so the selection is exercised
+        assert all(0 < len(v.per_bin) < 30 for v in verdicts[:6])
+        assert len(verdicts[-1].bins[0]) == 2 and verdicts[-1].per_bin == ()
 
 
 class TestGeneralTester:
