@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .harness import (
 from .instances import EnsembleSpec, make_instance
 from .poly_estimator import Fingerprint, parse_polynomial, unbiased_estimate
 from .seeding import child_seed
-from .testers import _MODES, TesterConfig, calibrate_threshold, run_tester
+from .testers import _MODES, TesterConfig, calibrate_threshold, run_tester, sample_budget
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,21 +167,13 @@ def _cmd_power(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     gen_m = _resolve_gen_m("half_n" if args.gen_m is None else args.gen_m, args.n)
-
-    def null_gen(t):
-        spec = EnsembleSpec(
-            family=args.family,
-            n=args.n,
-            eps=args.eps,
-            m=gen_m,
-            seed=child_seed(args.seed, "cli-cal", t),
-            ell1=args.ell1,
-            ell2=args.ell2,
-        )
-        return make_instance(spec)[0]
-
     cfg = TesterConfig(epsilon=args.eps, mode=args.mode, m_override=args.m, seed=args.seed)
-    tau = calibrate_threshold(null_gen, cfg, args.trials)
+    spec = EnsembleSpec(args.family, args.n, args.eps, gen_m, ell1=args.ell1, ell2=args.ell2)
+    sample_budget(cfg, spec.dims)  # refuses what the tester would, before any instance
+    tau = calibrate_threshold(
+        lambda t: make_instance(replace(spec, seed=child_seed(args.seed, "cli-cal", t)))[0],
+        cfg, args.trials,
+    )
     print(f"tau={tau!r}")
     return 0
 

@@ -21,9 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import (
-    FAMILIES, NNN_FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
-)
+from .instances import FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
 from .seeding import child_seed, seed_sequence
 from .testers import (
     _MODES, MAX_TRIALS, TesterConfig, TesterInputError, calibrate_threshold, run_trials,
@@ -49,7 +47,9 @@ class BudgetExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A grid of (n, eps, m) cells, a family pair, and trial counts."""
+    """A grid of (n, eps, m) cells, a family pair, and trial counts.  Made
+    only if every cell passes `_cell`, so a plan that a run would refuse
+    fails before its first instance."""
 
     null_family: str
     alt_family: str
@@ -84,32 +84,14 @@ class ExperimentPlan:
                 check_alphabet(fam, self.ell1, self.ell2)
             except RegimeError as exc:
                 raise PlanError(str(exc)) from None
-            if fam in NNN_FAMILIES and "auto" in self.m_values:
-                raise PlanError(f"family {fam!r} is 2n x n x n: give explicit m, not m=auto")
-        if (self.null_family in NNN_FAMILIES) != (self.alt_family in NNN_FAMILIES):
-            raise PlanError(
-                f"families {self.null_family!r} and {self.alt_family!r} have different "
-                "domains: pair an nnn family only with an nnn family"
-            )
         if self.mode not in _MODES:
             raise PlanError(f"unknown mode {self.mode!r}")
         if min(self.n_values) < 1:
             raise PlanError(f"n must be >= 1, got {min(self.n_values)}")
-        for eps, m in itertools.product(self.eps_values, self.m_values):
-            try:
-                TesterConfig(eps, self.mode, self.beta, self.zeta, None if m == "auto" else m)
-            except TesterInputError as exc:
-                raise PlanError(f"cell eps={eps!r} m={m}: {exc}") from None
-        for family, n, eps in itertools.product(
-            (self.null_family, self.alt_family), self.n_values, self.eps_values
-        ):
-            try:  # the spec of every instance the cell builds, but for its seed
-                EnsembleSpec(family, n, eps, _resolve_gen_m(self.gen_m, n),
-                             ell1=self.ell1, ell2=self.ell2)
-            except RegimeError as exc:
-                raise PlanError(f"family {family!r} at n={n} eps={eps!r}: {exc}") from None
         if self.calibration_trials and self.calibration_trials < 100:
             raise PlanError("calibration_trials must be 0 or >= 100")
+        for cell in self.grid:
+            _cell(self, *cell)
 
     @property
     def grid(self) -> tuple[tuple[int, float, object], ...]:
@@ -227,19 +209,40 @@ def _resolve_gen_m(gen_m, n: int) -> int:
     return int(gen_m)
 
 
-def _instances(plan: ExperimentPlan, family: str, n: int, eps: float):
-    """`(key, instance)` for `family` at grid cell (n, eps): `key` names the
-    family spec, and `instance(*path)` builds the instance seeded with
-    `child_seed(plan.master_seed, *path, key)`, so identical specs get
-    identical instances."""
-    gen_m = _resolve_gen_m(plan.gen_m, n)
-    key = f"{family}|{n}|{eps!r}|{gen_m}|{plan.ell1}x{plan.ell2}"
+def _cell(plan: ExperimentPlan, n: int, eps: float, m_spec):
+    """(cfg, null spec, alt spec) of the grid cell (n, eps, m_spec): the
+    tester config with its budget pinned, and the two families' specs but
+    for their seeds.  Raises PlanError for whatever a run of the cell would
+    refuse: a family rule, families whose `dims` differ, a tester parameter,
+    or a budget or domain that `sample_budget` refuses."""
+    specs = []
+    for family in (plan.null_family, plan.alt_family):
+        try:
+            specs.append(EnsembleSpec(family, n, eps, _resolve_gen_m(plan.gen_m, n),
+                                      ell1=plan.ell1, ell2=plan.ell2))
+        except RegimeError as exc:
+            raise PlanError(f"family {family!r} at n={n} eps={eps!r}: {exc}") from None
+    null, alt = specs
+    if null.dims != alt.dims:
+        raise PlanError(f"families {null.family!r} and {alt.family!r} have different domains "
+                        f"at n={n}: {null.dims} and {alt.dims}")
+    try:
+        cfg = TesterConfig(eps, plan.mode, plan.beta, plan.zeta,
+                           None if m_spec == "auto" else int(m_spec))
+        return replace(cfg, m_override=sample_budget(cfg, null.dims)), null, alt
+    except TesterInputError as exc:
+        raise PlanError(f"cell eps={eps!r} m={m_spec}: {exc}") from None
+
+
+def _instances(master_seed: int, spec: EnsembleSpec):
+    """`(key, instance)` for the instances of `spec`: `key` names the spec
+    but for its seed, and `instance(*path)` builds the instance seeded with
+    `child_seed(master_seed, *path, key)`, so identical specs get identical
+    instances."""
+    key = f"{spec.family}|{spec.n}|{spec.eps!r}|{spec.m}|{spec.ell1}x{spec.ell2}"
 
     def instance(*path):
-        seed = child_seed(plan.master_seed, *path, key)
-        return make_instance(EnsembleSpec(
-            family=family, n=n, eps=eps, m=gen_m, seed=seed, ell1=plan.ell1, ell2=plan.ell2
-        ))[0]
+        return make_instance(replace(spec, seed=child_seed(master_seed, *path, key)))[0]
 
     return key, instance
 
@@ -257,15 +260,12 @@ def _trial_column(cfg: TesterConfig, trials: int, instance, seed):
 
 
 def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
-    n, eps, m_spec = cell
+    n, eps, _ = cell
     start = time.perf_counter()
-    cfg = TesterConfig(epsilon=eps, mode=plan.mode, beta=plan.beta, zeta=plan.zeta)
-    m = sample_budget(cfg, (plan.ell1, plan.ell2, n)) if m_spec == "auto" else int(m_spec)
-    cfg = replace(cfg, m_override=m)
-
+    cfg, null_spec, alt_spec = _cell(plan, *cell)
     tau = None
     if plan.calibration_trials:
-        _, null_instance = _instances(plan, plan.null_family, n, eps)
+        _, null_instance = _instances(plan.master_seed, null_spec)
         tau = calibrate_threshold(
             partial(null_instance, "cell", cell_idx, "cal-inst"),
             replace(cfg, seed=child_seed(plan.master_seed, "cell", cell_idx, "cal")),
@@ -273,20 +273,19 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
         )
     cfg = replace(cfg, tau_override=tau)
 
-    def column(family: str) -> tuple[np.ndarray, np.ndarray]:
-        key, instance = _instances(plan, family, n, eps)
+    def column(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+        key, instance = _instances(plan.master_seed, spec)
         return _trial_column(
             cfg, plan.trials, partial(instance, "cell", cell_idx, "inst"),
             lambda t: seed_sequence(plan.master_seed, "cell", cell_idx, "test", t, key),
         )
 
-    null_acc, null_stats = column(plan.null_family)
-    alt_acc, alt_stats = column(plan.alt_family)
+    null_acc, null_stats = column(null_spec)
+    alt_acc, alt_stats = column(alt_spec)
     accept_rate = float(null_acc.mean())
     reject_rate = float(1.0 - alt_acc.mean())
     t_trials = plan.trials
-    # the nnn families build their own 2n x n x n alphabet
-    ell1, ell2 = (2 * n, n) if plan.null_family in NNN_FAMILIES else (plan.ell1, plan.ell2)
+    ell1, ell2, _ = null_spec.dims
     return PowerRow(
         schema_version=SCHEMA_VERSION,
         mode=plan.mode,
@@ -296,8 +295,8 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
         ell1=ell1,
         ell2=ell2,
         eps=eps,
-        m=m,
-        gen_m=_resolve_gen_m(plan.gen_m, n),
+        m=cfg.m_override,
+        gen_m=null_spec.m,
         trials=t_trials,
         tau=float(tau) if tau is not None else float("nan"),
         accept_rate_null=accept_rate,
@@ -380,9 +379,10 @@ def find_min_m(
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
-    Raises PlanError when `trials` is outside [MIN_TRIALS, MAX_TRIALS],
-    `m_start` below 1 or above `m_cap`, or a family cannot take ell1 x ell2
-    or its regime refuses (n, eps), and
+    Raises PlanError, before any probe, when `trials` is outside
+    [MIN_TRIALS, MAX_TRIALS], `m_start` below 1 or above `m_cap`, or the
+    plan cell (n, eps, m_cap) is refused (`_cell`: a family rule, unpaired
+    domains, or an `m_cap` or domain that `sample_budget` refuses), and
     BudgetExhaustedError if no m <= m_cap succeeds.
     """
     if not 0.5 < target_power < 0.95:
@@ -390,19 +390,11 @@ def find_min_m(
     if not 1 <= m_start <= m_cap:
         raise PlanError(f"m_start must be >= 1 and <= m_cap {m_cap}, got {m_start}")
     null_family, alt_family = families
-    plan = ExperimentPlan(
-        null_family=null_family,
-        alt_family=alt_family,
-        n_values=(n,),
-        eps_values=(eps,),
-        m_values=(m_start,),  # probes set m, so no m=auto check applies
-        mode=mode,
-        ell1=ell1,
-        ell2=ell2,
-        trials=trials,
-        master_seed=seed,
-    )
-    builders = {family: _instances(plan, family, n, eps)[1] for family in families}
+    # every probe's m is at most m_cap, so the plan's one cell checks them all
+    plan = ExperimentPlan(null_family, alt_family, (n,), (eps,), (m_cap,), mode=mode,
+                          ell1=ell1, ell2=ell2, trials=trials, master_seed=seed)
+    cfg, *specs = _cell(plan, n, eps, m_cap)
+    builders = {spec.family: _instances(seed, spec)[1] for spec in specs}
     cache: dict = {}
     cached_cells = 0
 
@@ -417,14 +409,12 @@ def find_min_m(
         return inst
 
     def probe(m: int) -> bool:
-        cfg = TesterConfig(
-            epsilon=eps, mode=mode, m_override=m, seed=child_seed(seed, "minm-cal", m)
-        )
-        tau = calibrate_threshold(partial(instance, null_family), cfg, calibration_trials)
+        probe_cfg = replace(cfg, m_override=m, seed=child_seed(seed, "minm-cal", m))
+        tau = calibrate_threshold(partial(instance, null_family), probe_cfg, calibration_trials)
 
         def accepts(family: str, tag: str) -> np.ndarray:
             return _trial_column(
-                replace(cfg, tau_override=tau), trials, partial(instance, family),
+                replace(probe_cfg, tau_override=tau), trials, partial(instance, family),
                 lambda t: seed_sequence(seed, tag, m, t),
             )[0]
 

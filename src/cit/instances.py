@@ -118,8 +118,9 @@ class EnsembleSpec:
 
     A spec is refused, with nothing drawn, when its family cannot take
     ell1 x ell2 or its generator would refuse it: each family's rule is
-    one function that the generator applies too.  A power plan makes the
-    spec of each of its cells before any runs.
+    one function that the generator applies too.  `dims` is the (l1, l2, n)
+    domain of its instances.  A power plan makes the specs of each of its
+    cells before any runs.
     """
 
     family: str
@@ -144,6 +145,12 @@ class EnsembleSpec:
             _check_nnn_size(self.n)
         elif self.family == "random_far":
             _check_far_eps(self.ell1, self.ell2, self.eps)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        if self.family in NNN_FAMILIES:
+            return 2 * self.n, self.n, self.n
+        return self.ell1, self.ell2, self.n
 
 
 def make_instance(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:

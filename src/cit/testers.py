@@ -77,9 +77,9 @@ class TesterConfig:
     for the general one).  `m_override` / `tau_override` pin the sample
     budget / threshold directly, e.g. to a calibrated value; beta and zeta
     must be finite and positive, and a pinned threshold finite.  A budget of 0
-    draws no samples (the tester accepts); a budget above 2^62 is rejected
-    with TesterInputError when the tester draws from a distribution, since
-    the drawn counts are int64; fixed-sample input needs at least one row.
+    draws no samples (the tester accepts); `sample_budget` refuses one
+    above 2^62, since the drawn counts are int64; fixed-sample input needs
+    at least one row.
     `seed` is an int or a `SeedSequence` (see `run_trials`).  `mode`
     selects the tester; cmi mode runs the binary tester at the budget of
     eps' = epsilon / log2(1/epsilon) (see `sample_budget`).
@@ -257,16 +257,32 @@ def sample_complexity_general(n: int, ell1: int, ell2: int, eps: float, zeta: fl
 
 def sample_budget(cfg: TesterConfig, dims) -> int:
     """The sample budget of the tester `cfg.mode` on the (l1, l2, n) domain
-    `dims` when `m_override` is not set: the general formula at
-    (epsilon, zeta) in general mode, and the binary formula at beta and
-    epsilon (binary mode) or eps' = epsilon / log2(1/epsilon) (cmi mode)."""
+    `dims`: `m_override` when set, else the general formula at (epsilon,
+    zeta) in general mode, and the binary formula at beta and epsilon
+    (binary mode) or eps' = epsilon / log2(1/epsilon) (cmi mode).
+
+    It holds every refusal of a (cfg, dims) pair, as a TesterInputError:
+    a budget that is not finite, or above 2^62 (the drawn counts are
+    int64); cmi mode off 2 x 2; binary or cmi mode with an alphabet above
+    8.  Each run checks its inputs here, and a power plan checks each of
+    its cells here before any runs."""
     l1, l2, n = dims
-    if cfg.mode == "general":
-        return sample_complexity_general(n, l1, l2, cfg.epsilon, cfg.zeta)
-    eps = cfg.epsilon
-    if cfg.mode == "cmi":
-        eps = eps / math.log2(1.0 / eps)
-    return sample_complexity_binary(n, eps, cfg.beta, ell1=l1, ell2=l2)
+    if cfg.m_override is not None:
+        m = cfg.m_override
+    elif cfg.mode == "general":
+        m = sample_complexity_general(n, l1, l2, cfg.epsilon, cfg.zeta)
+    else:
+        eps = cfg.epsilon
+        if cfg.mode == "cmi":
+            eps = eps / math.log2(1.0 / eps)
+        m = sample_complexity_binary(n, eps, cfg.beta, ell1=l1, ell2=l2)
+    if m > _MAX_BUDGET:
+        raise TesterInputError(f"sample budget {m} above 2^62: its counts would overflow int64")
+    if cfg.mode == "cmi" and (l1, l2) != (2, 2):
+        raise TesterInputError("cmi mode requires binary X and Y")
+    if cfg.mode != "general" and (l1 > 8 or l2 > 8):
+        raise TesterInputError("binary tester supports alphabet sizes up to 8")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +396,16 @@ def _general_bins(codes, sizes, l1: int, l2: int):
 def _resolve_source(source, cfg, dims):
     """Common input handling: returns (dims, m, codes).
 
-    For a JointDistribution, m is the sample budget (`m_override` or
-    `sample_budget`, at most `_MAX_BUDGET`) and codes is None: the
-    caller draws.  A fixed (N, 3) sample array needs explicit `dims` and
-    in-range integer indices; it is cut to its first `m_override` rows
-    when set, m is its row count, and codes are its rows in order as flat
-    cell codes (x l2 + y) n + z, the layout `poissonized_codes` draws.
+    For a JointDistribution, m is `sample_budget` on its dims and codes is
+    None: the caller draws.  A fixed (N, 3) sample array needs explicit
+    `dims` and in-range integer indices; it is cut to its first
+    `m_override` rows when set, m is its row count, and codes are its rows
+    in order as flat cell codes (x l2 + y) n + z, the layout
+    `poissonized_codes` draws.  Both inputs pass `sample_budget`'s
+    refusals of the tester's domain.
     """
     if isinstance(source, JointDistribution):
-        m = cfg.m_override if cfg.m_override is not None else sample_budget(cfg, source.dims)
-        if m > _MAX_BUDGET:
-            raise TesterInputError(
-                f"sample budget {m} above 2^62: its counts would overflow int64"
-            )
-        return source.dims, m, None
+        return source.dims, sample_budget(cfg, source.dims), None
     if dims is None:
         raise TesterInputError("fixed-sample input needs explicit dims (l1, l2, n)")
     raw = np.asarray(source)
@@ -420,7 +432,8 @@ def _resolve_source(source, cfg, dims):
         if ((samples < 0) | (samples >= dims)).any():
             raise DistributionError("sample indices outside the declared domain") from None
         raise
-    return tuple(dims), samples.shape[0], codes
+    # a file's budget is its row count, which sample_budget then checks
+    return tuple(dims), sample_budget(replace(cfg, m_override=samples.shape[0]), dims), codes
 
 
 def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
@@ -515,10 +528,6 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
     block = []
     for source, seed in zip(sources, seeds, strict=True):
         (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
-        if cfg.mode == "cmi" and (l1, l2) != (2, 2):
-            raise TesterInputError("cmi mode requires binary X and Y")
-        if l1 > 8 or l2 > 8:
-            raise TesterInputError("binary tester supports alphabet sizes up to 8")
         if codes is None:
             big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
         else:

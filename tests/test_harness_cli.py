@@ -214,6 +214,16 @@ class TestPowerExperiment:
             "0.03358571124749334,0.04242640687119285,ok"
         )
 
+    def test_nnn_auto_budget_is_the_domains(self, tmp_path):
+        # m=auto was once refused for the nnn families; it is sized at 2n x n x n
+        want = testers.sample_budget(TesterConfig(epsilon=0.5, mode="general"), (32, 16, 16))
+        assert want == 813
+        plan = ExperimentPlan(null_family="nnn_d0", alt_family="nnn_d1", n_values=(16,),
+                              eps_values=(0.5,), mode="general", trials=50, master_seed=3)
+        run_power_experiment(plan, out_path=tmp_path / "nnn.csv")
+        row = (tmp_path / "nnn.csv").read_text().splitlines()[1].split(",")
+        assert int(row[CSV_COLUMNS.index("m")]) == want
+
 
 class TestFindMinM:
     def test_indistinguishable_pair_exhausts_budget(self):
@@ -639,7 +649,9 @@ class TestCLI:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run_cli(["power", "--plan", str(plan_path), "--out", str(out)]) == (2, "")
-        assert err.getvalue() == "error: sample budget at epsilon 1e-200 is not finite\n"
+        assert err.getvalue() == (
+            "error: cell eps=1e-200 m=auto: sample budget at epsilon 1e-200 is not finite\n"
+        )
         assert not out.exists()
 
     def test_bad_polynomial_coefficient_exit_code(self, tmp_path):
@@ -733,10 +745,10 @@ class TestCLI:
         # once sized at the 8x8 budget (m = 3239) on 2x2 instances
         ({"m=600": "m=auto", "gen_m=16": "ell1=8\nell2=8"},
          "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 8"),
-        # once sized at 2x2x16 on 32x16x16 instances
+        # once sized at 2x2x16 on 32x16x16 instances; now refused for that domain
         ({"null_family=yes_binary_r1": "null_family=nnn_d0",
           "alt_family=no_binary_r1": "alt_family=nnn_d1", "n=40": "n=16", "m=600": "m=auto"},
-         "family 'nnn_d0' is 2n x n x n: give explicit m, not m=auto"),
+         "cell eps=0.5 m=auto: binary tester supports alphabet sizes up to 8"),
         # once "sample budget at epsilon 0.5 is not finite"
         ({"null_family=yes_binary_r1": "null_family=random_ci",
           "alt_family=no_binary_r1": "alt_family=random_far", "m=600": "m=auto\nell1=0"},
@@ -769,9 +781,9 @@ class TestCLI:
         # once numpy's "expected non-negative integer", naming no field
         ({"seed=7": "seed=-1"}, "seed must be >= 0, got -1"),
         # once ran, and reported both columns as 2 x 2
-        ({"null_family=yes_binary_r1": "null_family=nnn_d0", "n=40": "n=16"},
-         "families 'nnn_d0' and 'no_binary_r1' have different domains: "
-         "pair an nnn family only with an nnn family"),
+        ({"null_family=yes_binary_r1": "null_family=nnn_d0", "n=40": "n=16", "gen_m=16": "gen_m=4"},
+         "families 'nnn_d0' and 'no_binary_r1' have different domains at n=16: "
+         "(32, 16, 16) and (2, 2, 16)"),
         # once "bad plan value: ...", naming neither the key nor the line
         ({"m=600": "m=600  # budget"},
          "line 8: bad value for 'm': invalid literal for int() with base 10: '600  # budget'"),
@@ -788,7 +800,7 @@ class TestCLI:
           "alt_family=no_binary_r1": "alt_family=paninski_no", "eps=0.5": "eps=0.5,0.7"},
          "family 'paninski_no' at n=40 eps=0.7: perturbed variant needs eps in (0, 1/2], "
          "got 0.7"),
-        ({"null_family=yes_binary_r1": "null_family=nnn_d0",
+        ({"mode=binary": "mode=general", "null_family=yes_binary_r1": "null_family=nnn_d0",
           "alt_family=no_binary_r1": "alt_family=nnn_d1", "n=40": "n=16,8"},
          "family 'nnn_d0' at n=8 eps=0.5: the nnn families need n >= 16, got 8"),
         ({"mode=binary": "mode=general", "null_family=yes_binary_r1": "null_family=random_ci",
@@ -796,6 +808,33 @@ class TestCLI:
           "eps=0.5": "eps=0.5,0.7"},
          "family 'random_far' at n=40 eps=0.7: eps 0.7 is above 1 - 1/min(ell1, ell2) = "
          "0.6666666666666667: no 3 x 3 instance is that far from conditional independence"),
+        ({"mode=binary": "mode=foo"}, "unknown mode 'foo'"),
+        ({"gen_m=16": "gen_m=16\ncalibration_trials=50"}, "calibration_trials must be 0 or >= 100"),
+        ({"trials=60": "trials"}, "line 9: expected 'key=value'"),
+        ({"seed=7": "seed=7\nseed=8"}, "line 11: duplicate key 'seed'"),
+        # the next four once ran a first cell for seconds, then exited 2 with no CSV;
+        # each is a refusal of sample_budget, which the plan shares with the tester
+        ({"eps=0.5": "eps=0.5,1e-300", "m=600": "m=auto"},
+         "cell eps=1e-300 m=auto: sample budget at epsilon 1e-300 is not finite"),
+        ({"mode=binary": "mode=general", "null_family=yes_binary_r1": "null_family=random_ci",
+          "alt_family=no_binary_r1": "alt_family=random_far\nell1=3\nell2=3",
+          "eps=0.5": "eps=0.5,1e-9", "m=600": "m=auto"},
+         "cell eps=1e-09 m=auto: sample budget 37947331922020548608 above 2^62: "
+         "its counts would overflow int64"),
+        ({"m=600": "m=600,100000000000000000000"},
+         "cell eps=0.5 m=100000000000000000000: sample budget 100000000000000000000 above "
+         "2^62: its counts would overflow int64"),
+        ({"mode=binary": "mode=cmi", "null_family=yes_binary_r1": "null_family=random_ci",
+          "alt_family=no_binary_r1": "alt_family=random_far\nell1=3\nell2=3",
+          "eps=0.5": "eps=0.3"},
+         "cell eps=0.3 m=600: cmi mode requires binary X and Y"),
+        # the next two once built an instance, then exited 2 with no CSV
+        ({"null_family=yes_binary_r1": "null_family=random_ci",
+          "alt_family=no_binary_r1": "alt_family=random_far\nell1=9"},
+         "cell eps=0.5 m=600: binary tester supports alphabet sizes up to 8"),
+        ({"null_family=yes_binary_r1": "null_family=nnn_d0",
+          "alt_family=no_binary_r1": "alt_family=nnn_d1", "n=40": "n=16"},
+         "cell eps=0.5 m=600: binary tester supports alphabet sizes up to 8"),
     ])
     def test_plan_refused_before_any_trial_exit_code(self, monkeypatch, tmp_path, edit,
                                                      message):
@@ -820,6 +859,13 @@ class TestCLI:
         # once numpy's "Maximum allowed dimension exceeded", naming no field
         (["minm", "--n", "20", "--eps", "0.5", "--trials", "100000000000000000000"],
          "trials must be <= 1000000000, got 100000000000000000000"),
+        (["minm", "--n", "20", "--eps", "0.5", "--target", "0.99"],
+         "target_power must lie in (0.5, 0.95)"),
+        # once ran probes for over a second, then refused m = 2^63
+        (["minm", "--n", "20", "--eps", "0.5", "--null-family", "yes_binary_r1", "--alt-family",
+          "yes_binary_r1", "--trials", "50", "--m-cap", "100000000000000000000"],
+         "cell eps=0.5 m=100000000000000000000: sample budget 100000000000000000000 above 2^62: "
+         "its counts would overflow int64"),
     ])
     def test_trials_above_bound_exit_code(self, monkeypatch, argv, message):
         def no_instance(spec):
@@ -893,6 +939,10 @@ class TestCLI:
          "family 'random_far' needs ell2 >= 1, got 0"),
         (["minm", "--n", "40", "--eps", "0.5", "--ell1", "3", "--ell2", "3"],
          "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 3"),
+        # once built an instance before refusing the alphabet
+        (["calibrate", "--mode", "binary", "--family", "random_ci", "--ell1", "9", "--n", "30",
+          "--m", "400"],
+         "binary tester supports alphabet sizes up to 8"),
     ])
     def test_cli_alphabet_mismatch_exit_code(self, monkeypatch, tmp_path, argv, message):
         def no_instance(spec):

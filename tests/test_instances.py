@@ -409,4 +409,6 @@ class TestPinnedInstances:
     def test_instance_bytes(self, key):
         family, n, ell1, ell2, seed = key
         spec = EnsembleSpec(family, n=n, eps=0.25, m=n // 2, seed=seed, ell1=ell1, ell2=ell2)
-        assert _instance_digests(*make_instance(spec)) == self.PINS[key]
+        dist, meta = make_instance(spec)
+        assert _instance_digests(dist, meta) == self.PINS[key]
+        assert spec.dims == dist.dims
