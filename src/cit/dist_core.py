@@ -255,6 +255,8 @@ def poissonized_codes(p: JointDistribution, m: float, seed) -> np.ndarray:
     flat cell codes (x l2 + y) n + z: the C-order indices into `p.mass`.
 
     Per-bin counts are then independent Poisson(m * p_Z(z)) variables.
+    Its callers are `sample_poissonized` and the tests; the testers draw
+    counts (`poissonized_count_tensor`, `conditional_cell_counts`).
     """
     if m < 0:
         raise ValueError("Poissonized sampling needs m >= 0")
@@ -281,6 +283,65 @@ def poissonized_count_tensor(
     """
     counts = rng.poisson(m * p.mass)
     return int(counts.sum()), counts
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of equal entries of `keys`: run i is
+    keys[bounds[i]:bounds[i + 1]]."""
+    edge = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
+def conditional_cell_counts(p: JointDistribution, sizes, rng: np.random.Generator) -> list:
+    """For each per-bin count vector k in `sizes`, k[z] i.i.d. draws from
+    bin z's conditional table p(x, y | z) for every bin z, as (cells,
+    counts): the occupied cells as ascending bin-major flat indices
+    z l1 l2 + x l2 + y, and their int64 counts.
+
+    A bin with k[z] > 0 must have positive weight.  The general tester's
+    twin of `poissonized_count_tensor`: it draws each bin's flattening and
+    test counts with no sample array.  Per bin, the counts alone choose
+    the method, so the draws are deterministic: a bin with k[z] >= l1 l2
+    draws one `multinomial` over its table divided by its own sum, in
+    O(l1 l2) at any k[z]; any other draws k[z] uniforms scaled into its
+    span of the bin-major cumulative mass and searches them, sorted, in
+    that cumulative mass (side right, so a cell of zero mass is never
+    found), in O(k[z] log(n l1 l2)).  A bin whose span rounds to zero
+    width draws by `multinomial` too.  The cumulative mass is built once
+    for all of `sizes`, and the draws take `rng` in the order of `sizes`,
+    each vector's searched bins before its multinomial ones.
+    """
+    l1, l2, n = p.dims
+    width = l1 * l2
+    table = p.mass.transpose(2, 0, 1).reshape(n, width)
+    cdf = table.cumsum()
+    # bin z's keys lie in [edges[z], top[z]]; the bins' spans are disjoint and ascending
+    edges = np.concatenate(([0.0], cdf[width - 1::width]))
+    span, top = np.diff(edges), np.nextafter(edges[1:], -np.inf)
+    drawn = []
+    for k in sizes:
+        dense = (k >= width) | (k > 0) & (span == 0.0)
+        bins = np.repeat(np.arange(n), np.where(dense, 0, k))
+        keys = rng.random(bins.size)
+        keys *= span[bins]
+        keys += edges[bins]
+        np.minimum(keys, top[bins], out=keys)
+        keys.sort()
+        cells = cdf.searchsorted(keys, side="right")
+        bounds = _runs(cells)
+        cells, counts = cells[bounds[:-1]], np.diff(bounds)
+        heavy = np.flatnonzero(dense)
+        if heavy.size:
+            rows = table[heavy]
+            grid = rng.multinomial(k[heavy], rows / rows.sum(axis=1, keepdims=True)).ravel()
+            occupied = np.flatnonzero(grid)
+            cells = np.concatenate((cells, heavy[occupied // width] * width + occupied % width))
+            counts = np.concatenate((counts, grid[occupied]))
+            order = cells.argsort()
+            cells, counts = cells[order], counts[order]
+        drawn.append((cells, counts))
+    return drawn
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ paths yield statistically independent streams.  This lets trials and bins
 be generated in any order (or in parallel) without changing results.
 
 A trial's stream is `default_rng(seed_sequence(master, *path))`, one
-`SeedSequence` per trial.  `child_seed` turns the same sequence into a
-plain int, for APIs that take an int seed; `int_seed` does so for a
-sequence already built, so an int-seeded consumer gets the same stream
-from either.  Both keep one 32-bit word: instance seeds and general trial
-seeds come from 2^32 values, so by the birthday bound two trials of one
-column likely share a seed (and their draws) from ~7.7e4 trials on.
+`SeedSequence` per trial, in every tester.  `child_seed` turns the same
+sequence into a plain int, for APIs that take an int seed such as the
+instance generators.  It keeps one 32-bit word: instance seeds come from
+2^32 values, so by the birthday bound two trials of one column likely
+share an instance from ~7.7e4 trials on.
 """
 
 from __future__ import annotations
@@ -56,16 +55,9 @@ def seed_sequence(master: int, *path) -> np.random.SeedSequence:
 
 
 def child_seed(master: int, *path) -> int:
-    """A plain integer seed derived from (master, path)."""
-    return int_seed(seed_sequence(master, *path))
-
-
-def int_seed(seed):
-    """An int seed as given; a SeedSequence as the int `child_seed` derives
-    from it (its first 32-bit state word)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return int(seed.generate_state(1)[0])
-    return seed
+    """A plain integer seed derived from (master, path): the first 32-bit
+    state word of `seed_sequence(master, *path)`."""
+    return int(seed_sequence(master, *path).generate_state(1)[0])
 
 
 def generator(master: int, *path) -> np.random.Generator:

@@ -4,7 +4,7 @@
 `run_trials` runs every tester, one trial or one block of trials at a
 time; `run_tester` and the per-mode entry points are its one-trial case.
 
-Both testers draw Poisson(m) samples, group them by the conditioning
+Both testers take Poisson(m) samples, grouped by the conditioning
 coordinate z, and for every bin with at least four samples compute an
 unbiased estimate of the (possibly rescaled) squared l2 distance between
 the conditional table and the product of its marginals.  The weighted sum
@@ -16,8 +16,14 @@ The binary tester weights each bin estimate by its sample count and is
 meant for small fixed alphabets (l1, l2 <= 8).  The general tester first
 spends part of each bin's samples flattening the two marginals, weights
 by count times the flattening amount, and weights each cell of the
-estimator by the rank-1 flattening grid.  `binary_bin_statistics` and
-`_general_bins` evaluate their bins.
+estimator by the rank-1 flattening grid.  Each tester reads a bin only
+through counts, so from a distribution both draw counts, never samples:
+the binary tester per-cell Poisson counts, the general tester each bin's
+Poisson size and its flattening and test counts (`_drawn_split`).  A
+sample file reaches the same counts: the binary tester bincounts its rows,
+and the general tester splits each bin's rows in arrival order
+(`_phase_split`).  `binary_bin_statistics` and `_general_kernel` evaluate
+the bins.
 
 The multiplicative constants (beta for the binary sample size, zeta for
 the general sample size and for both thresholds) are exposed
@@ -39,11 +45,12 @@ import numpy as np
 from .dist_core import (
     DistributionError,
     JointDistribution,
-    poissonized_codes,
+    _runs,
+    conditional_cell_counts,
     poissonized_count_tensor,
 )
 from .poly_estimator import _l2_cell_terms
-from .seeding import int_seed, seed_sequence
+from .seeding import seed_sequence
 
 _MODES = ("binary", "general", "cmi")
 
@@ -297,7 +304,7 @@ def binary_bin_statistics(counts: np.ndarray):
     of `JointDistribution.mass`, in any memory order.  Phi_z is the
     unbiased l2 estimate of bin z, and 0 for bins with fewer than 4
     samples.  The binary and cmi testers evaluate their bins here; the
-    general tester's weighted estimates come from `_general_bins`.
+    general tester's weighted estimates come from `_general_kernel`.
 
     Arithmetic is in double precision, with the denominator
     sigma (sigma-1) (sigma-2) (sigma-3) formed in float (never int64, which
@@ -332,46 +339,102 @@ def binary_bin_statistics(counts: np.ndarray):
     return sigma.astype(np.int64), np.where(active, raw / den, 0.0)
 
 
-def _general_bins(codes, sizes, l1: int, l2: int):
-    """(sigma, Phi) of the general tester (see `test_general`) on the flat
-    cell codes (x l2 + y) n + z stably sorted by z, sizes[z] of them in bin
-    z: every bin's test sample count and l2 estimate, both 0 for a bin of
-    fewer than 4 samples (the contract of `binary_bin_statistics`).
-
-    The cell weights 1/((1 + b_x)(1 + c_y)) are rank-1 and an empty cell's
-    term is R_x (R_x-1) C_y (C_y-1), for the test fingerprint's row and
-    column sums R and C, so a bin's raw sum is
-    (sum_x R_x (R_x-1)/(1+b_x)) (sum_y C_y (C_y-1)/(1+c_y)) plus, over the
-    occupied cells, (term - R_x (R_x-1) C_y (C_y-1)) / ((1+b_x)(1+c_y)),
-    in O(samples + n (l1 + l2)) work and memory for n bins.  The two parts
-    cancel where most cells are occupied: against the exact `l2_estimator`
-    on random bins of 2^4 to 2^22 samples (2x2 to 40x40 tables), the
-    absolute error of Phi stays below 1e-16.
-    """
-    n = sizes.size
-    # in arrival order, a bin's samples flatten its rows, then its columns,
-    # then test; a bin of fewer than 4 samples has t = -1 and uses none
+def _phases(sizes, l1: int, l2: int):
+    """(t1, t2, sigma) per bin for bins of sizes[z] samples: a bin of
+    4 + 4t or more flattens its rows with min(t, l1) samples and its columns
+    with min(t, l2), and tests with sigma = 2t + 4; a bin of fewer than 4
+    samples uses none."""
     t = (sizes - 4) // 4
-    sigma = np.where(t >= 0, 2 * t + 4, 0)
-    runs = np.where(t >= 0, [np.minimum(t, l1), np.minimum(t, l2), sigma], 0)
-    runs = np.vstack([runs, sizes - runs.sum(axis=0)])
+    on = t >= 0
+    t *= on
+    return np.minimum(t, l1), np.minimum(t, l2), (2 * t + 4) * on
+
+
+def _phase_split(codes, l1: int, l2: int, n: int):
+    """The general tester's split of flat cell codes (x l2 + y) n + z in
+    arrival order, as `_general_kernel` takes it: (sigma, 1 + b, 1 + c,
+    cells, counts) with the row counts b over flat (bin, x) rows, the column
+    counts c over flat (bin, y) columns and the occupied test cells as
+    ascending bin-major flat indices z l1 l2 + x l2 + y.  In arrival order,
+    a bin's samples flatten its rows, then its columns, then test; the rest
+    go unused (`_phases`).  `codes` is sorted by z in place, so the caller's
+    array is the only copy held."""
+    # stable sort by z keeps each bin's samples in arrival order; numpy
+    # radix-sorts keys of 16 bits or fewer, and a stable sort's permutation
+    # does not depend on the key dtype
+    z = (codes % n).astype(np.min_scalar_type(n - 1))
+    sizes = np.bincount(z, minlength=n)
+    codes[:] = codes[np.argsort(z, kind="stable")]
+    del z
+    t1, t2, sigma = _phases(sizes, l1, l2)
+    runs = np.vstack([t1, t2, sigma, sizes - t1 - t2 - sigma])
     # each sample's phase: 0 rows, 1 columns, 2 test, 3 unused
     phase = np.repeat(np.tile(np.arange(4, dtype=np.int8), n), runs.T.ravel())
-    # wb, wc hold 1 + b and 1 + c over the flat (bin, x) rows and (bin, y) columns
     xy, z = np.divmod(codes[phase == 0], n)
     wb = 1.0 + np.bincount(z * l1 + xy // l2, minlength=n * l1)
     xy, z = np.divmod(codes[phase == 1], n)
     wc = 1.0 + np.bincount(z * l2 + xy % l2, minlength=n * l2)
     xy, z = np.divmod(codes[phase == 2], n)
     cells, f = np.unique(z * (l1 * l2) + xy, return_counts=True)
-    del phase, xy, z
-    # each occupied cell's bin, row and column; occupied rows and columns
+    return sigma, wb, wc, cells, f
+
+
+def _drawn_split(p: JointDistribution, m: int, rng: np.random.Generator):
+    """(M, split) for a draw from `p` at budget m: bin z's size
+    s_z ~ Poisson(m p_Z(z)), its total M, and the split `_phase_split`
+    makes of s_z samples in arrival order, drawn as counts
+    (`conditional_cell_counts`).  Given s_z, the flattening and test counts
+    of a bin are independent multinomials over p(x, y | z), since arrivals
+    are i.i.d., so the split is equal in law to the phase split of
+    `poissonized_codes` samples, with no sample array."""
+    l1, l2, n = p.dims
+    sizes = rng.poisson(m * p.z_marginal)
+    t1, t2, sigma = _phases(sizes, l1, l2)
+    (rows, b), (cols, c), (cells, f) = conditional_cell_counts(p, (t1, t2, sigma), rng)
+    wb = 1.0 + np.bincount(rows // l2, weights=b, minlength=n * l1)
+    wc = 1.0 + np.bincount(cols // (l1 * l2) * l2 + cols % l2, weights=c, minlength=n * l2)
+    return int(sizes.sum()), (sigma, wb, wc, cells, f)
+
+
+def _general_kernel(sigma, wb, wc, cells, f, l1: int, l2: int):
+    """Phi of the general tester (see `test_general`) per bin, from a split
+    (`_phase_split`, `_drawn_split`) whose cells ascend: every bin's l2
+    estimate, 0 for a bin of fewer than 4 samples (the contract of
+    `binary_bin_statistics`).
+
+    The cell weights 1/((1 + b_x)(1 + c_y)) are rank-1 and an empty cell's
+    term is R_x (R_x-1) C_y (C_y-1), for the test fingerprint's row and
+    column sums R and C, so a bin's raw sum is
+    (sum_x R_x (R_x-1)/(1+b_x)) (sum_y C_y (C_y-1)/(1+c_y)) plus, over the
+    occupied cells, (term - R_x (R_x-1) C_y (C_y-1)) / ((1+b_x)(1+c_y)),
+    in O(cells + n (l1 + l2)) work and memory for n bins.  The two parts
+    cancel where most cells are occupied: against the exact `l2_estimator`
+    on random bins of 2^4 to 2^22 samples (2x2 to 40x40 tables), the
+    absolute error of Phi stays below 1e-16.  Occupied rows and columns,
+    in ascending order, are the nonzero slots of a bincount over the n l1
+    rows and n l2 columns, with no sort.  Where those slots are more than
+    twice the occupied cells, as in a sparse sample file, sorting the
+    cells' rows and columns costs less, and they are sorted instead; the
+    sums and Phi are the same either way.
+    """
+    n = sigma.size
+    # each occupied cell's bin, row and column
     zc, cx = cells // (l1 * l2), cells // l2
     cy = zc * l2 + cells % l2
-    rows, ri = np.unique(cx, return_inverse=True)
-    cols, ci = np.unique(cy, return_inverse=True)
     f = f.astype(float)
-    row_sums, col_sums = np.bincount(ri, weights=f), np.bincount(ci, weights=f)
+
+    def occupied(slots, size):
+        # the occupied slots, ascending, their count sums and each cell's slot position
+        if size > 2 * slots.size:
+            # slots far outnumber the cells: sorting the cells is cheaper
+            found, position = np.unique(slots, return_inverse=True)
+            return found, position, np.bincount(position, weights=f)
+        sums = np.bincount(slots, weights=f, minlength=size)
+        hit = sums > 0
+        return np.flatnonzero(hit), np.cumsum(hit)[slots] - 1, sums[hit]
+
+    rows, ri, row_sums = occupied(cx, n * l1)
+    cols, ci, col_sums = occupied(cy, n * l2)
     row_terms = row_sums * (row_sums - 1) / wb[rows]
     col_terms = col_sums * (col_sums - 1) / wc[cols]
     s = sigma.astype(float)
@@ -379,14 +442,14 @@ def _general_bins(codes, sizes, l1: int, l2: int):
 
     def per_bin(keys, values):
         # pairwise sums per ascending bin index: running sums lose digits
-        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        first = _runs(keys)[:-1]
         sums = np.zeros(n)
         sums[keys[first]] = np.add.reduceat(values, first)
         return sums
 
     raw = per_bin(rows // l1, row_terms) * per_bin(cols // l2, col_terms)
     raw += per_bin(zc, cell - row_terms[ri] * col_terms[ci])
-    return sigma, raw / np.where(t >= 0, s * (s - 1) * (s - 2) * (s - 3), 1.0)
+    return raw / np.where(sigma > 0, s * (s - 1) * (s - 2) * (s - 3), 1.0)
 
 # ---------------------------------------------------------------------------
 # Testers
@@ -400,9 +463,9 @@ def _resolve_source(source, cfg, dims):
     None: the caller draws.  A fixed (N, 3) sample array needs explicit
     `dims` and in-range integer indices; it is cut to its first
     `m_override` rows when set, m is its row count, and codes are its rows
-    in order as flat cell codes (x l2 + y) n + z, the layout
-    `poissonized_codes` draws.  Both inputs pass `sample_budget`'s
-    refusals of the tester's domain.
+    in order as flat cell codes (x l2 + y) n + z, the C-order indices into
+    the mass tensor.  Both inputs pass `sample_budget`'s refusals of the
+    tester's domain.
     """
     if isinstance(source, JointDistribution):
         return source.dims, sample_budget(cfg, source.dims), None
@@ -468,16 +531,17 @@ def test_binary(source, cfg: TesterConfig, dims=None) -> Verdict:
 def test_general(source, cfg: TesterConfig, dims=None) -> Verdict:
     """Flattened conditional-independence tester for arbitrary alphabets.
 
-    The samples (Poissonized from a JointDistribution, or a fixed (N, 3)
-    array with explicit `dims`), as flat cell codes (x l2 + y) n + z, are
-    stably sorted by z once, so each bin keeps its arrival order: a bin of
-    4 + 4t or more samples flattens its marginals with its leading
-    min(t, l1) + min(t, l2) samples, giving row counts b and column counts
-    c, and estimates the rescaled squared l2 distance from the next 2t + 4
-    samples with weights 1/((1 + b_x)(1 + c_y)) = 1/(1 + a_xy).  One pass
-    over the samples evaluates all these bins (`_general_bins`).  The bin
-    weight is sigma_z * omega_z with sigma_z = 2t + 4 and
-    omega_z = sqrt(min(sigma_z, l1) * min(sigma_z, l2)).
+    In arrival order, a bin of 4 + 4t or more samples flattens its
+    marginals with its leading min(t, l1) + min(t, l2) samples, giving row
+    counts b and column counts c, and estimates the rescaled squared l2
+    distance from the next 2t + 4 samples with weights
+    1/((1 + b_x)(1 + c_y)) = 1/(1 + a_xy).  From a JointDistribution each
+    bin draws its Poisson size and then b, c and its test counts directly,
+    equal in law to splitting Poissonized samples (`_drawn_split`); a fixed
+    (N, 3) array with explicit `dims` is stably sorted by z once and split
+    (`_phase_split`).  One kernel evaluates all the bins of either split
+    (`_general_kernel`).  The bin weight is sigma_z * omega_z with
+    sigma_z = 2t + 4 and omega_z = sqrt(min(sigma_z, l1) * min(sigma_z, l2)).
     This is `run_tester` in general mode.
     """
     return run_tester(source, replace(cfg, mode="general"), dims)
@@ -504,9 +568,8 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
     kernel call and one row-wise sum of their statistics.  A bin's Phi
     depends on its counts alone and each row is summed as a one-trial call
     sums it, so the verdicts are the same at every block size.  General
-    mode evaluates one trial at a time on flat cell codes (x l2 + y) n + z
-    drawn with `int_seed(seed)`, so a `seed_sequence(...)` seed gives the
-    verdict its `child_seed(...)` int would.
+    mode evaluates one trial at a time, and draws its split from
+    `default_rng(seed)` as well.
     """
     if cfg.mode == "general":
         for source, seed in zip(sources, seeds, strict=True):
@@ -566,23 +629,18 @@ def _binary_verdicts(block, cfg: TesterConfig):
 
 def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
     """The general tester's verdict on one source (see `test_general`)."""
-    dims, m, codes = _resolve_source(source, cfg, dims)
-    l1, l2, n = dims
+    (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
     if codes is None:
-        codes = poissonized_codes(source, m, int_seed(seed))
-    # stable sort by z keeps each bin's samples in arrival order; numpy
-    # radix-sorts keys of 16 bits or fewer, and a stable sort's permutation
-    # does not depend on the key dtype
-    z = (codes % n).astype(np.min_scalar_type(n - 1))
-    sizes = np.bincount(z, minlength=n)
-    codes = codes[np.argsort(z, kind="stable")]
-    del z
-    sigma, phi = _general_bins(codes, sizes, l1, l2)
+        big_m, split = _drawn_split(source, m, np.random.default_rng(seed))
+    else:
+        big_m, split = codes.size, _phase_split(codes, l1, l2, n)
+    sigma = split[0]
+    phi = _general_kernel(*split, l1, l2)
     omega = np.sqrt(np.minimum(sigma, l1) * np.minimum(sigma, l2))
     a_z = sigma * omega * phi
     # add the bins one at a time in ascending z from 0.0 (bins below 4 add +0.0)
     stat = float(np.cumsum(np.concatenate(([0.0], a_z)))[-1])
-    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), codes.size, (sigma, omega, a_z))
+    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), big_m, (sigma, omega, a_z))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from cit.dist_core import (
     NotNormalizedError,
     ShapeMismatchError,
     ci_distance_proxy,
+    conditional_cell_counts,
     conditional_mutual_information,
     mixture_q,
     poissonized_codes,
@@ -397,6 +399,73 @@ class TestPoissonizedCountTensor:
         want = generator(25, "count-tensor").poisson(900.0 * q.mass)
         assert counts.shape == (2, 2, 100) and counts.flags.c_contiguous
         assert counts.tobytes() == want.tobytes() and big_m == want.sum()
+
+
+class _EdgeKeys:
+    """A generator whose uniforms alternate between the extremes 0 and the
+    largest double below 1, so every searched key sits on an edge of its
+    bin's span; multinomials come from `rng`."""
+
+    def __init__(self, rng):
+        self.multinomial = rng.multinomial
+
+    @staticmethod
+    def random(size):
+        return np.resize([0.0, np.nextafter(1.0, 0.0)], size)
+
+
+class TestConditionalCellCounts:
+    """Per-bin draws from p(x, y | z) as occupied bin-major cells and counts."""
+
+    @staticmethod
+    def edge_masses():
+        # zero cells first and last in every bin, a one-cell bin and a bin of zero weight
+        mass = generator(26, "edges").random((3, 4, 6))
+        mass[0, 0, :] = mass[2, 3, :] = 0.0
+        mass[:, :, 2] = 0.0
+        mass[1, 2, 2] = 1.0
+        mass[:, :, 4] = 0.0
+        return [JointDistribution.from_mass(mass)[0],
+                JointDistribution.from_mass(mass.transpose(2, 0, 1).copy().transpose(1, 2, 0))[0]]
+
+    @pytest.mark.parametrize("edge_keys", [False, True])
+    def test_never_a_zero_mass_cell(self, draw_masses, edge_keys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p in [*draw_masses.values(), *self.edge_masses()]:
+                l1, l2, n = p.dims
+                width = l1 * l2
+                positive = p.z_marginal > 0
+                # searched (k < l1 l2) and multinomial (k >= l1 l2) bins, in one call
+                sizes = [np.where(positive, k, 0) for k in (
+                    np.arange(n) % 3, np.full(n, width - 1), np.full(n, width),
+                    np.arange(n) % 2 * 10**6 + 1)]
+                rng = np.random.default_rng(27)
+                for (cells, counts), k in zip(
+                    conditional_cell_counts(p, sizes, _EdgeKeys(rng) if edge_keys else rng),
+                    sizes,
+                ):
+                    assert cells.dtype == counts.dtype == np.int64
+                    assert np.all(np.diff(cells) > 0) and np.all(counts > 0)
+                    table = p.mass.transpose(2, 0, 1).ravel()
+                    assert np.all(table[cells] > 0)
+                    np.testing.assert_array_equal(
+                        np.bincount(cells // width, counts, minlength=n), k)
+
+    def test_searched_bins_follow_their_tables(self, draw_masses):
+        # k < l1 l2 searches the cumulative mass: its cell frequencies are p(x, y | z)
+        p = draw_masses["zero_cells"]
+        l1, l2, n = p.dims
+        k = np.full(n, l1 * l2 - 1)
+        counts = np.zeros(p.mass.size)
+        rng = np.random.default_rng(28)
+        for _ in range(3000):
+            [(cells, f)] = conditional_cell_counts(p, [k], rng)
+            counts[cells] += f
+        want = (p.mass / p.z_marginal).transpose(2, 0, 1).ravel() * k[0] * 3000
+        assert counts[want == 0].sum() == 0
+        _, pval = scistats.chisquare(counts[want > 0], want[want > 0])
+        assert pval > 1e-3
 
 
 class TestTruncatedPoissonMoments:

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -209,9 +210,9 @@ class TestPowerExperiment:
         )
         run_power_experiment(plan, out_path=tmp_path / "nnn.csv")
         assert (tmp_path / "nnn.csv").read_text().splitlines()[1] == (
-            "1,general,nnn_d0,nnn_d1,16,32,16,0.5,300,8,50,nan,0.94,0.09999999999999998,"
-            "-0.26038154443170625,0.8895895266048605,5.7766192892997505,"
-            "0.03358571124749334,0.04242640687119285,ok"
+            "1,general,nnn_d0,nnn_d1,16,32,16,0.5,300,8,50,nan,0.96,0.07999999999999996,"
+            "0.33255543347903477,0.5350643411908481,6.682330720790095,"
+            "0.02771281292110205,0.038366652186501746,ok"
         )
 
     def test_nnn_auto_budget_is_the_domains(self, tmp_path):
@@ -358,7 +359,10 @@ class TestPinnedOutputs:
     the `calibrate` taus were recorded before power cells and min-m probes
     shared one instance builder and one trial-column routine.  The general
     sample-file verdict was recorded again, in its last digits, when the
-    general tester's bins became one pass over the samples.  A change to
+    general tester's bins became one pass over the samples; the general
+    outputs that draw (`--dist` general, the general `calibrate` tau) were
+    recorded again when general draws became per-bin counts seeded by one
+    `SeedSequence` per trial.  A change to
     any RNG stream, to the kernels' arithmetic, to file parsing or to the
     exact estimators shows here."""
 
@@ -389,9 +393,9 @@ class TestPinnedOutputs:
             '"threshold_tau": 3.4641016151377544}\n'
         ),
         "general": (
-            '{"M_drawn": 1926, "accept": false, "m_used": 2000, "per_bin": '
-            "[[0, 298, 2.0, 3.6229042601923958], [1, 290, 2.0, 38.916064177942815], "
-            '[2, 378, 2.0, 22.448806366047744]], "statistic_A": 64.98777480418296, '
+            '{"M_drawn": 1937, "accept": false, "m_used": 2000, "per_bin": '
+            "[[0, 280, 2.0, 5.116638586184738], [1, 312, 2.0, 41.68198319676382], "
+            '[2, 378, 2.0, 16.62515692508356]], "statistic_A": 63.42377870803212, '
             '"threshold_tau": 2.0597671439071177}\n'
         ),
     }
@@ -457,7 +461,7 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("extra, tau", [
         ([], "1.250528634731961"),
-        (["--mode", "general", "--ell1", "3", "--ell2", "3"], "2.7212720944919093"),
+        (["--mode", "general", "--ell1", "3", "--ell2", "3"], "3.1506439638792574"),
     ])
     def test_calibrate_tau(self, extra, tau):
         argv = ["calibrate", "--family", "random_ci", "--n", "30", "--m", "400",
@@ -1005,13 +1009,31 @@ class TestCLI:
         def no_memory(*args):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-        monkeypatch.setattr(testers, "poissonized_codes", no_memory)
+        monkeypatch.setattr(testers, "conditional_cell_counts", no_memory)
         err = io.StringIO()
         argv = ["test", "--mode", "general", "--eps", "0.5", "--m", str(10**12),
                 "--dist", str(pinned_files[1])]
         with contextlib.redirect_stderr(err):
             assert run_cli(argv) == (2, "")
         assert err.getvalue() == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+    def test_pseudo_distribution_rows_past_one(self, tmp_path):
+        # divided by its total, each bin's conditional table sums past 1 by
+        # rounding; the general draw's multinomials must take it, searched or not
+        values = (0.06, 0.15, 0.11, 0.25, 0.15, 0.17, 0.12, 0.23, 0.21,
+                  0.21, 0.23, 0.13, 0.04, 0.25, 0.11, 0.21, 0.3, 0.21)
+        cells = [(x, y, z) for x in (1, 2, 3) for y in (1, 2, 3) for z in (1, 2)]
+        path = tmp_path / "pseudo.tsv"
+        path.write_text("#dims 3 3 2\n" + "".join(
+            f"{x}\t{y}\t{z}\t{v!r}\n" for (x, y, z), v in zip(cells, values)))
+        p, _ = read_distribution_file(path)
+        assert np.all((p.mass / p.z_marginal).sum(axis=(0, 1)) > 1.0)
+        for m in ("24", "2000", str(10**9)):
+            argv = ["test", "--mode", "general", "--eps", "0.5", "--m", m, "--dist", str(path)]
+            with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out = run_cli(argv)
+            assert code == 0 and out.startswith(("accept A=", "reject A="))
 
     def test_budget_exhausted_exit_code(self):
         code, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from cit.dist_core import (
     sample_poissonized,
 )
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
-from cit.seeding import child_seed, int_seed, seed_sequence
+from cit.seeding import child_seed, seed_sequence
 from cit.testers import (
     TesterConfig,
     TesterInputError,
@@ -401,20 +402,74 @@ class TestGeneralTester:
         cfg = TesterConfig(epsilon=0.4, mode="general", m_override=800, seed=123)
         assert general_test(p, cfg) == general_test(p, cfg)
 
-    def test_draws_and_sample_arrays_share_one_path(self):
-        # a distribution's draw, handed in again as (x, y, z) rows, gives the same verdict
+    def test_draws_and_sample_arrays_share_one_path(self, monkeypatch):
+        # one kernel, two inputs: a verdict on a distribution is the kernel on
+        # its drawn split, and sample rows reach it through the phase split
         p = gen_random_far(3, 4, 30, 0.2, 2)[0]
+        calls = []
+        kernel = testers._general_kernel
+
+        def recording_kernel(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(testers, "_general_kernel", recording_kernel)
         for seed in (5, seed_sequence(6, "rows")):
             cfg = TesterConfig(epsilon=0.5, mode="general", m_override=3000, seed=seed)
-            rows = sample_poissonized(p, 3000, int_seed(seed))
             drawn = run_tester(p, cfg)
+            big_m, split = testers._drawn_split(p, 3000, np.random.default_rng(seed))
+            sigma = split[0]
+            omega = np.sqrt(np.minimum(sigma, 3) * np.minimum(sigma, 4))
+            a_z = sigma * omega * kernel(*split, 3, 4)
+            assert drawn.per_bin and drawn.M_drawn == big_m
+            assert np.asarray(drawn.bins[2]).tobytes() == a_z.tobytes()
+            rows = sample_poissonized(p, 3000, seed)
             given = run_tester(rows, replace(cfg, m_override=None), dims=p.dims)
-            assert drawn.per_bin and given.M_drawn == rows.shape[0]
-            assert (drawn.statistic_A, drawn.per_bin, drawn.M_drawn) == (
-                given.statistic_A, given.per_bin, given.M_drawn)
+            assert given.per_bin and given.M_drawn == rows.shape[0]
+            want = testers._phase_split(np.ravel_multi_index(rows.T, p.dims), 3, 4, 30)
+            for args, expect in zip(calls[-2:], (split, want)):
+                assert args[-2:] == (3, 4)
+                for got, ref in zip(args[:-2], expect, strict=True):
+                    np.testing.assert_array_equal(got, ref)
+
+    def test_memory_independent_of_m(self):
+        # counts, not samples: at m = 10^9 a verdict holds O(l1 l2 n) bytes
+        p = gen_random_far(3, 4, 2000, 0.1, 1)[0]
+        cfg = TesterConfig(epsilon=0.5, mode="general", m_override=10**9, seed=3)
+        tracemalloc.start()
+        try:
+            v = run_tester(p, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(v.M_drawn - 10**9) < 10**6 and len(v.per_bin) == 2000
+        assert peak <= 320 * p.mass.size
+
+    def test_largest_budget_is_finite(self):
+        p = gen_random_far(3, 3, 4, 0.3, 7)[0]
+        cfg = TesterConfig(epsilon=0.5, mode="general", m_override=2**62, seed=8)
+        v = run_tester(p, cfg)
+        assert math.isfinite(v.statistic_A) and v.statistic_A > v.threshold_tau
+        assert abs(v.M_drawn - 2**62) < 2**40 and len(v.per_bin) == 4
+
+    def test_zero_weight_bin_draws_nothing(self):
+        mass = gen_random_far(3, 4, 6, 0.3, 9)[0].mass.copy()
+        mass[:, :, [0, 3]] = 0.0
+        p = JointDistribution.from_mass(mass)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for m in (300, 10**9):
+                _, (sigma, wb, wc, cells, f) = testers._drawn_split(
+                    p, m, np.random.default_rng(10))
+                assert sigma[[0, 3]].tolist() == [0, 0] and sigma[[1, 2, 4, 5]].all()
+                assert np.all(wb.reshape(6, 3)[[0, 3]] == 1.0)
+                assert np.all(wc.reshape(6, 4)[[0, 3]] == 1.0)
+                assert not np.isin(cells // 12, [0, 3]).any()
+                np.testing.assert_array_equal(np.bincount(cells // 12, f, minlength=6), sigma)
 
     def test_memory_per_drawn_sample(self):
-        # the draw and the pass hold a few int64 arrays per sample, not (N, 3) rows
+        # a verdict on a distribution draws counts: it holds far less than a
+        # few int64 arrays per drawn sample (`test_memory_independent_of_m`)
         p = gen_random_far(3, 4, 2000, 0.1, 1)[0]
         cfg = TesterConfig(epsilon=0.5, mode="general", m_override=200_000, seed=3)
         tracemalloc.start()
@@ -454,6 +509,70 @@ class TestGeneralTester:
         stats = np.array(stats)
         se = stats.std(ddof=1) / np.sqrt(len(stats))
         assert abs(stats.mean()) <= 4 * se
+
+
+def conditional_mean_a(p: JointDistribution, split) -> float:
+    """E[A | split] of the general tester on `p`: the flattening counts b, c
+    and the test counts sigma of a drawn split fixed, bin z's test samples
+    are i.i.d. from p_z, so its Phi_z has mean
+    sum_xy (p_z - q_z)^2_xy / ((1 + b_x)(1 + c_y)), with q_z the product of
+    p_z's marginals."""
+    sigma, wb, wc, _, _ = split
+    l1, l2, n = p.dims
+    pz = p.z_marginal
+    cond = p.mass / np.where(pz > 0, pz, 1.0)
+    q = cond.sum(axis=1)[:, None, :] * cond.sum(axis=0)[None, :, :]
+    weights = wb.reshape(n, l1).T[:, None, :] * wc.reshape(n, l2).T[None, :, :]
+    phi = ((cond - q) ** 2 / weights).sum(axis=(0, 1))
+    omega = np.sqrt(np.minimum(sigma, l1) * np.minimum(sigma, l2))
+    return float((sigma * omega * phi).sum())
+
+
+class TestGeneralCountDraw:
+    """The count draw against the paper's flattening and against samples."""
+
+    @pytest.mark.parametrize("dims, m", [
+        ((10, 10, 50), 1500),  # t ~ 6 < l: searched test cells
+        ((3, 4, 20), 1500),  # t ~ 17 >= l: multinomial test cells
+    ])
+    def test_conditional_mean(self, dims, m):
+        # A - E[A | split] has mean 0: the draw, the split and the kernel
+        # together estimate the flattened distance the paper says they do
+        l1, l2, n = dims
+        p = gen_random_far(l1, l2, n, 0.3, child_seed(36, *dims))[0]
+        cfg = TesterConfig(epsilon=0.5, mode="general", m_override=m)
+        gaps = []
+        for t in range(600):
+            seed = seed_sequence(37, l1, l2, n, t)
+            _, split = testers._drawn_split(p, m, np.random.default_rng(seed))
+            gaps.append(run_tester(p, replace(cfg, seed=seed)).statistic_A
+                        - conditional_mean_a(p, split))
+        gaps = np.array(gaps)
+        assert abs(gaps.mean()) <= 4 * gaps.std(ddof=1) / np.sqrt(gaps.size)
+
+    @pytest.mark.parametrize("dims, m", [((10, 10, 50), 5000), ((3, 4, 20), 1500),
+                                         ((2, 2, 200), 3000)])
+    def test_same_law_as_sample_rows(self, dims, m):
+        # A from the count draw against A from Poissonized sample rows
+        # through the sample-array path and its phase split
+        from scipy import stats as scistats
+
+        l1, l2, n = dims
+        p = gen_random_far(l1, l2, n, 0.3, child_seed(38, *dims))[0]
+        cfg = TesterConfig(epsilon=0.5, mode="general", m_override=m)
+        trials = 1000
+        counts = np.array([
+            run_tester(p, replace(cfg, seed=seed_sequence(39, l1, l2, n, t))).statistic_A
+            for t in range(trials)
+        ])
+        rows = np.array([
+            run_tester(sample_poissonized(p, m, seed_sequence(40, l1, l2, n, t)),
+                       replace(cfg, m_override=None), dims=dims).statistic_A
+            for t in range(trials)
+        ])
+        se = np.sqrt((counts.var(ddof=1) + rows.var(ddof=1)) / trials)
+        assert abs(counts.mean() - rows.mean()) <= 4 * se
+        assert scistats.ks_2samp(counts, rows).pvalue > 1e-3
 
 
 class TestCMIWrapper:
