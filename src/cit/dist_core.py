@@ -207,39 +207,9 @@ def conditional_mutual_information(p: JointDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: samples `_draw_codes` draws and sorts at a time: a memory bound, not a knob
-_DRAW_CHUNK = 1 << 16
-
-
-def _draw_codes(p: JointDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` i.i.d. flat cell codes, as `poissonized_codes` returns them.
-
-    The codes, and the generator's state after the draw, are those of
-    `rng.choice(K, size=count, p=p.mass.ravel())`: that call draws
-    `rng.random(count)` and nothing else, and searches each double in the
-    C-order cumulative mass divided by its last entry, the CDF built here.
-    Here the doubles come in chunks of at most `_DRAW_CHUNK`, and
-    successive `random` calls give the doubles of one call.  Each chunk's
-    keys are searched in ascending order, which keeps the search in cache,
-    and the codes are put back in arrival order; the code `searchsorted`
-    gives a key does not depend on the other keys.  `choice` also checks p
-    at every call (no entry negative, the total within sqrt(machine eps)
-    of 1); `JointDistribution` checks more, once (finite, >= 0, total
-    within `NORMALIZED_ATOL`).  Besides the codes, a draw holds the K-cell
-    CDF and a few chunk-sized arrays.
-    """
-    cdf = p.mass.ravel().cumsum()
-    cdf /= cdf[-1]
-    codes = np.empty(count, dtype=np.int64)
-    for start in range(0, count, _DRAW_CHUNK):
-        u = rng.random(min(_DRAW_CHUNK, count - start))
-        order = np.argsort(u)
-        codes[start:start + u.size][order] = cdf.searchsorted(u[order], side="right")
-    return codes
-
-
-def _code_rows(p: JointDistribution, codes: np.ndarray) -> np.ndarray:
-    """Flat cell codes as an (len(codes), 3) int array of (x, y, z) rows."""
+def _draw_rows(p: JointDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` i.i.d. (x, y, z) rows: `rng.choice` over p's C-order cells."""
+    codes = rng.choice(p.mass.size, size=count, p=p.mass.ravel())
     return np.column_stack(np.unravel_index(codes, p.dims))
 
 
@@ -247,26 +217,18 @@ def sample_fixed(p: JointDistribution, count: int, seed) -> np.ndarray:
     """`count` i.i.d. samples as an (count, 3) int array of (x, y, z) rows."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    return _code_rows(p, _draw_codes(p, count, np.random.default_rng(seed)))
-
-
-def poissonized_codes(p: JointDistribution, m: float, seed) -> np.ndarray:
-    """Draw M ~ Poisson(m) then M i.i.d. samples, in arrival order, as int64
-    flat cell codes (x l2 + y) n + z: the C-order indices into `p.mass`.
-
-    Per-bin counts are then independent Poisson(m * p_Z(z)) variables.
-    Its callers are `sample_poissonized` and the tests; the testers draw
-    counts (`poissonized_count_tensor`, `conditional_cell_counts`).
-    """
-    if m < 0:
-        raise ValueError("Poissonized sampling needs m >= 0")
-    rng = np.random.default_rng(seed)
-    return _draw_codes(p, int(rng.poisson(m)), rng)
+    return _draw_rows(p, count, np.random.default_rng(seed))
 
 
 def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
-    """`poissonized_codes` as an (M, 3) int array of (x, y, z) rows."""
-    return _code_rows(p, poissonized_codes(p, m, seed))
+    """Draw M ~ Poisson(m) then M i.i.d. samples, in arrival order, as an
+    (M, 3) int array of (x, y, z) rows; per-bin counts are then independent
+    Poisson(m * p_Z(z)).  The testers draw counts instead
+    (`poissonized_count_tensor`, `conditional_cell_counts`)."""
+    if m < 0:
+        raise ValueError("Poissonized sampling needs m >= 0")
+    rng = np.random.default_rng(seed)
+    return _draw_rows(p, int(rng.poisson(m)), rng)
 
 
 def poissonized_count_tensor(
@@ -416,7 +378,8 @@ def _index_error(path, body: str, cells, dims, layout: str) -> DistributionError
 def _read_header(path, header: str) -> tuple[int, int, int]:
     header = header.removesuffix("\n")
     parts = header.split()
-    if len(parts) != 4 or parts[0] != "#dims" or not all(v.isdigit() for v in parts[1:]):
+    # ASCII digits, as numpy reads the rows: str.isdigit also takes "²" and "٣"
+    if len(parts) != 4 or parts[0] != "#dims" or not re.fullmatch("[0-9]+", "".join(parts[1:])):
         raise DistributionError(f"{path}: expected '#dims l1 l2 n' header, got {header!r}")
     dims = tuple(int(v) for v in parts[1:])
     if min(dims) < 1:

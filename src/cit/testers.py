@@ -4,13 +4,13 @@
 `run_trials` runs every tester, one trial or one block of trials at a
 time; `run_tester` and the per-mode entry points are its one-trial case.
 
-Both testers take Poisson(m) samples, grouped by the conditioning
-coordinate z, and for every bin with at least four samples compute an
-unbiased estimate of the (possibly rescaled) squared l2 distance between
-the conditional table and the product of its marginals.  The weighted sum
-A of the bin statistics is compared against a threshold tau that scales
-like sqrt(min(n, m)); the tester accepts exactly when A <= tau (ties
-accept).
+Both testers group Poisson(m) samples from a distribution, or the rows of
+a sample file, by the conditioning coordinate z, and for every bin with at
+least four samples compute an unbiased estimate of the (possibly
+rescaled) squared l2 distance between the conditional table and the
+product of its marginals.  The weighted sum A of the bin statistics is
+compared against a threshold tau that scales like sqrt(min(n, m)); the
+tester accepts exactly when A <= tau (ties accept).
 
 The binary tester weights each bin estimate by its sample count and is
 meant for small fixed alphabets (l1, l2 <= 8).  The general tester first
@@ -351,18 +351,18 @@ def _phases(sizes, l1: int, l2: int):
 
 
 def _phase_split(codes, l1: int, l2: int, n: int):
-    """The general tester's split of flat cell codes (x l2 + y) n + z in
-    arrival order, as `_general_kernel` takes it: (sigma, 1 + b, 1 + c,
-    cells, counts) with the row counts b over flat (bin, x) rows, the column
-    counts c over flat (bin, y) columns and the occupied test cells as
-    ascending bin-major flat indices z l1 l2 + x l2 + y.  In arrival order,
-    a bin's samples flatten its rows, then its columns, then test; the rest
-    go unused (`_phases`).  `codes` is sorted by z in place, so the caller's
-    array is the only copy held."""
+    """The general tester's split of bin-major flat cell codes
+    z l1 l2 + x l2 + y in arrival order, as `_general_kernel` takes it:
+    (sigma, 1 + b, 1 + c, cells, counts) with the row counts b over flat
+    (bin, x) rows z l1 + x, the column counts c over flat (bin, y) columns
+    z l2 + y and the occupied test cells as ascending codes.  In arrival
+    order, a bin's samples flatten its rows, then its columns, then test;
+    the rest go unused (`_phases`).  `codes` is sorted by z in place, so
+    the caller's array is the only copy held."""
     # stable sort by z keeps each bin's samples in arrival order; numpy
     # radix-sorts keys of 16 bits or fewer, and a stable sort's permutation
     # does not depend on the key dtype
-    z = (codes % n).astype(np.min_scalar_type(n - 1))
+    z = (codes // (l1 * l2)).astype(np.min_scalar_type(n - 1))
     sizes = np.bincount(z, minlength=n)
     codes[:] = codes[np.argsort(z, kind="stable")]
     del z
@@ -370,12 +370,10 @@ def _phase_split(codes, l1: int, l2: int, n: int):
     runs = np.vstack([t1, t2, sigma, sizes - t1 - t2 - sigma])
     # each sample's phase: 0 rows, 1 columns, 2 test, 3 unused
     phase = np.repeat(np.tile(np.arange(4, dtype=np.int8), n), runs.T.ravel())
-    xy, z = np.divmod(codes[phase == 0], n)
-    wb = 1.0 + np.bincount(z * l1 + xy // l2, minlength=n * l1)
-    xy, z = np.divmod(codes[phase == 1], n)
-    wc = 1.0 + np.bincount(z * l2 + xy % l2, minlength=n * l2)
-    xy, z = np.divmod(codes[phase == 2], n)
-    cells, f = np.unique(z * (l1 * l2) + xy, return_counts=True)
+    wb = 1.0 + np.bincount(codes[phase == 0] // l2, minlength=n * l1)
+    cols = codes[phase == 1]
+    wc = 1.0 + np.bincount(cols // (l1 * l2) * l2 + cols % l2, minlength=n * l2)
+    cells, f = np.unique(codes[phase == 2], return_counts=True)
     return sigma, wb, wc, cells, f
 
 
@@ -386,7 +384,7 @@ def _drawn_split(p: JointDistribution, m: int, rng: np.random.Generator):
     (`conditional_cell_counts`).  Given s_z, the flattening and test counts
     of a bin are independent multinomials over p(x, y | z), since arrivals
     are i.i.d., so the split is equal in law to the phase split of
-    `poissonized_codes` samples, with no sample array."""
+    `sample_poissonized` rows, with no sample array."""
     l1, l2, n = p.dims
     sizes = rng.poisson(m * p.z_marginal)
     t1, t2, sigma = _phases(sizes, l1, l2)
@@ -451,6 +449,7 @@ def _general_kernel(sigma, wb, wc, cells, f, l1: int, l2: int):
     raw += per_bin(zc, cell - row_terms[ri] * col_terms[ci])
     return raw / np.where(sigma > 0, s * (s - 1) * (s - 2) * (s - 3), 1.0)
 
+
 # ---------------------------------------------------------------------------
 # Testers
 # ---------------------------------------------------------------------------
@@ -463,9 +462,9 @@ def _resolve_source(source, cfg, dims):
     None: the caller draws.  A fixed (N, 3) sample array needs explicit
     `dims` and in-range integer indices; it is cut to its first
     `m_override` rows when set, m is its row count, and codes are its rows
-    in order as flat cell codes (x l2 + y) n + z, the C-order indices into
-    the mass tensor.  Both inputs pass `sample_budget`'s refusals of the
-    tester's domain.
+    in order as bin-major flat cell codes z l1 l2 + x l2 + y, the codes
+    `conditional_cell_counts` returns.  Both inputs pass `sample_budget`'s
+    refusals of the tester's domain.
     """
     if isinstance(source, JointDistribution):
         return source.dims, sample_budget(cfg, source.dims), None
@@ -488,8 +487,10 @@ def _resolve_source(source, cfg, dims):
                 f"requested {cfg.m_override} samples, file provides {samples.shape[0]}"
             )
         samples = samples[: cfg.m_override]
+    l1, l2, n = dims
+    x, y, z = samples.T
     try:
-        codes = np.ravel_multi_index(samples.T, dims)
+        codes = np.ravel_multi_index((z, x, y), (n, l1, l2))
     except ValueError:
         # the range check is numpy's; dims too large to index keep its message
         if ((samples < 0) | (samples >= dims)).any():
@@ -583,7 +584,8 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
 
     A trial's count tensor has the (l1, l2, n) layout of the mass: drawn
     per cell from its own `default_rng(seed)` (`poissonized_count_tensor`)
-    for a distribution, the bincount of its flat cell codes for samples.
+    for a distribution; for samples, the bincount of their bin-major codes,
+    an (n, l1, l2) array passed as its (l1, l2, n) transpose.
     Consecutive trials with the same shape are stacked into blocks of at
     most `_TRIAL_BLOCK_CELLS` cells (a larger trial is a block of its own);
     a change of shape starts a new block, and each block is one kernel call.
@@ -594,7 +596,8 @@ def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
         if codes is None:
             big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
         else:
-            big_m, counts = m, np.bincount(codes, minlength=l1 * l2 * n).reshape(l1, l2, n)
+            counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(n, l1, l2)
+            big_m, counts = m, counts.transpose(1, 2, 0)
         if block and not (
             (len(block) + 1) * counts.size <= _TRIAL_BLOCK_CELLS
             and counts.shape == block[-1][2].shape

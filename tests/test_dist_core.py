@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from cit.dist_core import (
     conditional_cell_counts,
     conditional_mutual_information,
     mixture_q,
-    poissonized_codes,
     poissonized_count_tensor,
     product_table,
     read_distribution_file,
@@ -238,13 +236,13 @@ class TestSampling:
     def test_determinism(self):
         p = JointDistribution.uniform(2, 2, 10)
         np.testing.assert_array_equal(sample_fixed(p, 100, 42), sample_fixed(p, 100, 42))
-        # both samplers' rows are flat cell codes (x l2 + y) n + z unraveled
+        # both samplers' rows are `choice` codes (x l2 + y) n + z unraveled
         p = JointDistribution(generator(3, "codes").dirichlet(np.ones(60)).reshape(3, 4, 5))
-        drawn = np.random.default_rng(42).choice(60, size=100, p=p.mass.ravel())
-        for codes, rows in (
-            (drawn, sample_fixed(p, 100, 42)),
-            *((poissonized_codes(p, m, 42), sample_poissonized(p, m, 42)) for m in (0, 1, 100)),
-        ):
+        refs = [np.random.default_rng(42) for _ in range(4)]
+        sizes = [100] + [int(ref.poisson(m)) for ref, m in zip(refs[1:], (0, 1, 100))]
+        drawn = [sample_fixed(p, 100, 42)] + [sample_poissonized(p, m, 42) for m in (0, 1, 100)]
+        for ref, size, rows in zip(refs, sizes, drawn, strict=True):
+            codes = ref.choice(60, size=size, p=p.mass.ravel())
             assert codes.dtype == rows.dtype == np.int64 and rows.shape == (codes.size, 3)
             np.testing.assert_array_equal(codes, (rows[:, 0] * 4 + rows[:, 1]) * 5 + rows[:, 2])
 
@@ -299,7 +297,7 @@ class TestSampling:
         assert empty.shape == (0, 3) and empty.dtype == np.int64
 
 
-#: draw sizes around the categorical draw's chunk of 2^16 samples
+#: draw sizes from none to past 3 * 2^16 samples
 DRAW_SIZES = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)
 
 
@@ -319,7 +317,9 @@ def draw_masses():
 
 
 class TestCategoricalDraw:
-    """The inverse-CDF draw is `Generator.choice` with p, sample for sample."""
+    """Both samplers' rows are `Generator.choice` with p, sample for sample:
+    an inverse-CDF search of one double a sample in the C-order cumulative
+    mass divided by its last entry."""
 
     @pytest.mark.parametrize("size", DRAW_SIZES)
     @pytest.mark.parametrize("mass", ["bin_major", "c_order", "zero_cells", "point"])
@@ -327,32 +327,26 @@ class TestCategoricalDraw:
         p = draw_masses[mass]
         flat = p.mass.ravel()
 
-        def choice(rng, count):
-            return rng.choice(flat.size, size=count, p=flat)
+        def choice_rows(rng, count):
+            codes = rng.choice(flat.size, size=count, p=flat)
+            return np.column_stack(np.unravel_index(codes, p.dims))
 
         ours, ref = np.random.default_rng(size), np.random.default_rng(size)
-        codes = dist_core._draw_codes(p, size, ours)
-        expect = choice(ref, size)
-        assert codes.dtype == expect.dtype == np.int64
-        np.testing.assert_array_equal(codes, expect)
+        rows = dist_core._draw_rows(p, size, ours)
+        expect = choice_rows(ref, size)
+        assert rows.dtype == expect.dtype == np.int64 and rows.shape == (size, 3)
+        np.testing.assert_array_equal(rows, expect)
         assert ours.random() == ref.random()  # the same doubles were used up
-        rows = np.column_stack(np.unravel_index(choice(np.random.default_rng(5), size), p.dims))
-        np.testing.assert_array_equal(sample_fixed(p, size, 5), rows)
+        cdf = flat.cumsum()
+        search = (cdf / cdf[-1]).searchsorted(np.random.default_rng(size).random(size), "right")
+        np.testing.assert_array_equal(np.ravel_multi_index(rows.T, p.dims), search)
+        np.testing.assert_array_equal(
+            sample_fixed(p, size, 5), choice_rows(np.random.default_rng(5), size)
+        )
         ref = np.random.default_rng(9)
         np.testing.assert_array_equal(
-            poissonized_codes(p, size, 9), choice(ref, int(ref.poisson(size)))
+            sample_poissonized(p, size, 9), choice_rows(ref, int(ref.poisson(size)))
         )
-
-    def test_draw_memory(self):
-        # the codes at 8 bytes a sample, the CDF and a few chunk-sized arrays
-        p = gen_random_far(3, 4, 2000, 0.1, 1)[0]
-        tracemalloc.start()
-        try:
-            codes = poissonized_codes(p, 10**6, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * codes.size + 4 * 2**20
 
 
 class TestPoissonizedCountTensor:

@@ -986,6 +986,19 @@ class TestCLI:
             assert run_cli(["test", "--eps", "0.5", "--samples", str(path)]) == (2, "")
         assert err.getvalue() == f"error: {path}: not UTF-8 text: byte 0xff: invalid start byte\n"
 
+    @pytest.mark.parametrize("flag", ["--samples", "--dist"])
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_non_ascii_header_digit_exit_code(self, tmp_path, flag, digit):
+        # str.isdigit takes a superscript two and an Arabic-Indic three
+        path = tmp_path / "header.tsv"
+        row = {"--samples": "1\t1\t1\n", "--dist": "1\t1\t1\t1.0\n"}[flag]
+        path.write_text(f"#dims {digit} 2 2\n{row}", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(["test", "--eps", "0.5", flag, str(path)]) == (2, "")
+        header = f"#dims {digit} 2 2"
+        assert err.getvalue() == f"error: {path}: expected '#dims l1 l2 n' header, got {header!r}\n"
+
     @pytest.mark.parametrize("mode", ["binary", "general"])
     def test_oversized_dims_exit_code(self, tmp_path, mode):
         # indices in range of dims with more cells than an index can hold

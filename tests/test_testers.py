@@ -426,7 +426,8 @@ class TestGeneralTester:
             rows = sample_poissonized(p, 3000, seed)
             given = run_tester(rows, replace(cfg, m_override=None), dims=p.dims)
             assert given.per_bin and given.M_drawn == rows.shape[0]
-            want = testers._phase_split(np.ravel_multi_index(rows.T, p.dims), 3, 4, 30)
+            x, y, z = rows.T
+            want = testers._phase_split(np.ravel_multi_index((z, x, y), (30, 3, 4)), 3, 4, 30)
             for args, expect in zip(calls[-2:], (split, want)):
                 assert args[-2:] == (3, 4)
                 for got, ref in zip(args[:-2], expect, strict=True):
