@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .instances import FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
-from .seeding import child_seed, seed_sequence
+from .seeding import child_seed, trial_generators
 from .testers import (
     _MODES, MAX_TRIALS, TesterConfig, TesterInputError, calibrate_threshold, run_trials,
     sample_budget,
@@ -247,12 +247,13 @@ def _instances(master_seed: int, spec: EnsembleSpec):
     return key, instance
 
 
-def _trial_column(cfg: TesterConfig, trials: int, instance, seed):
+def _trial_column(cfg: TesterConfig, trials: int, instance, seeds):
     """Accept flags and statistics A of `trials` trials through `run_trials`:
-    trial t tests `instance(t)` seeded with `seed(t)`."""
+    trial t tests `instance(t)` seeded with the t-th of `seeds`, an
+    iterable of `trials` seeds (`trial_generators`)."""
     accepts = np.empty(trials, dtype=bool)
     stats = np.empty(trials)
-    verdicts = run_trials(map(instance, range(trials)), cfg, map(seed, range(trials)))
+    verdicts = run_trials(map(instance, range(trials)), cfg, seeds)
     for t, verdict in enumerate(verdicts):
         accepts[t] = verdict.accept
         stats[t] = verdict.statistic_A
@@ -277,7 +278,7 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
         key, instance = _instances(plan.master_seed, spec)
         return _trial_column(
             cfg, plan.trials, partial(instance, "cell", cell_idx, "inst"),
-            lambda t: seed_sequence(plan.master_seed, "cell", cell_idx, "test", t, key),
+            trial_generators(plan.master_seed, ("cell", cell_idx, "test"), plan.trials, (key,)),
         )
 
     null_acc, null_stats = column(null_spec)
@@ -320,9 +321,10 @@ def run_power_experiment(plan: ExperimentPlan, out_path=None, workers: int = 1) 
     cells = plan.grid
     workers = min(workers, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, plan, idx, cell) for idx, cell in enumerate(cells)]
-            rows = [fut.result() for fut in futures]
+        # looked up here, so that only a pooled run loads multiprocessing
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = [pool.submit(_run_cell, plan, idx, cell) for idx, cell in enumerate(cells)]
+            rows = [fut.result() for fut in pending]
     else:
         rows = [_run_cell(plan, idx, cell) for idx, cell in enumerate(cells)]
     for row in rows:
@@ -415,7 +417,7 @@ def find_min_m(
         def accepts(family: str, tag: str) -> np.ndarray:
             return _trial_column(
                 replace(probe_cfg, tau_override=tau), trials, partial(instance, family),
-                lambda t: seed_sequence(seed, tag, m, t),
+                trial_generators(seed, (tag, m), trials),
             )[0]
 
         null_ok = accepts(null_family, "minm-null").sum()

@@ -50,7 +50,7 @@ from .dist_core import (
     poissonized_count_tensor,
 )
 from .poly_estimator import _l2_cell_terms
-from .seeding import seed_sequence
+from .seeding import trial_generators
 
 _MODES = ("binary", "general", "cmi")
 
@@ -87,7 +87,8 @@ class TesterConfig:
     draws no samples (the tester accepts); `sample_budget` refuses one
     above 2^62, since the drawn counts are int64; fixed-sample input needs
     at least one row.
-    `seed` is an int or a `SeedSequence` (see `run_trials`).  `mode`
+    `seed` is a non-negative int or a `SeedSequence` (see `run_trials`);
+    `calibrate_threshold` takes an int only.  `mode`
     selects the tester; cmi mode runs the binary tester at the budget of
     eps' = epsilon / log2(1/epsilon) (see `sample_budget`).
     """
@@ -114,6 +115,11 @@ class TesterConfig:
             raise TesterInputError("tau_override must be finite")
         if self.m_override is not None and self.m_override < 0:
             raise TesterInputError("m_override must be >= 0")
+        int_seed = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not (int_seed and self.seed >= 0 or isinstance(self.seed, np.random.SeedSequence)):
+            raise TesterInputError(
+                f"seed must be a non-negative int or a SeedSequence, got {self.seed!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,10 +569,12 @@ def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
     A source is a JointDistribution or an (N, 3) sample array on the
     domain `dims`.  `sources` and `seeds` may be lazy iterables of the same
     length; they are consumed at most one block ahead of the verdicts.  A
-    seed is an int or a `SeedSequence`.  In binary and cmi mode each trial
-    draws its counts from `default_rng(seed)`, and blocks of consecutive
-    trials with the same (l1, l2, n), at most 2^12 cells each, share one
-    kernel call and one row-wise sum of their statistics.  A bin's Phi
+    seed is an int, a `SeedSequence` or a Generator (a column's come from
+    `trial_generators`), which `default_rng(seed)` returns as it is.  In
+    binary and cmi mode each trial draws its counts from
+    `default_rng(seed)`, and blocks of consecutive trials with the same
+    (l1, l2, n), at most 2^12 cells each, share one kernel call and one
+    row-wise sum of their statistics.  A bin's Phi
     depends on its counts alone and each row is summed as a one-trial call
     sums it, so the verdicts are the same at every block size.  General
     mode evaluates one trial at a time, and draws its split from
@@ -658,8 +666,10 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     statistic that is identically zero yields the smallest positive float.
 
     `null_generator` maps a trial index to a JointDistribution; trial t
-    runs the configured tester with the seed
-    `seed_sequence(cfg.seed, "calibrate", t)`.  The trials go through
+    runs the configured tester with the stream
+    `generator(cfg.seed, "calibrate", t)`, which `trial_generators` derives
+    for the whole column in one pass, so `cfg.seed` must be an int, not a
+    `SeedSequence`.  The trials go through
     `run_trials`, so in binary and cmi mode blocks of consecutive trials
     with the same (l1, l2, n) (at most 2^12 cells each) share one kernel
     call, and instances are asked for one block ahead of their statistics.
@@ -670,6 +680,8 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
         raise TesterInputError("calibration needs at least 100 trials")
     if trials > MAX_TRIALS:
         raise TesterInputError(f"calibration trials must be <= {MAX_TRIALS}, got {trials}")
+    if not isinstance(cfg.seed, (int, np.integer)):
+        raise TesterInputError("calibration needs an int seed, not a SeedSequence")
 
     def instances():
         for t in range(trials):
@@ -678,7 +690,7 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
                 raise TesterInputError("null_generator must produce JointDistributions")
             yield inst
 
-    seeds = (seed_sequence(cfg.seed, "calibrate", t) for t in range(trials))
+    seeds = trial_generators(cfg.seed, ("calibrate",), trials)
     verdicts = run_trials(instances(), replace(cfg, tau_override=None), seeds)
     stats = np.fromiter((v.statistic_A for v in verdicts), dtype=float, count=trials)
     if not np.all(np.isfinite(stats)):

@@ -574,7 +574,7 @@ class TestCLI:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.futures, "ProcessPoolExecutor", InlinePool)
         plan_path = tmp_path / "plan.kv"
         plan_path.write_text(PLAN_TEXT.replace("eps=0.5", "eps=0.5,0.3"))
         csv = {}

@@ -1,10 +1,15 @@
-"""Source hygiene: every import in `src/cit` is used, and every private
-module-level name is used in `src/cit` besides its definition."""
+"""Source hygiene: every import in `src/cit` is used, every private
+module-level name is used in `src/cit` besides its definition, and
+starting the CLI loads neither `numpy.random` nor the process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cit").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "cit").glob("*.py"))
 
 
 def _defined(node) -> list:
@@ -39,3 +44,14 @@ def test_no_unused_import_or_private_name():
         unused += [f"{module}: {n}" for n in private if not n.endswith("__") and n not in anywhere]
     assert SOURCES
     assert unused == []
+
+
+def test_cli_start_loads_no_rng_or_process_pool():
+    # `numpy.random` (~17 ms) is imported on first draw, and the process
+    # pool (multiprocessing, socket, subprocess) only by `--workers > 1`
+    code = ("import sys, cit.cli; cit.cli._build_parser(); "
+            "print(*sorted({'numpy.random', 'concurrent.futures.process'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "\n"

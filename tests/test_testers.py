@@ -17,7 +17,7 @@ from cit.dist_core import (
     sample_poissonized,
 )
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
-from cit.seeding import child_seed, seed_sequence
+from cit.seeding import child_seed, seed_sequence, trial_generators
 from cit.testers import (
     TesterConfig,
     TesterInputError,
@@ -218,6 +218,20 @@ def test_fixed_sample_input_checks(mode):
         tester(good, replace(cfg, m_override=0), dims=(2, 2, 3))
 
 
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1), 2**70,
+                                  np.random.SeedSequence(3)])
+def test_config_seeds_accepted(seed):
+    assert TesterConfig(epsilon=0.5, seed=seed).seed is seed
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, np.int64(-1), True, "3", None])
+def test_config_seed_refused(seed):
+    # refused in the config, so no tester or calibration truncates a float
+    # or hands numpy a negative seed
+    with pytest.raises(TesterInputError, match="seed must be"):
+        TesterConfig(epsilon=0.5, seed=seed)
+
+
 class TestRunTrials:
     """`run_trials` yields the verdicts of per-trial `run_tester` calls,
     byte for byte, whatever the block size."""
@@ -238,6 +252,21 @@ class TestRunTrials:
         expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
         got = [v.to_json() for v in run_trials(iter(instances), cfg, iter(seeds))]
         assert got == expected
+
+    @pytest.mark.parametrize("block_cells", [1, None])
+    @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
+    def test_generator_seeds_match_seed_sequences(self, monkeypatch, mode, block_cells):
+        # `default_rng` takes a Generator as it is, so a column seeded by
+        # `trial_generators` gives the verdicts of its SeedSequences
+        if block_cells is not None:
+            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+        ell = 3 if mode == "general" else 2
+        instances = [gen_random_ci(ell, ell, 30, child_seed(25, t))[0] for t in range(23)]
+        cfg = TesterConfig(epsilon=0.3 if mode == "cmi" else 0.5, mode=mode, m_override=900)
+        sequences = [seed_sequence(26, "col", t, "key") for t in range(23)]
+        expected = [v.to_json() for v in run_trials(instances, cfg, sequences)]
+        generators = trial_generators(26, ("col",), 23, ("key",))
+        assert [v.to_json() for v in run_trials(instances, cfg, generators)] == expected
 
     @pytest.mark.parametrize("block_cells", [None, 1 << 30])
     def test_one_bin_trials_and_mixed_n(self, monkeypatch, block_cells):
@@ -622,6 +651,12 @@ class TestCalibration:
         cfg = TesterConfig(epsilon=0.5, m_override=40)
         with pytest.raises(TesterInputError):
             calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 99)
+
+    def test_seed_sequence_seed_refused(self):
+        # the calibration column derives its streams from an int master seed
+        cfg = TesterConfig(epsilon=0.5, m_override=40, seed=np.random.SeedSequence(3))
+        with pytest.raises(TesterInputError, match="int seed"):
+            calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 120)
 
     def test_one_trial_blocks_give_the_same_tau(self, monkeypatch):
         def null_gen(t):
