@@ -34,7 +34,7 @@ from .harness import (
 )
 from .instances import EnsembleSpec, make_instance
 from .poly_estimator import Fingerprint, parse_polynomial, unbiased_estimate
-from .seeding import child_seed
+from .seeding import seed_sequence
 from .testers import _MODES, TesterConfig, calibrate_threshold, run_tester, sample_budget
 
 
@@ -171,7 +171,7 @@ def _cmd_calibrate(args) -> int:
     spec = EnsembleSpec(args.family, args.n, args.eps, gen_m, ell1=args.ell1, ell2=args.ell2)
     sample_budget(cfg, spec.dims)  # refuses what the tester would, before any instance
     tau = calibrate_threshold(
-        lambda t: make_instance(replace(spec, seed=child_seed(args.seed, "cli-cal", t)))[0],
+        lambda t: make_instance(replace(spec, seed=seed_sequence(args.seed, "cli-cal", t)))[0],
         cfg, args.trials,
     )
     print(f"tau={tau!r}")

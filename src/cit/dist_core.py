@@ -54,11 +54,12 @@ class JointDistribution:
     its total.  The bin marginal cache is always derived from the tensor,
     never set independently.
 
-    `mass` keeps the memory order its producer built.  `from_slices`, and
-    the binary and random generators, transpose an (n, l1, l2) stack, so
-    the binary, `paninski_no` and random instances are bin-major: a
-    `no_binary_r1` instance at n = 100 has strides (16, 8, 32), a
-    `random_far` one at 10 x 10 x 50 has (80, 8, 800).
+    `mass` keeps the memory order its producer built.  `from_slices` and
+    the random generators transpose an (n, l1, l2) stack, so the
+    `paninski_no` and random instances are bin-major: a `random_far`
+    instance at 10 x 10 x 50 has strides (80, 8, 800).  The binary
+    generator gathers its mass in C order: a `no_binary_r1` instance at
+    n = 100 has strides (1600, 800, 8).
     `from_mass` and `z_marginal` sum in that order, so their sums can differ
     in their last bits from the same sums over a C-ordered copy.
     """
@@ -232,18 +233,27 @@ def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
 
 
 def poissonized_count_tensor(
-    p: JointDistribution, m: float, rng: np.random.Generator
+    dists, budgets, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
-    """Independent per-cell counts N(x, y, z) ~ Poisson(m * p(x, y, z)) and
-    their total M, as (M, count tensor).
+    """Independent per-cell counts N_i(x, y, z) ~ Poisson(m_i * p_i(x, y, z))
+    for each distribution p_i in `dists`, all of one shape (l1, l2, n), and
+    its budget m_i in `budgets`, as (total M over all of them, counts).
 
-    Equal in law to binning `sample_poissonized` output (M ~ Poisson(m),
-    then a multinomial split), and used where a statistic depends on
-    samples only through per-bin fingerprints.  The tensor is the draw
-    itself: (l1, l2, n) like `p.mass`, in C order.  The counts and M are
-    int64: callers keep m small enough for M to fit.
+    For one distribution this is equal in law to binning
+    `sample_poissonized` output (M ~ Poisson(m), then a multinomial split),
+    and is used where a statistic depends on samples only through per-bin
+    fingerprints.  The counts are the draw itself, a C-order
+    (k, l1, l2, n) array: one `rng.poisson` call over the stacked rates,
+    which takes the same variates from `rng` as k calls in a row, one per
+    distribution, so a trial's counts do not depend on how many others
+    share its call.  The counts and M are int64: callers keep the budgets
+    small enough for M to fit.
     """
-    counts = rng.poisson(m * p.mass)
+    dists = list(dists)
+    rates = np.empty((len(dists), *dists[0].dims))
+    for row, p, m in zip(rates, dists, budgets, strict=True):
+        np.multiply(m, p.mass, out=row)
+    counts = rng.poisson(rates)
     return int(counts.sum()), counts
 
 

@@ -1,9 +1,10 @@
 """Experiment orchestration: power grids, threshold calibration, CSV output,
 and empirical minimum-sample-size probes.
 
-All per-trial randomness derives from the master seed through counter
-paths keyed by (cell index, trial index, family spec), so results do not
-depend on scheduling and identical null/alternative specs reproduce
+All randomness derives from the master seed through counter paths: an
+instance's from (cell index, trial index, family spec), a trial column's
+draws from one stream keyed by (cell index, family spec), so results do
+not depend on scheduling and identical null/alternative specs reproduce
 identical trials.  CSV output is byte-stable for a fixed plan and seed;
 wall-clock times live on the `PowerRow` objects (and stderr) but are kept
 out of the CSV for that reason.
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .instances import FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
-from .seeding import child_seed, trial_generators
+from .seeding import child_seed, generator, seed_sequence
 from .testers import (
     _MODES, MAX_TRIALS, TesterConfig, TesterInputError, calibrate_threshold, run_trials,
     sample_budget,
@@ -236,24 +237,24 @@ def _cell(plan: ExperimentPlan, n: int, eps: float, m_spec):
 
 def _instances(master_seed: int, spec: EnsembleSpec):
     """`(key, instance)` for the instances of `spec`: `key` names the spec
-    but for its seed, and `instance(*path)` builds the instance seeded with
-    `child_seed(master_seed, *path, key)`, so identical specs get identical
-    instances."""
+    but for its seed, and `instance(*path)` builds the instance from the one
+    `SeedSequence` `seed_sequence(master_seed, *path, key)`, so identical
+    specs get identical instances."""
     key = f"{spec.family}|{spec.n}|{spec.eps!r}|{spec.m}|{spec.ell1}x{spec.ell2}"
 
     def instance(*path):
-        return make_instance(replace(spec, seed=child_seed(master_seed, *path, key)))[0]
+        return make_instance(replace(spec, seed=seed_sequence(master_seed, *path, key)))[0]
 
     return key, instance
 
 
-def _trial_column(cfg: TesterConfig, trials: int, instance, seeds):
+def _trial_column(cfg: TesterConfig, trials: int, instance, rng):
     """Accept flags and statistics A of `trials` trials through `run_trials`:
-    trial t tests `instance(t)` seeded with the t-th of `seeds`, an
-    iterable of `trials` seeds (`trial_generators`)."""
+    trial t tests `instance(t)`, and the trials draw from the column
+    stream `rng` in order."""
     accepts = np.empty(trials, dtype=bool)
     stats = np.empty(trials)
-    verdicts = run_trials(map(instance, range(trials)), cfg, seeds)
+    verdicts = run_trials(map(instance, range(trials)), cfg, rng)
     for t, verdict in enumerate(verdicts):
         accepts[t] = verdict.accept
         stats[t] = verdict.statistic_A
@@ -278,7 +279,7 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
         key, instance = _instances(plan.master_seed, spec)
         return _trial_column(
             cfg, plan.trials, partial(instance, "cell", cell_idx, "inst"),
-            trial_generators(plan.master_seed, ("cell", cell_idx, "test"), plan.trials, (key,)),
+            generator(plan.master_seed, "cell", cell_idx, "test", key),
         )
 
     null_acc, null_stats = column(null_spec)
@@ -377,7 +378,11 @@ def find_min_m(
     probe pins m and calibrates tau on the first `calibration_trials` null
     instances, so neither beta nor zeta enters it; it then runs `trials`
     null and `trials` alternative trials on the same instances, all
-    through `run_trials` (blocks of trials share one kernel call).  The
+    through `run_trials` (blocks of trials share one count draw and one
+    kernel call).  The probe at m draws its calibration from the master
+    `child_seed(seed, "minm-cal", m)` and its null and alternative columns
+    from the streams `generator(seed, tag, m)`, tag "minm-null" or
+    "minm-alt"; m enters at full width, so no two probes share a stream.  The
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
@@ -417,7 +422,7 @@ def find_min_m(
         def accepts(family: str, tag: str) -> np.ndarray:
             return _trial_column(
                 replace(probe_cfg, tau_override=tau), trials, partial(instance, family),
-                trial_generators(seed, (tag, m), trials),
+                generator(seed, tag, m),
             )[0]
 
         null_ok = accepts(null_family, "minm-null").sum()

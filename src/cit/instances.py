@@ -1,12 +1,15 @@
 """Instance generators: random CI/far families and adversarial ensembles.
 
 Every generator is a pure function of its spec and seed and returns a
-`JointDistribution` plus a metadata dict.  Ensembles that are naturally
-pseudo-distributions (total mass in [1, 1+eps]) are built as raw tensors
-and divided by their realized total mass in `JointDistribution.from_mass`;
-the factor is recorded under ``raw_total_mass`` so experiments can report
-both raw and normalized distance scales (normalization changes distances
-by at most that factor).
+`JointDistribution` plus a metadata dict.  A seed is an int, from which a
+generator derives its stream under its own tag (`seeding.generator`), or
+a `SeedSequence`, which seeds the stream as it is (`_stream`): the
+harness hands each instance one sequence, and nothing derives a second.
+Ensembles that are naturally pseudo-distributions (total mass in
+[1, 1+eps]) are built as raw tensors and divided by their realized total
+mass in `JointDistribution.from_mass`; the factor is recorded under
+``raw_total_mass`` so experiments can report both raw and normalized
+distance scales (normalization changes distances by at most that factor).
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ class EnsembleSpec:
     n: int
     eps: float = 0.5
     m: int | None = None
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     ell1: int = 2
     ell2: int = 2
 
@@ -151,6 +154,14 @@ class EnsembleSpec:
         if self.family in NNN_FAMILIES:
             return 2 * self.n, self.n, self.n
         return self.ell1, self.ell2, self.n
+
+
+def _stream(seed, *tag) -> np.random.Generator:
+    """An instance's stream: `default_rng(seed)` for a `SeedSequence`,
+    `generator(seed, *tag)` for an int seed."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.default_rng(seed)
+    return generator(seed, *tag)
 
 
 def make_instance(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
@@ -205,7 +216,7 @@ def gen_binary_ensemble(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
     if not yes:
         assert_moment_matched()
 
-    rng = generator(spec.seed, "binary_ensemble", fam, n, m)
+    rng = _stream(spec.seed, "binary_ensemble", fam, n, m)
     num_random = n - 1 if regime2 else n
     heavy_prob = 0.5 if regime2 else m / n
     heavy = rng.random(num_random) < heavy_prob
@@ -213,18 +224,19 @@ def gen_binary_ensemble(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
     light_probs = (0.5, 0.5) if yes else _DEP_WEIGHTS
     kind = rng.choice(len(light_slices), size=num_random, p=light_probs)
     kind = np.where(heavy, -1, kind).astype(np.int8)
-
-    weights = np.where(heavy, 1.0 / m, eps / n)
-    tables = np.where(
-        heavy[:, None, None], _UNIFORM_2X2, light_slices[np.clip(kind, 0, None)]
-    )
     if regime2:
-        weights = np.concatenate([weights, [1.0]])
-        tables = np.concatenate([tables, _UNIFORM_2X2[None]], axis=0)
-        heavy = np.concatenate([heavy, [True]])
-        kind = np.concatenate([kind, [-1]]).astype(np.int8)
+        heavy = np.append(heavy, True)
+        kind = np.append(kind, np.int8(-1))
 
-    dist, total = JointDistribution.from_mass(tables.transpose(1, 2, 0) * weights)
+    # one (weight x table) column per class, heavy first, then each light
+    # kind; each bin gathers its class's column, in (l1, l2, n) C order
+    columns = np.column_stack(
+        [_UNIFORM_2X2.ravel() * (1.0 / m), *(t.ravel() * (eps / n) for t in light_slices)]
+    )
+    mass = columns.take(kind + 1, axis=1).reshape(2, 2, n)
+    if regime2:
+        mass[:, :, -1] = _UNIFORM_2X2  # the anchor's raw mass is 1
+    dist, total = JointDistribution.from_mass(mass)
     meta = {
         "family": fam,
         "n": n,
@@ -320,7 +332,7 @@ def assert_moment_matched() -> None:
 # ---------------------------------------------------------------------------
 
 
-def paninski_reduction(N: int, eps: float, which: str, seed: int) -> tuple[JointDistribution, dict]:
+def paninski_reduction(N: int, eps: float, which: str, seed) -> tuple[JointDistribution, dict]:
     """Hard uniformity instances on [N] mapped onto {0,1}^2 x [n], n = N/4.
 
     Block k of four consecutive domain elements maps to the cells
@@ -340,7 +352,7 @@ def paninski_reduction(N: int, eps: float, which: str, seed: int) -> tuple[Joint
         meta = {"family": "paninski_yes", "n": n, "eps": eps, "seed": seed}
         return dist, meta
     _check_paninski_eps(eps)
-    rng = generator(seed, "paninski", n)
+    rng = _stream(seed, "paninski", n)
     signs = rng.choice((-1.0, 1.0), size=(n, 2))  # one sign per consecutive pair
     tables = np.empty((n, 2, 2))
     tables[:, 0, 0] = (1 + 2 * eps * signs[:, 0]) / 4
@@ -385,7 +397,7 @@ def _hash_bit_table(fseed: int, n: int) -> np.ndarray:
     return (mixed & np.uint64(1)).astype(np.uint8)  # (x, y, z)
 
 
-def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
+def gen_nnn(n: int, far: bool, seed) -> tuple[JointDistribution, dict]:
     """Instances over ({0,1} x [n]) x [n] x [n] with heavy/light marginals.
 
     Z is uniform.  Per bin z, random subsets A_z, B_z of size floor(n^{3/4})
@@ -400,7 +412,7 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
     """
     _check_nnn_size(n)
     k = int(np.floor(n**0.75 + 1e-9))
-    rng = generator(seed, "nnn", n, int(far))
+    rng = _stream(seed, "nnn", n, int(far))
     order = np.argsort(rng.random((n, n)), axis=1)
     sets_a = np.sort(order[:, :k], axis=1)
     order_b = np.argsort(rng.random((n, n)), axis=1)
@@ -421,7 +433,9 @@ def gen_nnn(n: int, far: bool, seed: int) -> tuple[JointDistribution, dict]:
         w0 = w1 = 0.5 * base
     else:
         coin = heavy_x[:, None, :] | heavy_y[None, :, :]
-        w1 = base * np.where(coin, 0.5, _hash_bit_table(seed, n))
+        # an int seed keys the hash bits; a SeedSequence's stream draws the key
+        key = int(rng.integers(2**63)) if isinstance(seed, np.random.SeedSequence) else seed
+        w1 = base * np.where(coin, 0.5, _hash_bit_table(key, n))
         w0 = base - w1
     # first coordinate is the pair (x, w) with index x*2 + w
     mass = np.empty((2 * n, n, n))
@@ -453,9 +467,9 @@ def _product_slices(l1: int, l2: int, n: int, rng: np.random.Generator):
     return pz, px[:, :, None] * py[:, None, :]
 
 
-def gen_random_ci(l1: int, l2: int, n: int, seed: int) -> tuple[JointDistribution, dict]:
+def gen_random_ci(l1: int, l2: int, n: int, seed) -> tuple[JointDistribution, dict]:
     """Random bin weights with independent random product slices: exactly CI."""
-    pz, tables = _product_slices(l1, l2, n, generator(seed, "random_ci", l1, l2, n))
+    pz, tables = _product_slices(l1, l2, n, _stream(seed, "random_ci", l1, l2, n))
     dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0) * pz)
     return dist, {"family": "random_ci", "n": n, "seed": seed}
 
@@ -486,7 +500,7 @@ _FAR_ATTEMPTS = 100
 
 
 def gen_random_far(
-    l1: int, l2: int, n: int, eps: float, seed: int
+    l1: int, l2: int, n: int, eps: float, seed
 ) -> tuple[JointDistribution, dict]:
     """Random instance with ci_distance_proxy >= eps, by mixing each random
     product slice with a random matching table and escalating the mixing
@@ -500,7 +514,7 @@ def gen_random_far(
     RegimeError before anything is drawn.
     """
     _check_far_eps(l1, l2, eps)
-    rng = generator(seed, "random_far", l1, l2, n)
+    rng = _stream(seed, "random_far", l1, l2, n)
     for attempt in range(_FAR_ATTEMPTS):
         pz, product = _product_slices(l1, l2, n, rng)
         matchings = _matching_tables(l1, l2, n, rng)

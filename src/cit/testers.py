@@ -50,7 +50,7 @@ from .dist_core import (
     poissonized_count_tensor,
 )
 from .poly_estimator import _l2_cell_terms
-from .seeding import trial_generators
+from .seeding import generator
 
 _MODES = ("binary", "general", "cmi")
 
@@ -517,7 +517,7 @@ def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
 def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
     """The verdict of the tester `cfg.mode` on `source`, seeded with
     `cfg.seed`: the one-trial case of `run_trials`."""
-    [verdict] = run_trials([source], cfg, [cfg.seed], dims)
+    [verdict] = run_trials([source], cfg, cfg.seed, dims)
     return verdict
 
 
@@ -562,65 +562,69 @@ def test_cmi(source, cfg: TesterConfig, dims=None) -> Verdict:
     return run_tester(source, replace(cfg, mode="cmi"), dims)
 
 
-def run_trials(sources, cfg: TesterConfig, seeds, dims=None):
-    """Yield one Verdict per (source, seed) pair, in order: the verdict of
-    the tester `cfg.mode` on the source, seeded with the seed.
+def run_trials(sources, cfg: TesterConfig, rng, dims=None):
+    """Yield one Verdict per source, in order: the verdict of the tester
+    `cfg.mode` on the source.
 
     A source is a JointDistribution or an (N, 3) sample array on the
-    domain `dims`.  `sources` and `seeds` may be lazy iterables of the same
-    length; they are consumed at most one block ahead of the verdicts.  A
-    seed is an int, a `SeedSequence` or a Generator (a column's come from
-    `trial_generators`), which `default_rng(seed)` returns as it is.  In
-    binary and cmi mode each trial draws its counts from
-    `default_rng(seed)`, and blocks of consecutive trials with the same
-    (l1, l2, n), at most 2^12 cells each, share one kernel call and one
-    row-wise sum of their statistics.  A bin's Phi
-    depends on its counts alone and each row is summed as a one-trial call
-    sums it, so the verdicts are the same at every block size.  General
-    mode evaluates one trial at a time, and draws its split from
-    `default_rng(seed)` as well.
+    domain `dims`; `sources` may be a lazy iterable, consumed at most one
+    block ahead of the verdicts.  `rng` is anything `default_rng` takes (an
+    int, a `SeedSequence` or a Generator), and the trials draw from that
+    one stream in order, so a trial's draws depend on the trials before it
+    in its column, and the whole column is reproducible from `rng`.  A
+    trial on a sample array draws nothing.  In binary and cmi mode blocks
+    of consecutive trials with the same (l1, l2, n), at most 2^12 cells
+    each (a larger trial is a block of its own), share one count draw
+    (`poissonized_count_tensor`), one kernel call and one row-wise sum of
+    their statistics.  One draw over a block takes the variates that its
+    trials would take one after another, a bin's Phi depends on its counts
+    alone and each row is summed as a one-trial call sums it, so the
+    verdicts are the same at every block size, and the first trial's is
+    `run_tester`'s at the same seed.  General mode evaluates one trial at
+    a time, drawing its split from the same stream.
     """
+    rng = np.random.default_rng(rng)
     if cfg.mode == "general":
-        for source, seed in zip(sources, seeds, strict=True):
-            yield _general_verdict(source, cfg, seed, dims)
+        for source in sources:
+            yield _general_verdict(source, cfg, rng, dims)
         return
-    yield from _binary_trials(sources, cfg, seeds, dims)
+    yield from _binary_trials(sources, cfg, rng, dims)
 
 
-def _binary_trials(sources, cfg: TesterConfig, seeds, dims):
-    """Binary-tester verdicts for the (source, seed) pairs, in order.
+def _binary_trials(sources, cfg: TesterConfig, rng, dims):
+    """Binary-tester verdicts for the sources, in order.
 
-    A trial's count tensor has the (l1, l2, n) layout of the mass: drawn
-    per cell from its own `default_rng(seed)` (`poissonized_count_tensor`)
-    for a distribution; for samples, the bincount of their bin-major codes,
-    an (n, l1, l2) array passed as its (l1, l2, n) transpose.
-    Consecutive trials with the same shape are stacked into blocks of at
-    most `_TRIAL_BLOCK_CELLS` cells (a larger trial is a block of its own);
-    a change of shape starts a new block, and each block is one kernel call.
+    A trial's count tensor has the (l1, l2, n) layout of the mass: for a
+    distribution, drawn per cell from `rng` with the rest of its block;
+    for samples, the bincount of their bin-major codes, an (n, l1, l2)
+    array passed as its (l1, l2, n) transpose.  Consecutive trials with
+    the same shape are stacked into blocks of at most `_TRIAL_BLOCK_CELLS`
+    cells (a larger trial is a block of its own); a change of shape starts
+    a new block.
     """
-    block = []
-    for source, seed in zip(sources, seeds, strict=True):
+    block, shape = [], None
+    for source in sources:
         (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
-        if codes is None:
-            big_m, counts = poissonized_count_tensor(source, m, np.random.default_rng(seed))
-        else:
-            counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(n, l1, l2)
-            big_m, counts = m, counts.transpose(1, 2, 0)
         if block and not (
-            (len(block) + 1) * counts.size <= _TRIAL_BLOCK_CELLS
-            and counts.shape == block[-1][2].shape
+            (len(block) + 1) * l1 * l2 * n <= _TRIAL_BLOCK_CELLS and (l1, l2, n) == shape
         ):
-            yield from _binary_verdicts(block, cfg)
+            yield from _binary_verdicts(block, cfg, rng)
             block = []
-        block.append((int(m), big_m, counts))
+        shape = (l1, l2, n)
+        if codes is not None:
+            # a sample file enters its block as its count tensor
+            counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(n, l1, l2)
+            source = counts.transpose(1, 2, 0)
+        block.append((int(m), source))
     if block:
-        yield from _binary_verdicts(block, cfg)
+        yield from _binary_verdicts(block, cfg, rng)
 
 
-def _binary_verdicts(block, cfg: TesterConfig):
-    """Verdicts of a block of k binary trials (m, M, counts) on one
-    count-tensor shape (l1, l2, n), from one kernel call over their count
-    tensors concatenated along the bin axis.
+def _binary_verdicts(block, cfg: TesterConfig, rng):
+    """Verdicts of a block of k binary trials (m, distribution or count
+    tensor) on one shape (l1, l2, n): one count draw for the block's
+    distributions, then one kernel call over the k count tensors
+    concatenated along the bin axis.
 
     Each bin's Phi is the same as in a one-trial call.  The statistics are
     the rows of sigma Phi as a (k, n) array, each summed in ascending z by
@@ -628,21 +632,29 @@ def _binary_verdicts(block, cfg: TesterConfig):
     one-trial call's 1-D array: the same bytes.  Each verdict's columns are
     views of its rows of sigma and sigma Phi, and one shared omega = 1 row.
     """
-    n = block[0][2].shape[2]
-    stacked = np.concatenate([c for *_, c in block], axis=2, dtype=float)
+    dists = [(src, m) for m, src in block if isinstance(src, JointDistribution)]
+    if dists:
+        _, drawn = poissonized_count_tensor(*zip(*dists), rng)
+        drawn = zip(drawn, drawn.sum(axis=(1, 2, 3)).tolist())
+    # each trial's count tensor and total M, in order; a sample file's M is its row count
+    counts, big_ms = zip(*(
+        next(drawn) if isinstance(src, JointDistribution) else (src, m) for m, src in block
+    ))
+    n = counts[0].shape[2]
+    stacked = np.concatenate(counts, axis=2, dtype=float)
     sigma_all, phi = (a.reshape(-1, n) for a in binary_bin_statistics(stacked))
     a_all = sigma_all * phi
     stats = a_all.sum(axis=1).tolist()
     omega = np.ones(n)
-    for (m, big_m, _), sigma, a_z, stat in zip(block, sigma_all, a_all, stats):
+    for (m, _), big_m, sigma, a_z, stat in zip(block, big_ms, sigma_all, a_all, stats):
         yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, (sigma, omega, a_z))
 
 
-def _general_verdict(source, cfg: TesterConfig, seed, dims) -> Verdict:
+def _general_verdict(source, cfg: TesterConfig, rng, dims) -> Verdict:
     """The general tester's verdict on one source (see `test_general`)."""
     (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
     if codes is None:
-        big_m, split = _drawn_split(source, m, np.random.default_rng(seed))
+        big_m, split = _drawn_split(source, m, rng)
     else:
         big_m, split = codes.size, _phase_split(codes, l1, l2, n)
     sigma = split[0]
@@ -665,16 +677,16 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     the 1/3 error budget).  Returns a strictly positive tau; a null
     statistic that is identically zero yields the smallest positive float.
 
-    `null_generator` maps a trial index to a JointDistribution; trial t
-    runs the configured tester with the stream
-    `generator(cfg.seed, "calibrate", t)`, which `trial_generators` derives
-    for the whole column in one pass, so `cfg.seed` must be an int, not a
-    `SeedSequence`.  The trials go through
-    `run_trials`, so in binary and cmi mode blocks of consecutive trials
-    with the same (l1, l2, n) (at most 2^12 cells each) share one kernel
-    call, and instances are asked for one block ahead of their statistics.
-    The generator is called once per trial index; a caller that needs the same
-    instances again (as `find_min_m` does) keeps them itself.
+    `null_generator` maps a trial index to a JointDistribution.  The
+    trials run the configured tester in order on one column stream,
+    `generator(cfg.seed, "calibrate")`, so `cfg.seed` must be an int, not a
+    `SeedSequence`.  They go through `run_trials`, so in binary and cmi
+    mode blocks of consecutive trials with the same (l1, l2, n) (at most
+    2^12 cells each) share one count draw and one kernel call, and
+    instances are asked for one block ahead of their statistics; tau is
+    the same at every block size.  The generator is called once per trial
+    index; a caller that needs the same instances again (as `find_min_m`
+    does) keeps them itself.
     """
     if trials < 100:
         raise TesterInputError("calibration needs at least 100 trials")
@@ -690,8 +702,8 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
                 raise TesterInputError("null_generator must produce JointDistributions")
             yield inst
 
-    seeds = trial_generators(cfg.seed, ("calibrate",), trials)
-    verdicts = run_trials(instances(), replace(cfg, tau_override=None), seeds)
+    rng = generator(cfg.seed, "calibrate")
+    verdicts = run_trials(instances(), replace(cfg, tau_override=None), rng)
     stats = np.fromiter((v.statistic_A for v in verdicts), dtype=float, count=trials)
     if not np.all(np.isfinite(stats)):
         raise TesterInputError("degenerate null generator: non-finite statistics")

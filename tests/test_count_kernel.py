@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cit.flattening import implicit_flattening
 from cit.instances import gen_random_far
 from cit.poly_estimator import _l2_cell_terms, l2_estimator
-from cit.testers import TesterConfig, binary_bin_statistics
+from cit.testers import TesterConfig, _general_kernel, binary_bin_statistics
 from cit.testers import test_binary as binary_test
 from cit.testers import test_general as general_test
 
@@ -21,6 +21,11 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 #: the absolute error `binary_bin_statistics` states for 2x2 bins of 2^15 to
 #: 2^22 samples
 CLOSED_FORM_ERROR = 6e-17
+
+#: the absolute errors the two kernels state for bins of 2^15 to 2^22
+#: samples: `binary_bin_statistics` by alphabet size, `_general_kernel` for all
+BINARY_KERNEL_ERROR = {2: CLOSED_FORM_ERROR, 3: 4e-17, 8: 2e-17}
+GENERAL_KERNEL_ERROR = 1e-16
 
 
 def four_term_phi(counts):
@@ -206,6 +211,58 @@ class TestBinaryClosedForm:
         assert max(errors) <= CLOSED_FORM_ERROR
         # the cell sums round here, so the closed form is a different float path
         assert phi.tobytes() != four_term_phi(counts).tobytes()
+
+
+def random_square_bins(rng, ell, sizes):
+    """An (ell, ell, len(sizes)) tensor of bins of sizes[z] samples each,
+    from random tables."""
+    tables = rng.dirichlet(np.ones(ell * ell), size=len(sizes))
+    bins = [rng.multinomial(size, table) for size, table in zip(sizes, tables)]
+    return np.stack(bins, axis=1).reshape(ell, ell, len(sizes))
+
+
+def unit_weight_general_phi(counts):
+    """`_general_kernel`'s Phi of the bins of an (l1, l2, n) count tensor at
+    unit weights (1 + b = 1 + c = 1), with sigma the bin totals and the
+    occupied cells as ascending bin-major codes."""
+    l1, l2, n = counts.shape
+    bin_major = counts.transpose(2, 0, 1).ravel()
+    cells = np.flatnonzero(bin_major)
+    sigma = counts.sum(axis=(0, 1))
+    return _general_kernel(sigma, np.ones(n * l1), np.ones(n * l2), cells, bin_major[cells],
+                           l1, l2)
+
+
+class TestKernelsAgree:
+    """The general kernel at unit weights against the binary kernel, each
+    an oracle for the other: the same Phi bytes on bins of up to 2^14
+    samples, and within the two kernels' stated errors beyond."""
+
+    @pytest.mark.parametrize("ell", [2, 3, 8])
+    def test_same_phi_bytes_up_to_2_14_samples(self, ell):
+        rng = np.random.default_rng(40 + ell)
+        # every size from 4 to 64, random sizes up to 2^14 on a log scale,
+        # 2^14 itself and empty bins (the general tester's sigma is 0 or >= 4)
+        sizes = np.concatenate([
+            np.arange(4, 65), np.unique(np.round(2 ** rng.uniform(6, 14, 600))), [2**14, 0, 0],
+        ]).astype(np.int64)
+        counts = random_square_bins(rng, ell, rng.permutation(sizes))
+        phi = binary_bin_statistics(counts)[1]
+        assert unit_weight_general_phi(counts).tobytes() == phi.tobytes()
+        # bins in one cell, on one diagonal and in one row: the largest products
+        edge = np.zeros((ell, ell, 3), dtype=np.int64)
+        edge[0, 0, 0] = 2**14
+        edge[np.arange(ell), np.arange(ell), 1] = 2**14 // ell
+        edge[0, :, 2] = 2**14 // ell
+        assert unit_weight_general_phi(edge).tobytes() == binary_bin_statistics(edge)[1].tobytes()
+
+    @pytest.mark.parametrize("ell", [2, 3, 8])
+    def test_larger_bins_within_stated_errors(self, ell):
+        rng = np.random.default_rng(50 + ell)
+        sizes = np.repeat(2 ** np.arange(15, 23), 40)
+        counts = random_square_bins(rng, ell, sizes)
+        diff = unit_weight_general_phi(counts) - binary_bin_statistics(counts)[1]
+        assert np.abs(diff).max() <= BINARY_KERNEL_ERROR[ell] + GENERAL_KERNEL_ERROR
 
 
 class TestGeneralSplitAgainstReference:

@@ -33,7 +33,7 @@ from cit.dist_core import (
     write_distribution_file,
     write_sample_file,
 )
-from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_far
+from cit.instances import gen_random_ci, gen_random_far
 from cit.seeding import child_seed, generator
 
 N1 = np.array([[6, 24], [24, 46]]) / 100
@@ -355,8 +355,8 @@ class TestPoissonizedCountTensor:
     @staticmethod
     def draws(p, m, reps, seed):
         rng = generator(seed, "count-tensor")
-        totals, counts = zip(*(poissonized_count_tensor(p, m, rng) for _ in range(reps)))
-        return np.array(totals), np.stack(counts)
+        totals, counts = zip(*(poissonized_count_tensor([p], [m], rng) for _ in range(reps)))
+        return np.array(totals), np.concatenate(counts)
 
     def test_cell_moments_and_total(self):
         p = random_joint(np.random.default_rng(21), 2, 3, 4)
@@ -384,15 +384,36 @@ class TestPoissonizedCountTensor:
 
     def test_zero_budget_and_layout(self):
         p = random_joint(np.random.default_rng(24), 3, 2, 5)
-        big_m, counts = poissonized_count_tensor(p, 0, generator(25, "count-tensor"))
-        assert big_m == 0 and counts.shape == (3, 2, 5) and not counts.any()
+        big_m, counts = poissonized_count_tensor([p], [0], generator(25, "count-tensor"))
+        assert big_m == 0 and counts.shape == (1, 3, 2, 5) and not counts.any()
         # the draw itself, in the layout of the mass, on a bin-major instance
-        q = gen_binary_ensemble(EnsembleSpec("no_binary_r1", n=100, eps=0.5, m=50))[0]
+        q = gen_random_ci(2, 2, 100, 0)[0]
         assert not q.mass.flags.c_contiguous
-        big_m, counts = poissonized_count_tensor(q, 900.0, generator(25, "count-tensor"))
+        big_m, counts = poissonized_count_tensor([q], [900.0], generator(25, "count-tensor"))
         want = generator(25, "count-tensor").poisson(900.0 * q.mass)
-        assert counts.shape == (2, 2, 100) and counts.flags.c_contiguous
+        assert counts.shape == (1, 2, 2, 100) and counts.flags.c_contiguous
         assert counts.tobytes() == want.tobytes() and big_m == want.sum()
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_one_call_takes_the_variates_of_k_calls(self, k):
+        # rates 0, below 10 and from 10 on, where numpy switches Poisson
+        # methods: one call over k stacked rate tensors leaves the counts
+        # and the stream as k calls in a row do
+        dists = [gen_random_far(2, 3, 40, 0.3, t)[0] if t % 2 else gen_random_ci(2, 3, 40, t)[0]
+                 for t in range(k)]
+        budgets = [(0, 90, 10**5, 3000, 0, 700, 2**40)[t] for t in range(k)]
+        rng = generator(27, "count-tensor")
+        big_m, counts = poissonized_count_tensor(dists, budgets, rng)
+        ref = generator(27, "count-tensor")
+        want = np.stack([ref.poisson(m * p.mass) for p, m in zip(dists, budgets)])
+        assert counts.shape == (k, 2, 3, 40) and counts.tobytes() == want.tobytes()
+        assert big_m == want.sum()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_dists_and_budgets_pair_up(self):
+        p = JointDistribution.uniform(2, 2, 3)
+        with pytest.raises(ValueError):
+            poissonized_count_tensor([p, p], [5.0], generator(28, "count-tensor"))
 
 
 class _EdgeKeys:

@@ -1,93 +1,69 @@
-"""Seed derivation: `trial_generators` against numpy's `SeedSequence`, the
-oracle for its one-pass hash of a column of trials."""
-
-import tracemalloc
+"""Seed derivation: counter paths into numpy's `SeedSequence`."""
 
 import numpy as np
 import pytest
 
-from cit.seeding import _SEED_CHUNK, _as_key, seed_sequence, trial_generators
+from cit.seeding import _as_key, _tag_key, child_seed, generator, seed_sequence
 
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**130 + 12345]
 
-#: (head, tail): the trial word first, in the middle and last, after and
-#: before str, float and bool tags
-PLACES = [
-    ((), ("key|x", 7)),
-    (("cell", 3, "test"), ("random_ci|20|0.5|10|2x2",)),
-    (("minm-null", 2.5, True), ()),
-]
+
+def first_draws(rng) -> bytes:
+    return rng.random(4).tobytes()
 
 
-def oracle_words(master, head, trials, tail=()):
-    """`generate_state(4, np.uint64)` of each trial's `SeedSequence`."""
-    return np.array([
-        np.random.SeedSequence(master, spawn_key=tuple(_as_key(p) for p in (*head, t, *tail)))
-        .generate_state(4, np.uint64)
-        for t in range(trials)
-    ])
+class TestPathKeys:
+    @pytest.mark.parametrize("m", [2**32, 2**33, 2**62])
+    def test_min_m_probe_paths_above_32_bits_get_their_own_streams(self, m):
+        # find_min_m's probe at m draws from generator(seed, tag, m) and
+        # calibrates from child_seed(seed, "minm-cal", m); m = 2^32 once
+        # folded onto m = 0 and m = 2^33 onto 2^32
+        for tag in ("minm-null", "minm-alt"):
+            streams = {first_draws(generator(701, tag, v)) for v in (m, m // 2, m % 2**32)}
+            assert len(streams) == 3
+        masters = {child_seed(701, "minm-cal", v) for v in (m, m // 2, m % 2**32)}
+        assert len(masters) == 3
 
-
-def column_words(generators) -> np.ndarray:
-    return np.array([g.bit_generator.seed_seq.generate_state(4, np.uint64) for g in generators])
-
-
-class TestTrialGenerators:
-    @pytest.mark.parametrize("head, tail", PLACES)
     @pytest.mark.parametrize("master", MASTERS)
-    def test_words_and_states_match_seed_sequence(self, master, head, tail):
-        gens = list(trial_generators(master, head, 6, tail))
-        assert column_words(gens).tobytes() == oracle_words(master, head, 6, tail).tobytes()
-        for t, g in enumerate(gens):
-            want = np.random.default_rng(seed_sequence(master, *head, t, *tail))
-            assert g.bit_generator.state == want.bit_generator.state
-            assert g.random(3).tobytes() == want.random(3).tobytes()
+    @pytest.mark.parametrize("part", [0, 7, 2**32 - 1, 2**32, 2**33, 2**64 + 3])
+    def test_int_parts_enter_whole(self, master, part):
+        # numpy splits an int key into its 32-bit words, as it does the master;
+        # a part below 2^32 is its one word, as before
+        seq = seed_sequence(master, "cell", part, "key")
+        key = (_tag_key("cell"), part, _tag_key("key"))
+        assert seq.spawn_key == key and seq.entropy == master
+        oracle = np.random.SeedSequence(master, spawn_key=key)
+        assert seq.generate_state(8).tobytes() == oracle.generate_state(8).tobytes()
 
-    @pytest.mark.parametrize("trials", [1, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1])
-    def test_chunk_edges(self, trials):
-        head, tail = ("cell", 0, "test"), ("key",)
-        gens = list(trial_generators(9, head, trials, tail))
-        assert column_words(gens).tobytes() == oracle_words(9, head, trials, tail).tobytes()
-        last = np.random.default_rng(seed_sequence(9, *head, trials - 1, *tail))
-        assert gens[-1].bit_generator.state == last.bit_generator.state
-
-    def test_first_generator_of_a_huge_column_is_lazy(self):
-        # MAX_TRIALS trials: words for the whole column would take 32 GB
-        gens = trial_generators(5, ("calibrate",), 10**9)
-        tracemalloc.start()
-        try:
-            first = next(gens)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        want = np.random.default_rng(seed_sequence(5, "calibrate", 0))
-        assert first.bit_generator.state == want.bit_generator.state
-
-    def test_empty_column(self):
-        assert list(trial_generators(3, ("a",), 0)) == []
-
-    def test_seed_words_serve_only_their_generator(self):
-        g = next(trial_generators(1, ("a",), 2))
-        words = g.bit_generator.seed_seq.generate_state(4, np.uint64)
-        assert not words.flags.writeable
-        with pytest.raises(ValueError):
-            g.bit_generator.seed_seq.generate_state(4)
-        with pytest.raises(ValueError):
-            g.bit_generator.seed_seq.generate_state(8, np.uint64)
-        with pytest.raises(TypeError):
-            g.spawn(1)
-
-    @pytest.mark.parametrize("master, trials, error", [
-        (-1, 3, ValueError), (2.5, 3, TypeError), (3, -1, ValueError), (3, 2.0, TypeError),
+    @pytest.mark.parametrize("part, key", [
+        (np.int64(5), 5), (np.uint64(2**63), 2**63), ("a", _tag_key("a")),
+        (2.5, _tag_key("2.5")), (True, _tag_key("True")),
     ])
-    def test_bad_master_or_trials(self, master, trials, error):
-        with pytest.raises(error):
-            next(trial_generators(master, ("a",), trials))
+    def test_key_of_each_part_type(self, part, key):
+        assert _as_key(part) == key and type(_as_key(part)) is int
 
-    @pytest.mark.parametrize("part, error", [(-2, ValueError), (None, TypeError)])
+    @pytest.mark.parametrize("part, error", [
+        (-1, ValueError), (-(2**40), ValueError), (np.int64(-2), ValueError),
+        (None, TypeError), (b"a", TypeError),
+    ])
     def test_bad_path_component(self, part, error):
         with pytest.raises(error):
-            next(trial_generators(3, ("a", part), 2))
+            seed_sequence(3, "a", part)
         with pytest.raises(error):
-            next(trial_generators(3, ("a",), 2, (part,)))
+            generator(3, part, "a")
+
+
+class TestDerivedSeeds:
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_generator_is_default_rng_of_the_sequence(self, master):
+        want = np.random.default_rng(seed_sequence(master, "calibrate"))
+        assert first_draws(generator(master, "calibrate")) == first_draws(want)
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_child_seed_is_the_first_state_word(self, master):
+        word = seed_sequence(master, "cell", 3, "cal").generate_state(1)[0]
+        assert child_seed(master, "cell", 3, "cal") == int(word) < 2**32
+
+    def test_distinct_paths_distinct_streams(self):
+        paths = [("a",), ("b",), ("a", 0), ("a", 1), ("a", 0, "k"), (0, "a")]
+        assert len({first_draws(generator(9, *path)) for path in paths}) == len(paths)

@@ -17,7 +17,7 @@ from cit.dist_core import (
     sample_poissonized,
 )
 from cit.instances import EnsembleSpec, gen_binary_ensemble, gen_random_ci, gen_random_far
-from cit.seeding import child_seed, seed_sequence, trial_generators
+from cit.seeding import child_seed, generator, seed_sequence
 from cit.testers import (
     TesterConfig,
     TesterInputError,
@@ -233,83 +233,102 @@ def test_config_seed_refused(seed):
 
 
 class TestRunTrials:
-    """`run_trials` yields the verdicts of per-trial `run_tester` calls,
-    byte for byte, whatever the block size."""
+    """A column of trials draws from one stream in order: `run_trials`
+    yields the same verdicts, byte for byte, whatever the block size, and
+    its first verdict is `run_tester`'s at the column's seed."""
 
-    @pytest.mark.parametrize("block_cells", [1, 500, None])  # 1, 4 and 34 trials a block
+    @staticmethod
+    def column(monkeypatch, block_cells, instances, cfg, seed):
+        monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+        return [v.to_json() for v in run_trials(iter(instances), cfg, seed)]
+
+    @pytest.mark.parametrize("block_cells", [500, 1 << 12, 1 << 30])  # 4, 34 and 39 trials
     @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
-    def test_matches_run_tester(self, monkeypatch, mode, block_cells):
-        if block_cells is not None:
-            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+    def test_same_verdicts_at_every_block_size(self, monkeypatch, mode, block_cells):
         ell = 3 if mode == "general" else 2
         instances = [
             gen_random_far(ell, ell, 30, 0.5, child_seed(11, t))[0] if t % 2
             else gen_random_ci(ell, ell, 30, child_seed(11, t))[0]
             for t in range(39)  # not a multiple of any of the block sizes
         ]
-        seeds = [child_seed(12, t) for t in range(39)]
         cfg = TesterConfig(epsilon=0.3 if mode == "cmi" else 0.5, mode=mode, m_override=900)
-        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
-        got = [v.to_json() for v in run_trials(iter(instances), cfg, iter(seeds))]
-        assert got == expected
+        single = self.column(monkeypatch, 1, instances, cfg, 12)
+        assert self.column(monkeypatch, block_cells, instances, cfg, 12) == single
+        assert single[0] == run_tester(instances[0], replace(cfg, seed=12)).to_json()
+        # the trials' draws differ, so no verdict repeats another's
+        assert len(set(single)) == len(single)
 
-    @pytest.mark.parametrize("block_cells", [1, None])
     @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
-    def test_generator_seeds_match_seed_sequences(self, monkeypatch, mode, block_cells):
-        # `default_rng` takes a Generator as it is, so a column seeded by
-        # `trial_generators` gives the verdicts of its SeedSequences
-        if block_cells is not None:
-            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+    def test_column_stream_from_any_seed_form(self, monkeypatch, mode):
+        # an int, its SeedSequence and a Generator over it seed the same column
         ell = 3 if mode == "general" else 2
         instances = [gen_random_ci(ell, ell, 30, child_seed(25, t))[0] for t in range(23)]
         cfg = TesterConfig(epsilon=0.3 if mode == "cmi" else 0.5, mode=mode, m_override=900)
-        sequences = [seed_sequence(26, "col", t, "key") for t in range(23)]
-        expected = [v.to_json() for v in run_trials(instances, cfg, sequences)]
-        generators = trial_generators(26, ("col",), 23, ("key",))
-        assert [v.to_json() for v in run_trials(instances, cfg, generators)] == expected
+        want = self.column(monkeypatch, 1 << 12, instances, cfg, seed_sequence(26, "col"))
+        assert self.column(monkeypatch, 1 << 12, instances, cfg, generator(26, "col")) == want
+        assert self.column(monkeypatch, 1, instances, cfg, np.random.SeedSequence(7)) == \
+            self.column(monkeypatch, 1 << 12, instances, cfg, 7)
 
-    @pytest.mark.parametrize("block_cells", [None, 1 << 30])
+    @pytest.mark.parametrize("mode", ["binary", "general"])
+    def test_sample_arrays_draw_nothing(self, monkeypatch, mode):
+        # sample-array trials between distribution trials leave the
+        # distribution trials' draws as they are without them
+        ell = 3 if mode == "general" else 2
+        dists = [gen_random_far(ell, ell, 20, 0.5, child_seed(27, t))[0] for t in range(9)]
+        rows = [sample_fixed(p, 700, t) for t, p in enumerate(dists[:4])]  # cut to 600
+        cfg = TesterConfig(epsilon=0.5, mode=mode, m_override=600)
+        mixed = [dists[0], rows[0], rows[1], dists[1], dists[2], rows[2], *dists[3:], rows[3]]
+        for block_cells in (1, 1 << 12):
+            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
+            got = list(run_trials(mixed, cfg, 28, dims=(ell, ell, 20)))
+            drawn = [v.to_json() for v, src in zip(got, mixed)
+                     if isinstance(src, JointDistribution)]
+            assert drawn == self.column(monkeypatch, block_cells, dists, cfg, 28)
+            files = [v for v, src in zip(got, mixed) if not isinstance(src, JointDistribution)]
+            assert [v.M_drawn for v in files] == [600] * 4
+
+    @pytest.mark.parametrize("block_cells", [1 << 12, 1 << 30])
     def test_one_bin_trials_and_mixed_n(self, monkeypatch, block_cells):
         # 8 x 8 bins of ~10^6 samples make the kernel's cell sums round, so
         # adding a bin's cells in another order would change the bytes
-        if block_cells is not None:
-            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
         sizes = (1, 2, 1, 1, 3, 2, 1, 5, 1, 2)
         instances = [
             gen_random_far(8, 8, n, 0.5, child_seed(13, t))[0] for t, n in enumerate(sizes)
         ]
-        seeds = [child_seed(14, t) for t in range(len(sizes))]
         cfg = TesterConfig(epsilon=0.5, m_override=10**7)
-        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
-        assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
+        single = self.column(monkeypatch, 1, instances, cfg, 14)
+        assert self.column(monkeypatch, block_cells, instances, cfg, 14) == single
 
-    def test_one_bin_trials_share_a_kernel_call(self, monkeypatch):
+    def test_one_bin_trials_share_a_draw_and_a_kernel_call(self, monkeypatch):
         # 8 x 8 bins of ~10^6 samples: their cell sums round
         instances = [gen_random_far(8, 8, 1, 0.5, child_seed(19, t))[0] for t in range(10)]
-        seeds = [child_seed(20, t) for t in range(10)]
         cfg = TesterConfig(epsilon=0.5, m_override=10**6)
-        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
-        calls = []
-        kernel = testers.binary_bin_statistics
+        expected = self.column(monkeypatch, 1, instances, cfg, 20)
+        calls, draws = [], []
+        kernel, draw = testers.binary_bin_statistics, testers.poissonized_count_tensor
 
         def counting_kernel(counts):
             calls.append(counts.shape[2])
             return kernel(counts)
 
-        monkeypatch.setattr(testers, "binary_bin_statistics", counting_kernel)
-        assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
-        assert calls == [10]
+        def counting_draw(dists, budgets, rng):
+            draws.append(len(dists))
+            return draw(dists, budgets, rng)
 
-    def test_interleaved_shapes_match_run_tester(self, monkeypatch):
+        monkeypatch.setattr(testers, "binary_bin_statistics", counting_kernel)
+        monkeypatch.setattr(testers, "poissonized_count_tensor", counting_draw)
+        assert self.column(monkeypatch, 1 << 12, instances, cfg, 20) == expected
+        assert calls == [10] and draws == [10]
+
+    def test_interleaved_shapes(self, monkeypatch):
         # 2x2 bins of ~5 * 10^4 samples: their estimates and sums round
         shapes = [(2, 2, 20), (2, 2, 20), (2, 2, 50), (2, 2, 20), (3, 3, 20), (2, 2, 20)]
         instances = [
             gen_random_far(l1, l2, n, 0.5, child_seed(21, t))[0]
             for t, (l1, l2, n) in enumerate(shapes)
         ]
-        seeds = [child_seed(22, t) for t in range(len(shapes))]
         cfg = TesterConfig(epsilon=0.5, m_override=10**6)
-        expected = [run_tester(p, replace(cfg, seed=s)).to_json() for p, s in zip(instances, seeds)]
+        expected = self.column(monkeypatch, 1, instances, cfg, 22)
         calls = []
         kernel = testers.binary_bin_statistics
 
@@ -318,7 +337,7 @@ class TestRunTrials:
             return kernel(counts)
 
         monkeypatch.setattr(testers, "binary_bin_statistics", recording_kernel)
-        assert [v.to_json() for v in run_trials(instances, cfg, seeds)] == expected
+        assert self.column(monkeypatch, 1 << 12, instances, cfg, 22) == expected
         # a change of n, l1 or l2 starts a block
         assert calls == [(2, 2, 40), (2, 2, 50), (2, 2, 20), (3, 3, 20), (2, 2, 20)]
 
@@ -329,7 +348,7 @@ class TestRunTrials:
         # shuffled rows holding a draw's counts give the distribution's verdict
         p = gen_random_far(l, l, n, 0.5, child_seed(23, l, n))[0]
         s = child_seed(24, l, n)
-        big_m, counts = poissonized_count_tensor(p, m, np.random.default_rng(s))
+        big_m, [counts] = poissonized_count_tensor([p], [m], np.random.default_rng(s))
         cells = np.repeat(np.arange(counts.size), counts.ravel())
         rows = np.column_stack(np.unravel_index(cells, counts.shape))
         rows = rows[np.random.default_rng(s).permutation(big_m)]
@@ -362,9 +381,8 @@ class TestRunTrials:
 
         monkeypatch.setattr(Verdict, "__init__", counting_init)
         instances = [gen_random_ci(2, 2, 30, child_seed(15, t))[0] for t in range(25)]
-        seeds = [seed_sequence(16, t) for t in range(25)]
         cfg = TesterConfig(epsilon=0.3, mode=mode, m_override=900)
-        verdicts = list(run_trials(instances, cfg, seeds))
+        verdicts = list(run_trials(instances, cfg, seed_sequence(16)))
         assert built == [v.M_drawn for v in verdicts]
         assert all(isinstance(m, int) and m > 0 for m in built)
 
@@ -373,12 +391,11 @@ class TestRunTrials:
         # bins holds every bin; per_bin keeps the sigma >= 4 rows, ascending
         ell = 3 if mode == "general" else 2
         instances = [gen_random_far(ell, ell, 30, 0.3, child_seed(17, t))[0] for t in range(6)]
-        seeds = [seed_sequence(18, t) for t in range(6)]
         cfg = TesterConfig(epsilon=0.3, mode=mode, m_override=150)  # ~5 samples a bin
         sparse = np.array([[0, 0, 1]] * 3)  # no bin reaches 4 samples
         verdicts = [
-            *run_trials(instances, cfg, seeds),
-            run_tester(instances[0], replace(cfg, seed=seeds[0])),
+            *run_trials(instances, cfg, seed_sequence(18)),
+            run_tester(instances[0], replace(cfg, seed=seed_sequence(18))),
             run_tester(sparse, replace(cfg, m_override=None), dims=(2, 2, 2)),
         ]
         assert verdicts[-2] == verdicts[0]
@@ -667,18 +684,41 @@ class TestCalibration:
         monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", 1)
         assert calibrate_threshold(null_gen, cfg, 130) == tau
 
-    def test_exceedance_margin(self):
+    def test_one_poisson_call_per_block(self, monkeypatch):
+        # 150 trials at n = 100 with binary alphabets: 15 blocks of ten
+        # trials, each drawn by one Generator.poisson call over its rates
+        calls = []
+
+        class CountingGenerator(np.random.Generator):
+            def poisson(self, lam=1.0, size=None):
+                calls.append(np.shape(lam))
+                return super().poisson(lam, size)
+
+        def null_gen(t):
+            spec = EnsembleSpec("yes_binary_r1", n=100, eps=0.5, m=50, seed=child_seed(11, t))
+            return gen_binary_ensemble(spec)[0]
+
+        cfg = TesterConfig(epsilon=0.5, m_override=2000, seed=5)
+        tau = calibrate_threshold(null_gen, cfg, 150)
+        real = testers.generator
+        monkeypatch.setattr(
+            testers, "generator", lambda *path: CountingGenerator(real(*path).bit_generator)
+        )
+        assert calibrate_threshold(null_gen, cfg, 150) == tau
+        assert calls == [(10, 2, 2, 100)] * 15
+
+    def test_exceedance_margin(self, monkeypatch):
         def null_gen(t):
             return gen_random_ci(2, 2, 40, child_seed(8, t))[0]
 
         cfg = TesterConfig(epsilon=0.5, m_override=600, seed=41)
         trials = 240
         tau = calibrate_threshold(null_gen, cfg, trials)
-        # reproduce the stats and check the exceedance rule
-        stats = []
-        for t in range(trials):
-            sub = replace(cfg, seed=seed_sequence(cfg.seed, "calibrate", t))
-            stats.append(run_tester(null_gen(t), sub).statistic_A)
+        # rebuild the stats from the column stream, one trial a block, and
+        # check the exceedance rule
+        monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", 1)
+        column = run_trials(map(null_gen, range(trials)), cfg, generator(cfg.seed, "calibrate"))
+        stats = [v.statistic_A for v in column]
         exceed = sum(s > tau for s in stats)
         assert exceed <= trials // 6
         smaller = max(s for s in stats if s < tau)
