@@ -1,8 +1,9 @@
 """Conditional-independence testers and their sample-size formulas.
 
-`sample_budget` maps a configuration to its sample budget, and
-`run_trials` runs every tester, one trial or one block of trials at a
-time; `run_tester` and the per-mode entry points are its one-trial case.
+`sample_budget` maps a configuration and a domain to its sample budget.
+`run_trials` runs a column of trials, distributions on one domain, one
+trial or one block of trials at a time; `run_tester` and the per-mode
+entry points are its one-trial case, and also take a sample file.
 
 Both testers group Poisson(m) samples from a distribution, or the rows of
 a sample file, by the conditioning coordinate z, and for every bin with at
@@ -39,6 +40,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from itertools import chain, islice
 
 import numpy as np
 
@@ -54,9 +56,9 @@ from .seeding import generator
 
 _MODES = ("binary", "general", "cmi")
 
-#: cells per kernel call when `run_trials` stacks binary trials of one
-#: count-tensor shape (l1, l2, n) (10 trials at n = 100 with binary
-#: alphabets); a bound, not a knob: larger blocks only add memory
+#: count cells per block of a binary or cmi column: `run_trials` draws and
+#: tests k = max(1, 2^12 // (l1 l2 n)) trials at a time (10 at n = 100 with
+#: binary alphabets); a bound, not a knob: larger blocks only add memory
 _TRIAL_BLOCK_CELLS = 1 << 12
 
 #: largest sample budget drawn from a distribution: the drawn counts and
@@ -85,8 +87,9 @@ class TesterConfig:
     budget / threshold directly, e.g. to a calibrated value; beta and zeta
     must be finite and positive, and a pinned threshold finite.  A budget of 0
     draws no samples (the tester accepts); `sample_budget` refuses one
-    above 2^62, since the drawn counts are int64; fixed-sample input needs
-    at least one row.
+    above 2^62, since the drawn counts are int64; on fixed-sample input
+    `m_override` cuts the file to its first rows and must be at least 1
+    (a file of no rows, with no override, accepts).
     `seed` is a non-negative int or a `SeedSequence` (see `run_trials`);
     `calibrate_threshold` takes an int only.  `mode`
     selects the tester; cmi mode runs the binary tester at the budget of
@@ -461,19 +464,15 @@ def _general_kernel(sigma, wb, wc, cells, f, l1: int, l2: int):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_source(source, cfg, dims):
-    """Common input handling: returns (dims, m, codes).
+def _sample_codes(source, cfg, dims):
+    """(m, codes) of a fixed (N, 3) sample array on the domain `dims`.
 
-    For a JointDistribution, m is `sample_budget` on its dims and codes is
-    None: the caller draws.  A fixed (N, 3) sample array needs explicit
-    `dims` and in-range integer indices; it is cut to its first
-    `m_override` rows when set, m is its row count, and codes are its rows
-    in order as bin-major flat cell codes z l1 l2 + x l2 + y, the codes
-    `conditional_cell_counts` returns.  Both inputs pass `sample_budget`'s
-    refusals of the tester's domain.
+    The array needs explicit `dims` and in-range integer indices; it is cut
+    to its first `m_override` rows when set (at least 1), m is its row
+    count, and codes are its rows in order as bin-major flat cell codes
+    z l1 l2 + x l2 + y, the codes `conditional_cell_counts` returns.  The
+    array passes `sample_budget`'s refusals of the tester's domain.
     """
-    if isinstance(source, JointDistribution):
-        return source.dims, sample_budget(cfg, source.dims), None
     if dims is None:
         raise TesterInputError("fixed-sample input needs explicit dims (l1, l2, n)")
     raw = np.asarray(source)
@@ -503,7 +502,7 @@ def _resolve_source(source, cfg, dims):
             raise DistributionError("sample indices outside the declared domain") from None
         raise
     # a file's budget is its row count, which sample_budget then checks
-    return tuple(dims), sample_budget(replace(cfg, m_override=samples.shape[0]), dims), codes
+    return sample_budget(replace(cfg, m_override=samples.shape[0]), dims), codes
 
 
 def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
@@ -516,8 +515,21 @@ def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
 
 def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
     """The verdict of the tester `cfg.mode` on `source`, seeded with
-    `cfg.seed`: the one-trial case of `run_trials`."""
-    [verdict] = run_trials([source], cfg, cfg.seed, dims)
+    `cfg.seed`: a JointDistribution is the one-trial case of `run_trials`.
+    A fixed (N, 3) sample array on the domain `dims` draws nothing: the
+    binary tester bincounts its codes (`_sample_codes`) into the count
+    tensor a draw gives, and the general tester splits them
+    (`_phase_split`); the verdict is assembled as a draw's is."""
+    if isinstance(source, JointDistribution):
+        [verdict] = run_trials([source], cfg, cfg.seed)
+        return verdict
+    m, codes = _sample_codes(source, cfg, dims)
+    l1, l2, n = dims
+    if cfg.mode == "general":
+        return _general_verdict(cfg, dims, m, m, _phase_split(codes, l1, l2, n))
+    # an (n, l1, l2) bincount, passed as the (1, l1, l2, n) layout of a draw
+    counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(1, n, l1, l2)
+    [verdict] = _binary_verdicts(cfg, m, counts.transpose(0, 2, 3, 1))
     return verdict
 
 
@@ -562,69 +574,62 @@ def test_cmi(source, cfg: TesterConfig, dims=None) -> Verdict:
     return run_tester(source, replace(cfg, mode="cmi"), dims)
 
 
-def run_trials(sources, cfg: TesterConfig, rng, dims=None):
-    """Yield one Verdict per source, in order: the verdict of the tester
-    `cfg.mode` on the source.
+def _trial_domain(p, dims=None):
+    """The domain of trial `p`, a TesterInputError unless `p` is a
+    JointDistribution on `dims` (on any domain when `dims` is None)."""
+    if not isinstance(p, JointDistribution):
+        raise TesterInputError(f"a trial must be a JointDistribution, not {type(p).__name__}")
+    if dims is not None and p.dims != dims:
+        raise TesterInputError(f"a trial on {p.dims} in a column on {dims}")
+    return p.dims
 
-    A source is a JointDistribution or an (N, 3) sample array on the
-    domain `dims`; `sources` may be a lazy iterable, consumed at most one
-    block ahead of the verdicts.  `rng` is anything `default_rng` takes (an
-    int, a `SeedSequence` or a Generator), and the trials draw from that
-    one stream in order, so a trial's draws depend on the trials before it
-    in its column, and the whole column is reproducible from `rng`.  A
-    trial on a sample array draws nothing.  In binary and cmi mode blocks
-    of consecutive trials with the same (l1, l2, n), at most 2^12 cells
-    each (a larger trial is a block of its own), share one count draw
-    (`poissonized_count_tensor`), one kernel call and one row-wise sum of
-    their statistics.  One draw over a block takes the variates that its
-    trials would take one after another, a bin's Phi depends on its counts
-    alone and each row is summed as a one-trial call sums it, so the
-    verdicts are the same at every block size, and the first trial's is
-    `run_tester`'s at the same seed.  General mode evaluates one trial at
-    a time, drawing its split from the same stream.
+
+def run_trials(dists, cfg: TesterConfig, rng):
+    """Yield one Verdict per JointDistribution in `dists`, in order: the
+    verdict of the tester `cfg.mode` on it.
+
+    A column is one domain: every trial must be on the first one's
+    (l1, l2, n), and `sample_budget` gives the column's budget, and its
+    refusals, once.  `dists` may be a lazy iterable, consumed one block
+    ahead of the verdicts; a trial that is not a distribution, or is on
+    another domain, is a TesterInputError before its block draws.  `rng`
+    is anything `default_rng` takes (an int, a `SeedSequence` or a
+    Generator), and the trials draw from that one stream in order, so a
+    trial's draws depend on the trials before it in its column, and the
+    whole column is reproducible from `rng`.  In binary and cmi mode a
+    block is k = max(1, 2^12 // (l1 l2 n)) consecutive trials, which share
+    one count draw (`poissonized_count_tensor`), one kernel call and one
+    row-wise sum of their statistics.  One draw over a block takes the
+    variates that its trials would take one after another, a bin's Phi
+    depends on its counts alone and each row is summed as a one-trial call
+    sums it, so the verdicts are the same at every block size, and the
+    first trial's is `run_tester`'s at the same seed.  General mode
+    evaluates one trial a block, drawing its split from the same stream.
     """
     rng = np.random.default_rng(rng)
-    if cfg.mode == "general":
-        for source in sources:
-            yield _general_verdict(source, cfg, rng, dims)
+    dists = iter(dists)
+    first = list(islice(dists, 1))
+    if not first:
         return
-    yield from _binary_trials(sources, cfg, rng, dims)
+    dims = _trial_domain(first[0])
+    m = int(sample_budget(cfg, dims))
+    l1, l2, n = dims
+    k = 1 if cfg.mode == "general" else max(1, _TRIAL_BLOCK_CELLS // (l1 * l2 * n))
+    dists = chain(first, dists)
+    while block := list(islice(dists, k)):
+        for p in block:
+            _trial_domain(p, dims)
+        if cfg.mode == "general":
+            yield _general_verdict(cfg, dims, m, *_drawn_split(block[0], m, rng))
+        else:
+            _, counts = poissonized_count_tensor(block, [m] * len(block), rng)
+            yield from _binary_verdicts(cfg, m, counts)
 
 
-def _binary_trials(sources, cfg: TesterConfig, rng, dims):
-    """Binary-tester verdicts for the sources, in order.
-
-    A trial's count tensor has the (l1, l2, n) layout of the mass: for a
-    distribution, drawn per cell from `rng` with the rest of its block;
-    for samples, the bincount of their bin-major codes, an (n, l1, l2)
-    array passed as its (l1, l2, n) transpose.  Consecutive trials with
-    the same shape are stacked into blocks of at most `_TRIAL_BLOCK_CELLS`
-    cells (a larger trial is a block of its own); a change of shape starts
-    a new block.
-    """
-    block, shape = [], None
-    for source in sources:
-        (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
-        if block and not (
-            (len(block) + 1) * l1 * l2 * n <= _TRIAL_BLOCK_CELLS and (l1, l2, n) == shape
-        ):
-            yield from _binary_verdicts(block, cfg, rng)
-            block = []
-        shape = (l1, l2, n)
-        if codes is not None:
-            # a sample file enters its block as its count tensor
-            counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(n, l1, l2)
-            source = counts.transpose(1, 2, 0)
-        block.append((int(m), source))
-    if block:
-        yield from _binary_verdicts(block, cfg, rng)
-
-
-def _binary_verdicts(block, cfg: TesterConfig, rng):
-    """Verdicts of a block of k binary trials (m, distribution or count
-    tensor) on one shape (l1, l2, n): one count draw for the block's
-    distributions, then one kernel call over the k count tensors
-    concatenated along the bin axis.
+def _binary_verdicts(cfg: TesterConfig, m: int, counts):
+    """Verdicts of k binary trials at budget m from their count tensors,
+    a (k, l1, l2, n) array: one kernel call over the k tensors concatenated
+    along the bin axis, and each trial's M the sum of its counts.
 
     Each bin's Phi is the same as in a one-trial call.  The statistics are
     the rows of sigma Phi as a (k, n) array, each summed in ascending z by
@@ -632,38 +637,28 @@ def _binary_verdicts(block, cfg: TesterConfig, rng):
     one-trial call's 1-D array: the same bytes.  Each verdict's columns are
     views of its rows of sigma and sigma Phi, and one shared omega = 1 row.
     """
-    dists = [(src, m) for m, src in block if isinstance(src, JointDistribution)]
-    if dists:
-        _, drawn = poissonized_count_tensor(*zip(*dists), rng)
-        drawn = zip(drawn, drawn.sum(axis=(1, 2, 3)).tolist())
-    # each trial's count tensor and total M, in order; a sample file's M is its row count
-    counts, big_ms = zip(*(
-        next(drawn) if isinstance(src, JointDistribution) else (src, m) for m, src in block
-    ))
-    n = counts[0].shape[2]
+    n = counts.shape[3]
+    big_ms = counts.sum(axis=(1, 2, 3)).tolist()
     stacked = np.concatenate(counts, axis=2, dtype=float)
     sigma_all, phi = (a.reshape(-1, n) for a in binary_bin_statistics(stacked))
     a_all = sigma_all * phi
     stats = a_all.sum(axis=1).tolist()
     omega = np.ones(n)
-    for (m, _), big_m, sigma, a_z, stat in zip(block, big_ms, sigma_all, a_all, stats):
+    for big_m, sigma, a_z, stat in zip(big_ms, sigma_all, a_all, stats):
         yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, (sigma, omega, a_z))
 
 
-def _general_verdict(source, cfg: TesterConfig, rng, dims) -> Verdict:
-    """The general tester's verdict on one source (see `test_general`)."""
-    (l1, l2, n), m, codes = _resolve_source(source, cfg, dims)
-    if codes is None:
-        big_m, split = _drawn_split(source, m, rng)
-    else:
-        big_m, split = codes.size, _phase_split(codes, l1, l2, n)
+def _general_verdict(cfg: TesterConfig, dims, m: int, big_m: int, split) -> Verdict:
+    """The general tester's verdict on the split of one trial on `dims` at
+    budget m that holds M = `big_m` samples (see `test_general`)."""
+    l1, l2, n = dims
     sigma = split[0]
     phi = _general_kernel(*split, l1, l2)
     omega = np.sqrt(np.minimum(sigma, l1) * np.minimum(sigma, l2))
     a_z = sigma * omega * phi
     # add the bins one at a time in ascending z from 0.0 (bins below 4 add +0.0)
     stat = float(np.cumsum(np.concatenate(([0.0], a_z)))[-1])
-    return _verdict(cfg, cfg.zeta**0.25, n, stat, int(m), big_m, (sigma, omega, a_z))
+    return _verdict(cfg, cfg.zeta**0.25, n, stat, m, big_m, (sigma, omega, a_z))
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +672,13 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     the 1/3 error budget).  Returns a strictly positive tau; a null
     statistic that is identically zero yields the smallest positive float.
 
-    `null_generator` maps a trial index to a JointDistribution.  The
-    trials run the configured tester in order on one column stream,
+    `null_generator` maps a trial index to a JointDistribution, all on one
+    domain.  The trials are one `run_trials` column on the stream
     `generator(cfg.seed, "calibrate")`, so `cfg.seed` must be an int, not a
-    `SeedSequence`.  They go through `run_trials`, so in binary and cmi
-    mode blocks of consecutive trials with the same (l1, l2, n) (at most
-    2^12 cells each) share one count draw and one kernel call, and
+    `SeedSequence`; the column's budget is resolved once, and a trial that
+    is not a distribution on the first trial's domain is a
+    TesterInputError before its block draws.  In binary and cmi mode
+    blocks of trials share one count draw and one kernel call, and
     instances are asked for one block ahead of their statistics; tau is
     the same at every block size.  The generator is called once per trial
     index; a caller that needs the same instances again (as `find_min_m`
@@ -695,15 +691,8 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     if not isinstance(cfg.seed, (int, np.integer)):
         raise TesterInputError("calibration needs an int seed, not a SeedSequence")
 
-    def instances():
-        for t in range(trials):
-            inst = null_generator(t)
-            if not isinstance(inst, JointDistribution):
-                raise TesterInputError("null_generator must produce JointDistributions")
-            yield inst
-
     rng = generator(cfg.seed, "calibrate")
-    verdicts = run_trials(instances(), replace(cfg, tau_override=None), rng)
+    verdicts = run_trials(map(null_generator, range(trials)), replace(cfg, tau_override=None), rng)
     stats = np.fromiter((v.statistic_A for v in verdicts), dtype=float, count=trials)
     if not np.all(np.isfinite(stats)):
         raise TesterInputError("degenerate null generator: non-finite statistics")

@@ -36,6 +36,8 @@ from cit.testers import test_general as general_test
 
 N1 = np.array([[6, 24], [24, 46]]) / 100
 UNIFORM = np.full((2, 2), 0.25)
+#: what a trial column says of a trial that is a sample array or on another domain
+REFUSALS = {"array": "a trial must be a JointDistribution", "domain": "a trial on"}
 
 
 def truncated_mean_rate(x):
@@ -233,9 +235,10 @@ def test_config_seed_refused(seed):
 
 
 class TestRunTrials:
-    """A column of trials draws from one stream in order: `run_trials`
-    yields the same verdicts, byte for byte, whatever the block size, and
-    its first verdict is `run_tester`'s at the column's seed."""
+    """A column of trials, distributions on one domain, draws from one
+    stream in order: `run_trials` yields the same verdicts, byte for byte,
+    whatever the block size, and its first verdict is `run_tester`'s at the
+    column's seed."""
 
     @staticmethod
     def column(monkeypatch, block_cells, instances, cfg, seed):
@@ -269,36 +272,6 @@ class TestRunTrials:
         assert self.column(monkeypatch, 1, instances, cfg, np.random.SeedSequence(7)) == \
             self.column(monkeypatch, 1 << 12, instances, cfg, 7)
 
-    @pytest.mark.parametrize("mode", ["binary", "general"])
-    def test_sample_arrays_draw_nothing(self, monkeypatch, mode):
-        # sample-array trials between distribution trials leave the
-        # distribution trials' draws as they are without them
-        ell = 3 if mode == "general" else 2
-        dists = [gen_random_far(ell, ell, 20, 0.5, child_seed(27, t))[0] for t in range(9)]
-        rows = [sample_fixed(p, 700, t) for t, p in enumerate(dists[:4])]  # cut to 600
-        cfg = TesterConfig(epsilon=0.5, mode=mode, m_override=600)
-        mixed = [dists[0], rows[0], rows[1], dists[1], dists[2], rows[2], *dists[3:], rows[3]]
-        for block_cells in (1, 1 << 12):
-            monkeypatch.setattr(testers, "_TRIAL_BLOCK_CELLS", block_cells)
-            got = list(run_trials(mixed, cfg, 28, dims=(ell, ell, 20)))
-            drawn = [v.to_json() for v, src in zip(got, mixed)
-                     if isinstance(src, JointDistribution)]
-            assert drawn == self.column(monkeypatch, block_cells, dists, cfg, 28)
-            files = [v for v, src in zip(got, mixed) if not isinstance(src, JointDistribution)]
-            assert [v.M_drawn for v in files] == [600] * 4
-
-    @pytest.mark.parametrize("block_cells", [1 << 12, 1 << 30])
-    def test_one_bin_trials_and_mixed_n(self, monkeypatch, block_cells):
-        # 8 x 8 bins of ~10^6 samples make the kernel's cell sums round, so
-        # adding a bin's cells in another order would change the bytes
-        sizes = (1, 2, 1, 1, 3, 2, 1, 5, 1, 2)
-        instances = [
-            gen_random_far(8, 8, n, 0.5, child_seed(13, t))[0] for t, n in enumerate(sizes)
-        ]
-        cfg = TesterConfig(epsilon=0.5, m_override=10**7)
-        single = self.column(monkeypatch, 1, instances, cfg, 14)
-        assert self.column(monkeypatch, block_cells, instances, cfg, 14) == single
-
     def test_one_bin_trials_share_a_draw_and_a_kernel_call(self, monkeypatch):
         # 8 x 8 bins of ~10^6 samples: their cell sums round
         instances = [gen_random_far(8, 8, 1, 0.5, child_seed(19, t))[0] for t in range(10)]
@@ -320,26 +293,56 @@ class TestRunTrials:
         assert self.column(monkeypatch, 1 << 12, instances, cfg, 20) == expected
         assert calls == [10] and draws == [10]
 
-    def test_interleaved_shapes(self, monkeypatch):
-        # 2x2 bins of ~5 * 10^4 samples: their estimates and sums round
-        shapes = [(2, 2, 20), (2, 2, 20), (2, 2, 50), (2, 2, 20), (3, 3, 20), (2, 2, 20)]
-        instances = [
-            gen_random_far(l1, l2, n, 0.5, child_seed(21, t))[0]
-            for t, (l1, l2, n) in enumerate(shapes)
-        ]
-        cfg = TesterConfig(epsilon=0.5, m_override=10**6)
-        expected = self.column(monkeypatch, 1, instances, cfg, 22)
-        calls = []
-        kernel = testers.binary_bin_statistics
+    @staticmethod
+    def counting_rng(calls, seed):
+        # a Generator over `seed`'s stream that records each poisson call
+        class CountingGenerator(np.random.Generator):
+            def poisson(self, lam=1.0, size=None):
+                calls.append(np.shape(lam))
+                return super().poisson(lam, size)
 
-        def recording_kernel(counts):
-            calls.append(counts.shape)
-            return kernel(counts)
+        return CountingGenerator(np.random.default_rng(seed).bit_generator)
 
-        monkeypatch.setattr(testers, "binary_bin_statistics", recording_kernel)
-        assert self.column(monkeypatch, 1 << 12, instances, cfg, 22) == expected
-        # a change of n, l1 or l2 starts a block
-        assert calls == [(2, 2, 40), (2, 2, 50), (2, 2, 20), (3, 3, 20), (2, 2, 20)]
+    @pytest.mark.parametrize("bad", ["array", "domain"])
+    @pytest.mark.parametrize("mode, ell, n, verdicts, draws", [("binary", 2, 100, 10, 1),
+                                                               ("general", 3, 20, 12, 12)])
+    def test_column_refuses_a_trial_before_its_block_draws(self, mode, ell, n, verdicts, draws,
+                                                           bad):
+        # a column is distributions on the first trial's domain; trial 12 is
+        # a sample array or on another domain, in the second binary block
+        # of ten trials, and in general mode a block of its own
+        dists = [gen_random_ci(ell, ell, n, child_seed(29, t))[0] for t in range(20)]
+        dists[12] = (sample_fixed(dists[12], 50, 0) if bad == "array"
+                     else gen_random_ci(ell, ell, n + 1, child_seed(29, 12))[0])
+        cfg = TesterConfig(epsilon=0.5, mode=mode, m_override=900)
+        calls, got = [], []
+        with pytest.raises(TesterInputError, match=REFUSALS[bad]):
+            got.extend(run_trials(iter(dists), cfg, self.counting_rng(calls, 30)))
+        assert (len(got), len(calls)) == (verdicts, draws)
+        # a column whose first trial is not a distribution draws nothing
+        with pytest.raises(TesterInputError, match="a trial must be a JointDistribution"):
+            next(run_trials([dists[0].mass, *dists], cfg, self.counting_rng(calls, 30)))
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize("mode", ["binary", "cmi", "general"])
+    def test_sample_array_draws_nothing(self, monkeypatch, mode):
+        # a sample array reaches the tester's kernel through `run_tester`
+        # alone: no column, draw or generator is made for it
+        ell = 3 if mode == "general" else 2
+        p = gen_random_far(ell, ell, 20, 0.5, child_seed(27, 0))[0]
+        rows = sample_fixed(p, 700, 1)
+        cfg = TesterConfig(epsilon=0.3 if mode == "cmi" else 0.5, mode=mode, m_override=600)
+        want = run_tester(rows, cfg, dims=p.dims)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample array drew")
+
+        for name in ("run_trials", "poissonized_count_tensor", "_drawn_split"):
+            monkeypatch.setattr(testers, name, no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        got = run_tester(rows, cfg, dims=p.dims)
+        assert got == want and got.to_json() == want.to_json()
+        assert got.M_drawn == got.m_used == 600
 
     @pytest.mark.parametrize("l, n, m", [(2, 20, 10**6), (2, 50, 900), (8, 10, 10**6),
                                          (3, 1, 10**6)])
@@ -689,11 +692,6 @@ class TestCalibration:
         # trials, each drawn by one Generator.poisson call over its rates
         calls = []
 
-        class CountingGenerator(np.random.Generator):
-            def poisson(self, lam=1.0, size=None):
-                calls.append(np.shape(lam))
-                return super().poisson(lam, size)
-
         def null_gen(t):
             spec = EnsembleSpec("yes_binary_r1", n=100, eps=0.5, m=50, seed=child_seed(11, t))
             return gen_binary_ensemble(spec)[0]
@@ -702,10 +700,44 @@ class TestCalibration:
         tau = calibrate_threshold(null_gen, cfg, 150)
         real = testers.generator
         monkeypatch.setattr(
-            testers, "generator", lambda *path: CountingGenerator(real(*path).bit_generator)
+            testers, "generator",
+            lambda *path: TestRunTrials.counting_rng(calls, real(*path).bit_generator),
         )
         assert calibrate_threshold(null_gen, cfg, 150) == tau
         assert calls == [(10, 2, 2, 100)] * 15
+
+    @pytest.mark.parametrize("bad", ["array", "domain"])
+    def test_column_refuses_a_trial_before_its_block_draws(self, monkeypatch, bad):
+        # blocks of 25 trials on (2, 2, 40); trial 60 is a sample array, or
+        # trials from 50 on are on (2, 2, 41): no tau comes from statistics
+        # of two domains, and the third block (trials 50-74) never draws
+        def null_gen(t):
+            p = gen_random_ci(2, 2, 41 if t >= 50 and bad == "domain" else 40, child_seed(8, t))[0]
+            return sample_fixed(p, 600, t) if t == 60 and bad == "array" else p
+
+        calls = []
+        real = testers.generator
+        monkeypatch.setattr(
+            testers, "generator",
+            lambda *path: TestRunTrials.counting_rng(calls, real(*path).bit_generator),
+        )
+        cfg = TesterConfig(epsilon=0.5, m_override=600, seed=41)
+        with pytest.raises(TesterInputError, match=REFUSALS[bad]):
+            calibrate_threshold(null_gen, cfg, 120)
+        assert calls == [(25, 2, 2, 40)] * 2
+
+    def test_sample_budget_once_per_column(self, monkeypatch):
+        budgets = []
+        real = testers.sample_budget
+
+        def counting_budget(cfg, dims):
+            budgets.append(dims)
+            return real(cfg, dims)
+
+        monkeypatch.setattr(testers, "sample_budget", counting_budget)
+        cfg = TesterConfig(epsilon=0.5, seed=41)  # the binary formula's budget
+        calibrate_threshold(lambda t: gen_random_ci(2, 2, 40, child_seed(8, t))[0], cfg, 120)
+        assert budgets == [(2, 2, 40)]
 
     def test_exceedance_margin(self, monkeypatch):
         def null_gen(t):
