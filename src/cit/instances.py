@@ -5,6 +5,9 @@ Every generator is a pure function of its spec and seed and returns a
 generator derives its stream under its own tag (`seeding.generator`), or
 a `SeedSequence`, which seeds the stream as it is (`_stream`): the
 harness hands each instance one sequence, and nothing derives a second.
+Every random bit of an instance comes from that one stream, drawn by one
+vectorized path per family.
+
 Ensembles that are naturally pseudo-distributions (total mass in
 [1, 1+eps]) are built as raw tensors and divided by their realized total
 mass in `JointDistribution.from_mass`; the factor is recorded under
@@ -378,25 +381,6 @@ def paninski_reduction(N: int, eps: float, which: str, seed) -> tuple[JointDistr
 # ---------------------------------------------------------------------------
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    # counter-based 64-bit mix; deterministic bit source for f(x, y, z)
-    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _hash_bit_table(fseed: int, n: int) -> np.ndarray:
-    """Uniform random function f: [n]^3 -> {0,1} realized as a seeded hash."""
-    ix = np.arange(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = _splitmix64(np.uint64(fseed % (2**64)) + ix)[:, None, None]
-        hy = _splitmix64(np.uint64(0xA5A5A5A5) + ix)[None, :, None]
-        hz = _splitmix64(np.uint64(0x5A5A5A5A) + ix)[None, None, :]
-        mixed = _splitmix64(base ^ (hy * np.uint64(3)) ^ (hz * np.uint64(7)))
-    return (mixed & np.uint64(1)).astype(np.uint8)  # (x, y, z)
-
-
 def gen_nnn(n: int, far: bool, seed) -> tuple[JointDistribution, dict]:
     """Instances over ({0,1} x [n]) x [n] x [n] with heavy/light marginals.
 
@@ -405,8 +389,10 @@ def gen_nnn(n: int, far: bool, seed) -> tuple[JointDistribution, dict]:
     mass 1/(2(n - n^{3/4})).  X and Y are conditionally independent given z.
     The extra bit W (folded into the first coordinate as index x*2 + w) is
     an independent fair coin in the CI variant; in the far variant it is a
-    fair coin on heavy rows/columns and the deterministic hash bit
-    f(x, y, z) on light-light cells.
+    fair coin on heavy rows/columns and f(x, y, z) on light-light cells,
+    where f is a uniformly random function [n]^3 -> {0,1}: n^3 fair bits
+    that the instance's stream draws after the heavy sets.  The CI variant
+    draws only the heavy sets.
 
     Memory is Theta(n^3); intended for desk-scale n.
     """
@@ -433,9 +419,8 @@ def gen_nnn(n: int, far: bool, seed) -> tuple[JointDistribution, dict]:
         w0 = w1 = 0.5 * base
     else:
         coin = heavy_x[:, None, :] | heavy_y[None, :, :]
-        # an int seed keys the hash bits; a SeedSequence's stream draws the key
-        key = int(rng.integers(2**63)) if isinstance(seed, np.random.SeedSequence) else seed
-        w1 = base * np.where(coin, 0.5, _hash_bit_table(key, n))
+        f = rng.integers(2, size=(n, n, n), dtype=np.uint8)  # f(x, y, z)
+        w1 = base * np.where(coin, 0.5, f)
         w0 = base - w1
     # first coordinate is the pair (x, w) with index x*2 + w
     mass = np.empty((2 * n, n, n))
@@ -476,20 +461,19 @@ def gen_random_ci(l1: int, l2: int, n: int, seed) -> tuple[JointDistribution, di
 
 def _matching_tables(l1: int, l2: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, l1, l2) strongly dependent tables, each uniform on a random
-    partial matching: bin z matches the first min(l1, l2) entries of a
-    permutation of [l1] with those of a permutation of [l2], drawn in turn.
+    partial matching: bin z matches the first r = min(l1, l2) entries of a
+    uniform ordering of [l1] with those of a uniform ordering of [l2].
 
-    With l1 == l2 one `rng.permuted` call shuffles the 2n rows of a tiled
-    arange, rows 2z and 2z + 1 for bin z; these are the shuffles that
-    2n successive `rng.permutation(l1)` calls make, from the same stream.
+    One `rng.permuted` call shuffles the 2n rows of a tiled
+    arange(max(l1, l2)).  Bin z takes, in order, the entries below l1 of
+    row 2z and those below l2 of row 2z + 1: the entries of a uniform
+    permutation of [L] that lie below l form a uniform ordering of [l].
     """
     r = min(l1, l2)
-    if l1 == l2:
-        perms = rng.permuted(np.tile(np.arange(r), (2 * n, 1)), axis=1)
-        rows, cols = perms[0::2], perms[1::2]
-    else:
-        pairs = [(rng.permutation(l1)[:r], rng.permutation(l2)[:r]) for _ in range(n)]
-        rows, cols = (np.array(side) for side in zip(*pairs))
+    perms = rng.permuted(np.tile(np.arange(max(l1, l2)), (2 * n, 1)), axis=1)
+    rows, cols = (
+        side[side < l].reshape(n, l)[:, :r] for side, l in ((perms[0::2], l1), (perms[1::2], l2))
+    )
     tables = np.zeros((n, l1, l2))
     tables[np.arange(n)[:, None], rows, cols] = 1.0 / r
     return tables

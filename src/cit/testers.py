@@ -519,8 +519,10 @@ def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
     A fixed (N, 3) sample array on the domain `dims` draws nothing: the
     binary tester bincounts its codes (`_sample_codes`) into the count
     tensor a draw gives, and the general tester splits them
-    (`_phase_split`); the verdict is assembled as a draw's is."""
+    (`_phase_split`); the verdict is assembled as a draw's is.  A
+    distribution off a given `dims` is a TesterInputError."""
     if isinstance(source, JointDistribution):
+        _trial_domain(source, dims)
         [verdict] = run_trials([source], cfg, cfg.seed)
         return verdict
     m, codes = _sample_codes(source, cfg, dims)

@@ -210,9 +210,9 @@ class TestPowerExperiment:
         )
         run_power_experiment(plan, out_path=tmp_path / "nnn.csv")
         assert (tmp_path / "nnn.csv").read_text().splitlines()[1] == (
-            "1,general,nnn_d0,nnn_d1,16,32,16,0.5,300,8,50,nan,0.96,0.19999999999999996,"
-            "-0.23262716734353248,1.206406204906205,8.335831129254311,"
-            "0.02771281292110205,0.0565685424949238,ok"
+            "1,general,nnn_d0,nnn_d1,16,32,16,0.5,300,8,50,nan,0.96,0.18000000000000005,"
+            "-0.23262716734353248,1.345361952861953,8.335831129254311,"
+            "0.02771281292110205,0.054332310828824504,ok"
         )
 
     def test_nnn_auto_budget_is_the_domains(self, tmp_path):

@@ -217,12 +217,48 @@ class TestCubeInstances:
         with pytest.raises(ValueError):
             gen_nnn(8, False, 0)
 
+    def test_far_bit_is_a_fair_coin_on_light_cells(self):
+        # on a light-light cell all of the (x, y, z) mass sits on w = f(x, y, z)
+        n = 27
+        dist, meta = gen_nnn(n, True, 5)
+        mass = dist.mass.reshape(n, 2, n, n)  # (x, w, y, z)
+        zs = np.arange(n)[:, None]
+        heavy_x = np.zeros((n, n), dtype=bool)  # (x, z)
+        heavy_x[meta["sets_a"], zs] = True
+        heavy_y = np.zeros((n, n), dtype=bool)  # (y, z)
+        heavy_y[meta["sets_b"], zs] = True
+        light = ~(heavy_x[:, None, :] | heavy_y[None, :, :])
+        w0, w1 = mass[:, 0][light], mass[:, 1][light]
+        assert ((w0 == 0) != (w1 == 0)).all()
+        share, cells = (w1 > 0).mean(), light.sum()
+        assert cells == n * (n - meta["heavy_set_size"]) ** 2
+        assert abs(share - 0.5) < 4 * np.sqrt(0.25 / cells)
+        np.testing.assert_array_equal(mass[:, 0][~light], mass[:, 1][~light])
+
 
 class TestRandomFamilies:
     def test_random_ci_rank_one(self):
         dist, _ = gen_random_ci(3, 4, 12, 7)
         for z in range(12):
             assert rank_one_gap(dist.slice_table(z)) < 1e-12
+
+    @pytest.mark.parametrize("l1, l2", [(3, 4), (4, 3), (8, 3), (10, 10)])
+    def test_matching_tables_are_partial_matchings(self, l1, l2):
+        n, r = 200, min(l1, l2)
+        tables = instances._matching_tables(l1, l2, n, np.random.default_rng(11))
+        assert tables.shape == (n, l1, l2)
+        matched = tables > 0
+        assert (tables[matched] == 1 / r).all()
+        assert (matched.sum(axis=(1, 2)) == r).all()
+        assert matched.sum(axis=2).max() == 1 and matched.sum(axis=1).max() == 1
+
+    @pytest.mark.parametrize("l1, l2", [(3, 4), (4, 3)])
+    def test_matching_cells_are_uniform(self, l1, l2):
+        # each of the l1 l2 cells is matched in r / (l1 l2) = 1/4 of the bins
+        n = 20_000
+        tables = instances._matching_tables(l1, l2, n, np.random.default_rng(12))
+        share = (tables > 0).mean(axis=0)
+        assert np.abs(share - 0.25).max() < 4 * np.sqrt(0.25 * 0.75 / n)
 
     def test_random_far_meets_target(self):
         for seed in range(5):
@@ -356,9 +392,13 @@ class TestPinnedInstances:
     `ci_proxy*` metadata and the random families shared their product-slice
     draw; the binary pins that moved were recorded again when the binary
     generator gathered its mass in C order, which changed the order of the
-    normalizing sums.  Keyed by (family, n, ell1, ell2, seed), all at eps
-    0.25 and heavy-bin parameter m = n // 2.  A change to any generator's
-    RNG stream, float arithmetic or metadata shows here."""
+    normalizing sums.  The `nnn_d1` pins and the non-square `random_far`
+    pins were recorded again when `gen_nnn` drew f from the instance's
+    stream in place of a hash and `_matching_tables` drew every bin's
+    matching with one `rng.permuted` call.  Keyed by (family, n, ell1,
+    ell2, seed), all at eps 0.25 and heavy-bin parameter m = n // 2.  A
+    change to any generator's RNG stream, float arithmetic or metadata
+    shows here."""
 
     PINS = {
         ("yes_binary_r1", 20, 2, 2, 0): ("2eb49f9e5f66", "a8b0053c1437", "95f1d44856dc"),
@@ -389,10 +429,10 @@ class TestPinnedInstances:
         ("nnn_d0", 16, 2, 2, 7): ("553f07fd7883", "d5ced4a0fdc0", "47bd45823775"),
         ("nnn_d0", 27, 2, 2, 0): ("90aec9691413", "ee234f92b9ac", "b57a5dadd97d"),
         ("nnn_d0", 27, 2, 2, 7): ("4d3182445ffb", "f5d547b807c7", "666a89ec12a8"),
-        ("nnn_d1", 16, 2, 2, 0): ("323a824a9a9e", "d5ced4a0fdc0", "047d5f8fdf6f"),
-        ("nnn_d1", 16, 2, 2, 7): ("cf46d4d43295", "d5ced4a0fdc0", "af46a922ea35"),
-        ("nnn_d1", 27, 2, 2, 0): ("1e73bc127b66", "e1e8e87a6d79", "b5dad8261666"),
-        ("nnn_d1", 27, 2, 2, 7): ("622a5442e7ea", "188dc1a6c0f3", "b71d87e1edc9"),
+        ("nnn_d1", 16, 2, 2, 0): ("6473e88fcc2c", "d5ced4a0fdc0", "047d5f8fdf6f"),
+        ("nnn_d1", 16, 2, 2, 7): ("5db8f18dab76", "d5ced4a0fdc0", "af46a922ea35"),
+        ("nnn_d1", 27, 2, 2, 0): ("e3e7a8532d02", "8105cee4df78", "b5dad8261666"),
+        ("nnn_d1", 27, 2, 2, 7): ("86ffebafa081", "5abc072ef5c7", "b71d87e1edc9"),
         ("random_ci", 20, 2, 2, 0): ("537cbd946f2b", "1f9b6a3d0988", "f18b2122aa7f"),
         ("random_ci", 20, 2, 2, 7): ("e3c8eb3fd891", "b74bfea3415a", "b192cc8552ca"),
         ("random_ci", 50, 3, 4, 0): ("701cf2640bea", "4b1a19577b23", "e02ba09a1304"),
@@ -401,8 +441,8 @@ class TestPinnedInstances:
         ("random_ci", 50, 10, 10, 7): ("584996379ef1", "faf9e1b4554b", "aa5fdd148f72"),
         ("random_far", 20, 2, 2, 0): ("7a232767f88c", "f679acd7a0b1", "3abd71584dfa"),
         ("random_far", 20, 2, 2, 7): ("444c82496a0c", "ba5ece7e5b06", "251088fd44aa"),
-        ("random_far", 50, 3, 4, 0): ("ca45f8f8b672", "3882e24beca4", "cfb0658d6142"),
-        ("random_far", 50, 3, 4, 7): ("2d2d5babdaf6", "850bc33aa4ea", "5507dc18a788"),
+        ("random_far", 50, 3, 4, 0): ("556d69b63058", "0e4232bd2c83", "0b2d563caf59"),
+        ("random_far", 50, 3, 4, 7): ("63de726786a8", "467038ee051d", "0fe515c7e89f"),
         ("random_far", 50, 10, 10, 0): ("dff6c37ce8dc", "171b0224d172", "a84023cf25ea"),
         ("random_far", 50, 10, 10, 7): ("6804cb6c27b9", "8b2ae2053d42", "06236a1fab05"),
     }

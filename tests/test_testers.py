@@ -220,6 +220,17 @@ def test_fixed_sample_input_checks(mode):
         tester(good, replace(cfg, m_override=0), dims=(2, 2, 3))
 
 
+@pytest.mark.parametrize("tester, eps", [(run_tester, 0.5), (binary_test, 0.5),
+                                         (general_test, 0.5), (cmi_test, 0.25)])
+def test_distribution_off_given_dims_refused(tester, eps):
+    # dims, when given with a distribution, must be its domain
+    p = JointDistribution.uniform(2, 2, 4)
+    cfg = TesterConfig(epsilon=eps, m_override=100)
+    with pytest.raises(TesterInputError, match="a trial on"):
+        tester(p, cfg, dims=(7, 7, 7))
+    assert tester(p, cfg, dims=(2, 2, 4)).to_json() == tester(p, cfg).to_json()
+
+
 @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1), 2**70,
                                   np.random.SeedSequence(3)])
 def test_config_seeds_accepted(seed):
