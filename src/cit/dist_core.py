@@ -51,8 +51,9 @@ class JointDistribution:
 
     Always a distribution: the mass sums to 1 within `NORMALIZED_ATOL`.
     `from_mass` divides a raw tensor, such as a pseudo-distribution, by
-    its total.  The bin marginal cache is always derived from the tensor,
-    never set independently.
+    its total.  A read-only float64 mass that owns its data, as `from_mass`
+    makes, is kept; any other is copied.  The bin marginal cache is always
+    derived from the tensor, never set independently.
 
     `mass` keeps the memory order its producer built.  `from_slices` and
     the random generators transpose an (n, l1, l2) stack, so the
@@ -67,7 +68,10 @@ class JointDistribution:
     mass: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.mass, dtype=float)
+        arr = self.mass
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 3:
             raise ShapeMismatchError("joint mass must be a 3-D tensor (x, y, z)")
         if min(arr.shape) < 1:
@@ -106,7 +110,9 @@ class JointDistribution:
             total = float(arr.sum())
         if not 0.0 < total < np.inf:
             raise DistributionError(f"total mass {total!r} is not positive and finite")
-        return cls(arr / total), total
+        quotient = arr / total
+        quotient.setflags(write=False)  # fresh, so the distribution keeps it uncopied
+        return cls(quotient), total
 
     @classmethod
     def from_slices(cls, weights, tables) -> "JointDistribution":
@@ -481,10 +487,12 @@ def read_distribution_file(path) -> tuple[JointDistribution, float]:
         raise DistributionError(f"{path}: cell {cell} listed {hits.max()} times")
     mass = np.zeros(dims)
     mass[tuple(cells.T)] = probs[:, 0]
+    mass.setflags(write=False)  # kept uncopied by a distribution made of it
+    with np.errstate(over="ignore", invalid="ignore"):  # from_mass refuses inf or nan
+        normalized = abs(mass.sum() - 1.0) <= NORMALIZED_ATOL
     try:
-        dist, total = JointDistribution.from_mass(mass)
-        if abs(total - 1.0) <= NORMALIZED_ATOL:
+        if normalized:
             return JointDistribution(mass), 1.0
-        return dist, total
+        return JointDistribution.from_mass(mass)
     except DistributionError as exc:
         raise DistributionError(f"{path}: {exc}") from None

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import FAMILIES, EnsembleSpec, RegimeError, check_alphabet, make_instance
+from .instances import EnsembleSpec, RegimeError, make_instance
 from .seeding import child_seed, generator, seed_sequence
 from .testers import (
-    _MODES, MAX_TRIALS, TesterConfig, TesterInputError, calibrate_threshold, run_trials,
-    sample_budget,
+    MAX_TRIALS, MIN_CALIBRATION_TRIALS, TesterConfig, TesterInputError, calibrate_threshold,
+    run_trials, sample_budget,
 )
 
 SCHEMA_VERSION = 1
@@ -50,7 +50,8 @@ class BudgetExhaustedError(RuntimeError):
 class ExperimentPlan:
     """A grid of (n, eps, m) cells, a family pair, and trial counts.  Made
     only if every cell passes `_cell`, so a plan that a run would refuse
-    fails before its first instance."""
+    fails before its first instance; the plan itself checks only the seed,
+    the trial counts and that the grid is non-empty."""
 
     null_family: str
     alt_family: str
@@ -78,19 +79,8 @@ class ExperimentPlan:
                 raise PlanError(f"{field} must be <= {MAX_TRIALS}, got {value}")
         if not self.n_values or not self.eps_values or not self.m_values:
             raise PlanError("grid must be non-empty")
-        for fam in (self.null_family, self.alt_family):
-            if fam not in FAMILIES:
-                raise PlanError(f"unknown family {fam!r}")
-            try:
-                check_alphabet(fam, self.ell1, self.ell2)
-            except RegimeError as exc:
-                raise PlanError(str(exc)) from None
-        if self.mode not in _MODES:
-            raise PlanError(f"unknown mode {self.mode!r}")
-        if min(self.n_values) < 1:
-            raise PlanError(f"n must be >= 1, got {min(self.n_values)}")
-        if self.calibration_trials and self.calibration_trials < 100:
-            raise PlanError("calibration_trials must be 0 or >= 100")
+        if self.calibration_trials and self.calibration_trials < MIN_CALIBRATION_TRIALS:
+            raise PlanError(f"calibration_trials must be 0 or >= {MIN_CALIBRATION_TRIALS}")
         for cell in self.grid:
             _cell(self, *cell)
 
@@ -213,9 +203,10 @@ def _resolve_gen_m(gen_m, n: int) -> int:
 def _cell(plan: ExperimentPlan, n: int, eps: float, m_spec):
     """(cfg, null spec, alt spec) of the grid cell (n, eps, m_spec): the
     tester config with its budget pinned, and the two families' specs but
-    for their seeds.  Raises PlanError for whatever a run of the cell would
-    refuse: a family rule, families whose `dims` differ, a tester parameter,
-    or a budget or domain that `sample_budget` refuses."""
+    for their seeds.  Raises PlanError, naming the cell, for whatever a run
+    of the cell would refuse: a family rule (an unknown family, an alphabet
+    or n it cannot take, its regime), unpaired `dims`, a tester parameter
+    such as the mode, or a budget or domain `sample_budget` refuses."""
     specs = []
     for family in (plan.null_family, plan.alt_family):
         try:

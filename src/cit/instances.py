@@ -70,7 +70,7 @@ class RegimeError(ValueError):
     """Spec parameters fall outside the family's validity regime."""
 
 
-def check_alphabet(family: str, ell1: int, ell2: int) -> None:
+def _check_alphabet(family: str, ell1: int, ell2: int) -> None:
     """Raise RegimeError unless `family` takes ell1 x ell2: any sizes >= 1
     for the `FREE_ALPHABET` families, the defaults (2, 2) for the others,
     whose instances never read them."""
@@ -140,7 +140,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RegimeError(f"unknown family {self.family!r}")
-        check_alphabet(self.family, self.ell1, self.ell2)
+        _check_alphabet(self.family, self.ell1, self.ell2)
         if self.n < 1:
             raise RegimeError("n must be >= 1")
         if self.family in BINARY_FAMILIES:
@@ -179,9 +179,7 @@ def make_instance(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
         return gen_nnn(spec.n, fam == "nnn_d1", spec.seed)
     if fam == "random_ci":
         return gen_random_ci(spec.ell1, spec.ell2, spec.n, spec.seed)
-    if fam == "random_far":
-        return gen_random_far(spec.ell1, spec.ell2, spec.n, spec.eps, spec.seed)
-    raise RegimeError(f"unknown family {fam!r}")
+    return gen_random_far(spec.ell1, spec.ell2, spec.n, spec.eps, spec.seed)
 
 
 # ---------------------------------------------------------------------------

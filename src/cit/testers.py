@@ -71,6 +71,9 @@ _MAX_BUDGET = 1 << 62
 #: arrays (8 bytes a trial) would pass numpy's index range or memory first
 MAX_TRIALS = 10**9
 
+#: fewest trials a calibration runs, in `calibrate_threshold` and in a power plan
+MIN_CALIBRATION_TRIALS = 100
+
 
 class TesterInputError(ValueError):
     """Bad tester configuration or sample input."""
@@ -138,16 +141,15 @@ class Verdict:
     are equal when their scalar fields and `per_bin` are.
     """
 
-    accept: bool
     statistic_A: float
     threshold_tau: float
     m_used: int
     M_drawn: int
     bins: tuple
 
-    def __post_init__(self):
-        if self.accept != (self.statistic_A <= self.threshold_tau):
-            raise TesterInputError("verdict flag inconsistent with A <= tau")
+    @property
+    def accept(self) -> bool:
+        return self.statistic_A <= self.threshold_tau
 
     @cached_property
     def per_bin(self) -> tuple:
@@ -156,8 +158,7 @@ class Verdict:
         return tuple(zip(z.tolist(), sigma[z].tolist(), omega[z].tolist(), a_z[z].tolist()))
 
     def _key(self) -> tuple:
-        return (self.accept, self.statistic_A, self.threshold_tau, self.m_used,
-                self.M_drawn, self.per_bin)
+        return (self.statistic_A, self.threshold_tau, self.m_used, self.M_drawn, self.per_bin)
 
     def __eq__(self, other):
         if not isinstance(other, Verdict):
@@ -510,7 +511,7 @@ def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
     tau = cfg.tau_override
     if tau is None:
         tau = scale * math.sqrt(min(n, m_used))
-    return Verdict(stat <= tau, stat, float(tau), m_used, big_m, bins)
+    return Verdict(stat, float(tau), m_used, big_m, bins)
 
 
 def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
@@ -686,8 +687,8 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
     index; a caller that needs the same instances again (as `find_min_m`
     does) keeps them itself.
     """
-    if trials < 100:
-        raise TesterInputError("calibration needs at least 100 trials")
+    if trials < MIN_CALIBRATION_TRIALS:
+        raise TesterInputError(f"calibration needs at least {MIN_CALIBRATION_TRIALS} trials")
     if trials > MAX_TRIALS:
         raise TesterInputError(f"calibration trials must be <= {MAX_TRIALS}, got {trials}")
     if not isinstance(cfg.seed, (int, np.integer)):

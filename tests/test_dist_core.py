@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -534,6 +535,29 @@ class TestInvariants:
         assert factor == 2.0
         np.testing.assert_array_equal(norm.mass, pseudo / 2.0)
 
+    def test_from_mass_holds_one_copy(self):
+        # the quotient was once copied again by the constructor: two copies at peak
+        mass = np.random.default_rng(3).random((40, 50, 100))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p, _ = JointDistribution.from_mass(mass)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert p.mass.nbytes == mass.nbytes and peak < 1.5 * mass.nbytes
+
+    @pytest.mark.parametrize("readonly_view", [False, True])
+    def test_caller_writes_leave_distribution(self, readonly_view):
+        mass = np.full((2, 2, 2), 1 / 8)
+        given = mass
+        if readonly_view:  # read-only, but its data is the caller's writeable array
+            given = mass.view()
+            given.setflags(write=False)
+        p = JointDistribution(given)
+        mass[0, 0, 0] = 0.5
+        assert p.mass[0, 0, 0] == 1 / 8 and not p.mass.flags.writeable
+
     @pytest.mark.parametrize("mass, total", [
         (np.zeros((2, 2, 2)), "0.0"),
         (np.full((1, 1, 2), 1e308), "inf"),
@@ -555,6 +579,23 @@ class TestFileFormats:
         q, factor = read_distribution_file(path)
         np.testing.assert_array_equal(p.mass, q.mass)
         assert factor == 1.0
+
+    @pytest.mark.parametrize("prob, factor", [("0.25", 1.0), ("0.5", 2.0)])
+    def test_distribution_built_once(self, monkeypatch, tmp_path, prob, factor):
+        built = []
+        post_init = JointDistribution.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(JointDistribution, "__post_init__", counting)
+        path = tmp_path / "dist.tsv"
+        path.write_text("#dims 2 2 1\n" + "".join(f"{i}\t{j}\t1\t{prob}\n"
+                                                 for i in (1, 2) for j in (1, 2)))
+        p, read_factor = read_distribution_file(path)
+        assert read_factor == factor and len(built) == 1 and built[0] is p
+        np.testing.assert_array_equal(p.mass, np.full((2, 2, 1), 0.25))
 
     def test_sample_round_trip(self, tmp_path):
         p = JointDistribution.uniform(2, 3, 4)

@@ -753,6 +753,7 @@ class TestCLI:
     @pytest.mark.parametrize("edit, message", [
         # once sized at the 8x8 budget (m = 3239) on 2x2 instances
         ({"m=600": "m=auto", "gen_m=16": "ell1=8\nell2=8"},
+         "family 'yes_binary_r1' at n=40 eps=0.5: "
          "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 8"),
         # once sized at 2x2x16 on 32x16x16 instances; now refused for that domain
         ({"null_family=yes_binary_r1": "null_family=nnn_d0",
@@ -761,8 +762,9 @@ class TestCLI:
         # once "sample budget at epsilon 0.5 is not finite"
         ({"null_family=yes_binary_r1": "null_family=random_ci",
           "alt_family=no_binary_r1": "alt_family=random_far", "m=600": "m=auto\nell1=0"},
-         "family 'random_ci' needs ell1 >= 1, got 0"),
+         "family 'random_ci' at n=40 eps=0.5: family 'random_ci' needs ell1 >= 1, got 0"),
         ({"null_family=yes_binary_r1": "null_family=random_ci", "gen_m=16": "ell2=3"},
+         "family 'no_binary_r1' at n=40 eps=0.5: "
          "family 'no_binary_r1' builds its own alphabet: ell2 must be 2, got 3"),
     ])
     def test_plan_alphabet_mismatch_exit_code(self, monkeypatch, tmp_path, edit, message):
@@ -800,7 +802,8 @@ class TestCLI:
         ({"mode=binary": "mode=cmi", "eps=0.5": "eps=0.3,0.5"},
          "cell eps=0.5 m=600: cmi mode needs epsilon in (0, 1/2)"),
         ({"m=600": "m=20000,-5"}, "cell eps=0.5 m=-5: m_override must be >= 0"),
-        ({"n=40": "n=100,0"}, "n must be >= 1, got 0"),
+        # once refused by the plan as well, whose error named no cell
+        ({"n=40": "n=100,0"}, "family 'yes_binary_r1' at n=0 eps=0.5: n must be >= 1"),
         # the next four once ran every earlier cell, then exited 2 with no CSV; each
         # is one family rule, which the plan shares with the family's generator
         ({"n=40": "n=40,16"}, "family 'yes_binary_r1' at n=16 eps=0.5: "
@@ -817,7 +820,9 @@ class TestCLI:
           "eps=0.5": "eps=0.5,0.7"},
          "family 'random_far' at n=40 eps=0.7: eps 0.7 is above 1 - 1/min(ell1, ell2) = "
          "0.6666666666666667: no 3 x 3 instance is that far from conditional independence"),
-        ({"mode=binary": "mode=foo"}, "unknown mode 'foo'"),
+        # once refused by the plan as well, whose error named no cell
+        ({"mode=binary": "mode=foo"},
+         "cell eps=0.5 m=600: mode must be one of ('binary', 'general', 'cmi')"),
         ({"gen_m=16": "gen_m=16\ncalibration_trials=50"}, "calibration_trials must be 0 or >= 100"),
         ({"trials=60": "trials"}, "line 9: expected 'key=value'"),
         ({"seed=7": "seed=7\nseed=8"}, "line 11: duplicate key 'seed'"),
@@ -844,13 +849,20 @@ class TestCLI:
         ({"null_family=yes_binary_r1": "null_family=nnn_d0",
           "alt_family=no_binary_r1": "alt_family=nnn_d1", "n=40": "n=16"},
          "cell eps=0.5 m=600: binary tester supports alphabet sizes up to 8"),
+        # the next two once refused by the plan as well, whose error named no cell
+        ({"alt_family=no_binary_r1": "alt_family=foo"},
+         "family 'foo' at n=40 eps=0.5: unknown family 'foo'"),
+        ({"gen_m=16": "gen_m=16\nell1=3"},
+         "family 'yes_binary_r1' at n=40 eps=0.5: "
+         "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 3"),
     ])
     def test_plan_refused_before_any_trial_exit_code(self, monkeypatch, tmp_path, edit,
                                                      message):
         def no_instance(spec):
             raise AssertionError("built an instance before rejecting the plan")
 
-        monkeypatch.setattr(harness, "make_instance", no_instance)
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "make_instance", no_instance)
         text = PLAN_TEXT
         for old, new in edit.items():
             text = text.replace(old, new)
@@ -947,6 +959,7 @@ class TestCLI:
         (["gen", "--family", "random_far", "--n", "40", "--ell2", "0", "--out", "{out}"],
          "family 'random_far' needs ell2 >= 1, got 0"),
         (["minm", "--n", "40", "--eps", "0.5", "--ell1", "3", "--ell2", "3"],
+         "family 'yes_binary_r1' at n=40 eps=0.5: "
          "family 'yes_binary_r1' builds its own alphabet: ell1 must be 2, got 3"),
         # once built an instance before refusing the alphabet
         (["calibrate", "--mode", "binary", "--family", "random_ci", "--ell1", "9", "--n", "30",

@@ -123,10 +123,6 @@ class TestVerdictContract:
         assert not binary_test(samples, below, dims=(2, 2, 1)).accept
         _ = p
 
-    def test_inconsistent_verdict_rejected(self):
-        with pytest.raises(TesterInputError):
-            Verdict(True, 2.0, 1.0, 10, 10, ())
-
 
 class TestBinaryTester:
     def test_sparse_bins_accept(self):
@@ -422,8 +418,8 @@ class TestRunTrials:
             assert all(type(v) is t for row in lazy.per_bin
                        for v, t in zip(row, (int, int, float, float)))
             assert all(a_z == 0.0 for sigma, _, a_z in zip(*columns) if sigma < 4)
-            eager = Verdict(lazy.accept, lazy.statistic_A, lazy.threshold_tau, lazy.m_used,
-                            lazy.M_drawn, columns)
+            eager = Verdict(lazy.statistic_A, lazy.threshold_tau, lazy.m_used, lazy.M_drawn,
+                            columns)
             assert lazy == eager and hash(lazy) == hash(eager)
             assert text == eager.to_json()
         # the block mixes bins below and above 4 samples, so the selection is exercised
