@@ -39,8 +39,9 @@ class NotNormalizedError(DistributionError):
     `NORMALIZED_ATOL`; `JointDistribution.from_mass` divides raw tensors."""
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """`arr`, a fresh array, marked read-only: a distribution keeps such a
+    mass uncopied."""
     arr.setflags(write=False)
     return arr
 
@@ -51,8 +52,8 @@ class JointDistribution:
 
     Always a distribution: the mass sums to 1 within `NORMALIZED_ATOL`.
     `from_mass` divides a raw tensor, such as a pseudo-distribution, by
-    its total.  A read-only float64 mass that owns its data, as `from_mass`
-    makes, is kept; any other is copied.  The bin marginal cache is always
+    its total.  A read-only float64 mass that owns its data, as the
+    constructors here make, is kept; any other is copied.  The bin marginal cache is always
     derived from the tensor, never set independently.
 
     `mass` keeps the memory order its producer built.  `from_slices` and
@@ -110,9 +111,7 @@ class JointDistribution:
             total = float(arr.sum())
         if not 0.0 < total < np.inf:
             raise DistributionError(f"total mass {total!r} is not positive and finite")
-        quotient = arr / total
-        quotient.setflags(write=False)  # fresh, so the distribution keeps it uncopied
-        return cls(quotient), total
+        return cls(_readonly(arr / total)), total
 
     @classmethod
     def from_slices(cls, weights, tables) -> "JointDistribution":
@@ -125,11 +124,11 @@ class JointDistribution:
         tables = np.asarray(tables, dtype=float)
         if tables.ndim != 3 or weights.shape != (tables.shape[0],):
             raise ShapeMismatchError("need weights (n,) and tables (n, l1, l2)")
-        return cls(tables.transpose(1, 2, 0) * weights)
+        return cls(_readonly(tables.transpose(1, 2, 0) * weights))
 
     @classmethod
     def uniform(cls, l1: int, l2: int, n: int) -> "JointDistribution":
-        return cls(np.full((l1, l2, n), 1.0 / (l1 * l2 * n)))
+        return cls(_readonly(np.full((l1, l2, n), 1.0 / (l1 * l2 * n))))
 
 
 def _as_mass(p) -> np.ndarray:
@@ -179,7 +178,7 @@ def mixture_q(p: JointDistribution) -> JointDistribution:
     pz, _, px, py = _conditional_marginals(p)
     qmass = pz * px[:, None, :] * py[None, :, :]
     # zero-weight bins contribute no mass either way
-    return JointDistribution(qmass)
+    return JointDistribution(_readonly(qmass))
 
 
 def ci_distance_proxy(p: JointDistribution) -> float:
@@ -239,28 +238,29 @@ def sample_poissonized(p: JointDistribution, m: float, seed) -> np.ndarray:
 
 
 def poissonized_count_tensor(
-    dists, budgets, rng: np.random.Generator
+    dists, m, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
-    """Independent per-cell counts N_i(x, y, z) ~ Poisson(m_i * p_i(x, y, z))
-    for each distribution p_i in `dists`, all of one shape (l1, l2, n), and
-    its budget m_i in `budgets`, as (total M over all of them, counts).
+    """Independent per-cell counts N_i(x, y, z) ~ Poisson(m * p_i(x, y, z))
+    at the one budget m for each distribution p_i in `dists`, all of one
+    shape (l1, l2, n), as (total M over all of them, counts).
 
     For one distribution this is equal in law to binning
     `sample_poissonized` output (M ~ Poisson(m), then a multinomial split),
     and is used where a statistic depends on samples only through per-bin
-    fingerprints.  The counts are the draw itself, a C-order
+    fingerprints.  The counts are the draw itself, a C-order int64
     (k, l1, l2, n) array: one `rng.poisson` call over the stacked rates,
     which takes the same variates from `rng` as k calls in a row, one per
     distribution, so a trial's counts do not depend on how many others
-    share its call.  The counts and M are int64: callers keep the budgets
-    small enough for M to fit.
+    share its call.  Callers keep m small enough for each distribution's
+    total to fit in int64 (`sample_budget` allows up to 2^62); M is the
+    exact Python-int sum of those totals, which may pass 2^63.
     """
     dists = list(dists)
     rates = np.empty((len(dists), *dists[0].dims))
-    for row, p, m in zip(rates, dists, budgets, strict=True):
+    for row, p in zip(rates, dists):
         np.multiply(m, p.mass, out=row)
     counts = rng.poisson(rates)
-    return int(counts.sum()), counts
+    return sum(counts.sum(axis=(1, 2, 3)).tolist()), counts
 
 
 def _runs(keys: np.ndarray) -> np.ndarray:
@@ -487,7 +487,7 @@ def read_distribution_file(path) -> tuple[JointDistribution, float]:
         raise DistributionError(f"{path}: cell {cell} listed {hits.max()} times")
     mass = np.zeros(dims)
     mass[tuple(cells.T)] = probs[:, 0]
-    mass.setflags(write=False)  # kept uncopied by a distribution made of it
+    _readonly(mass)
     with np.errstate(over="ignore", invalid="ignore"):  # from_mass refuses inf or nan
         normalized = abs(mass.sum() - 1.0) <= NORMALIZED_ATOL
     try:

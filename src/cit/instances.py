@@ -39,14 +39,16 @@ FAMILIES = (
     "random_far",
 )
 
-# 2x2 conditional tables for the binary ensembles, in hundredths.  The two
-# independent tables and the three dependent ones interleave an arithmetic
-# progression A + k*B (k = 0..4 with B supported on the diagonal), so the
-# mixtures with weights (1/2, 1/2) and (1/8, 3/4, 1/8) agree on every
-# monomial of the four cell probabilities up to total degree 3.
+# 2x2 conditional tables for the binary ensembles, in hundredths, and their
+# mixture weights.  The two independent tables and the three dependent ones
+# interleave an arithmetic progression A + k*B (k = 0..4 with B supported
+# on the diagonal), so the two mixtures agree on every monomial of the four
+# cell probabilities up to total degree 3 (`moment_match_check`).  The
+# generator draws with the weights' float values, which are exact.
 _INDEP_CELLS = ((16, 24, 24, 36), (36, 24, 24, 16))
+_INDEP_WEIGHTS = (Fraction(1, 2), Fraction(1, 2))
 _DEP_CELLS = ((6, 24, 24, 46), (46, 24, 24, 6), (26, 24, 24, 26))
-_DEP_WEIGHTS = (0.125, 0.125, 0.75)
+_DEP_WEIGHTS = (Fraction(1, 8), Fraction(1, 8), Fraction(3, 4))
 
 _UNIFORM_2X2 = np.full((2, 2), 0.25)
 _INDEP_SLICES = np.array(_INDEP_CELLS, dtype=float).reshape(2, 2, 2) / 100.0
@@ -214,16 +216,13 @@ def gen_binary_ensemble(spec: EnsembleSpec) -> tuple[JointDistribution, dict]:
     yes = fam.startswith("yes")
     regime2 = fam.endswith("r2")
     n, eps, m = spec.n, spec.eps, spec.m
-    if not yes:
-        assert_moment_matched()
-
     rng = _stream(spec.seed, "binary_ensemble", fam, n, m)
     num_random = n - 1 if regime2 else n
     heavy_prob = 0.5 if regime2 else m / n
     heavy = rng.random(num_random) < heavy_prob
     light_slices = _INDEP_SLICES if yes else _DEP_SLICES
-    light_probs = (0.5, 0.5) if yes else _DEP_WEIGHTS
-    kind = rng.choice(len(light_slices), size=num_random, p=light_probs)
+    weights = np.array(_INDEP_WEIGHTS if yes else _DEP_WEIGHTS, dtype=float)
+    kind = rng.choice(len(light_slices), size=num_random, p=weights)
     kind = np.where(heavy, -1, kind).astype(np.int8)
     if regime2:
         heavy = np.append(heavy, True)
@@ -265,16 +264,14 @@ class MomentMatchReport:
 
 def moment_match_check(degree: int = 3) -> MomentMatchReport:
     """Verify, in exact rational arithmetic, that the dependent and
-    independent light-slice mixtures agree on every cell-probability
-    monomial of total degree <= `degree`, and exhibit a degree-4 monomial
-    where they differ.
+    independent light-slice mixtures, at the weights `gen_binary_ensemble`
+    draws with, agree on every cell-probability monomial of total degree
+    <= `degree`, and exhibit a degree-4 monomial where they differ.
     """
     if degree > 3:
         raise ValueError("the mixtures only match up to degree 3")
     indep = [tuple(Fraction(v, 100) for v in cells) for cells in _INDEP_CELLS]
     dep = [tuple(Fraction(v, 100) for v in cells) for cells in _DEP_CELLS]
-    dep_w = (Fraction(1, 8), Fraction(1, 8), Fraction(3, 4))
-    indep_w = (Fraction(1, 2), Fraction(1, 2))
 
     def mixture_moment(slices, weights, exps):
         total = Fraction(0)
@@ -291,8 +288,8 @@ def moment_match_check(degree: int = 3) -> MomentMatchReport:
         for exps in itertools.product(range(total_deg + 1), repeat=4):
             if sum(exps) != total_deg:
                 continue
-            lhs = mixture_moment(dep, dep_w, exps)
-            rhs = mixture_moment(indep, indep_w, exps)
+            lhs = mixture_moment(dep, _DEP_WEIGHTS, exps)
+            rhs = mixture_moment(indep, _INDEP_WEIGHTS, exps)
             checked += 1
             if lhs != rhs:
                 mismatches.append((exps, lhs, rhs))
@@ -300,8 +297,8 @@ def moment_match_check(degree: int = 3) -> MomentMatchReport:
     for exps in itertools.product(range(5), repeat=4):
         if sum(exps) != 4:
             continue
-        lhs = mixture_moment(dep, dep_w, exps)
-        rhs = mixture_moment(indep, indep_w, exps)
+        lhs = mixture_moment(dep, _DEP_WEIGHTS, exps)
+        rhs = mixture_moment(indep, _INDEP_WEIGHTS, exps)
         if lhs != rhs:
             counterexample = (exps, lhs, rhs)
             break
@@ -312,20 +309,6 @@ def moment_match_check(degree: int = 3) -> MomentMatchReport:
         mismatches=tuple(mismatches),
         degree4_counterexample=counterexample,
     )
-
-
-_MOMENT_GATE_OK: bool | None = None
-
-
-def assert_moment_matched() -> None:
-    """Gate for the no-ensemble generator: the moment-matching identity is
-    re-verified exactly once per process before any dependent mixture is used."""
-    global _MOMENT_GATE_OK
-    if _MOMENT_GATE_OK is None:
-        report = moment_match_check(3)
-        _MOMENT_GATE_OK = report.matched and report.degree4_counterexample is not None
-    if not _MOMENT_GATE_OK:
-        raise RegimeError("dependent slice mixture failed the moment-matching gate")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +436,8 @@ def _product_slices(l1: int, l2: int, n: int, rng: np.random.Generator):
 def gen_random_ci(l1: int, l2: int, n: int, seed) -> tuple[JointDistribution, dict]:
     """Random bin weights with independent random product slices: exactly CI."""
     pz, tables = _product_slices(l1, l2, n, _stream(seed, "random_ci", l1, l2, n))
-    dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0) * pz)
+    tables *= pz[:, None, None]
+    dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0))
     return dist, {"family": "random_ci", "n": n, "seed": seed}
 
 
@@ -503,7 +487,8 @@ def gen_random_far(
         w = min(1.0, 1.1 * eps)
         while True:
             tables = (1 - w) * product + w * matchings
-            dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0) * pz)
+            tables *= pz[:, None, None]
+            dist, _ = JointDistribution.from_mass(tables.transpose(1, 2, 0))
             proxy = ci_distance_proxy(dist)
             if proxy >= eps:
                 meta = {

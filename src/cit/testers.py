@@ -62,8 +62,8 @@ _MODES = ("binary", "general", "cmi")
 _TRIAL_BLOCK_CELLS = 1 << 12
 
 #: largest sample budget drawn from a distribution: the drawn counts and
-#: their total M are int64, which a Poisson total stays far below for
-#: m <= 2^62
+#: each trial's total M are int64, which a Poisson total stays far below
+#: for m <= 2^62
 _MAX_BUDGET = 1 << 62
 
 #: most trials a calibration or a power plan column runs: every trial builds
@@ -506,12 +506,14 @@ def _sample_codes(source, cfg, dims):
     return sample_budget(replace(cfg, m_override=samples.shape[0]), dims), codes
 
 
-def _verdict(cfg, scale, n, stat, m_used, big_m, bins) -> Verdict:
-    """Verdict at threshold `tau_override`, else scale * sqrt(min(n, m_used))."""
+def _threshold(cfg: TesterConfig, n: int, m: int) -> float:
+    """The threshold tau of the tester `cfg.mode` on n bins at budget m:
+    `tau_override`, else zeta (binary, cmi) or zeta^{1/4} (general) times
+    sqrt(min(n, m))."""
     tau = cfg.tau_override
     if tau is None:
-        tau = scale * math.sqrt(min(n, m_used))
-    return Verdict(stat, float(tau), m_used, big_m, bins)
+        tau = (cfg.zeta**0.25 if cfg.mode == "general" else cfg.zeta) * math.sqrt(min(n, m))
+    return float(tau)
 
 
 def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
@@ -528,11 +530,12 @@ def run_tester(source, cfg: TesterConfig, dims=None) -> Verdict:
         return verdict
     m, codes = _sample_codes(source, cfg, dims)
     l1, l2, n = dims
+    tau = _threshold(cfg, n, m)
     if cfg.mode == "general":
-        return _general_verdict(cfg, dims, m, m, _phase_split(codes, l1, l2, n))
+        return _general_verdict(tau, dims, m, m, _phase_split(codes, l1, l2, n))
     # an (n, l1, l2) bincount, passed as the (1, l1, l2, n) layout of a draw
     counts = np.bincount(codes, minlength=l1 * l2 * n).reshape(1, n, l1, l2)
-    [verdict] = _binary_verdicts(cfg, m, counts.transpose(0, 2, 3, 1))
+    [verdict] = _binary_verdicts(tau, m, counts.transpose(0, 2, 3, 1))
     return verdict
 
 
@@ -592,17 +595,18 @@ def run_trials(dists, cfg: TesterConfig, rng):
     verdict of the tester `cfg.mode` on it.
 
     A column is one domain: every trial must be on the first one's
-    (l1, l2, n), and `sample_budget` gives the column's budget, and its
-    refusals, once.  `dists` may be a lazy iterable, consumed one block
-    ahead of the verdicts; a trial that is not a distribution, or is on
-    another domain, is a TesterInputError before its block draws.  `rng`
-    is anything `default_rng` takes (an int, a `SeedSequence` or a
-    Generator), and the trials draw from that one stream in order, so a
-    trial's draws depend on the trials before it in its column, and the
-    whole column is reproducible from `rng`.  In binary and cmi mode a
+    (l1, l2, n), and the column's budget m (`sample_budget`, with its
+    refusals) and threshold (`_threshold`) are worked out once.  `dists`
+    may be a lazy iterable, consumed one block ahead of the verdicts; a
+    trial that is not a distribution, or is on another domain, is a
+    TesterInputError before its block draws.  `rng` is anything
+    `default_rng` takes (an int, a `SeedSequence` or a Generator), and the
+    trials draw from that one stream in order, so a trial's draws depend
+    on the trials before it in its column, and the whole column is
+    reproducible from `rng`.  In binary and cmi mode a
     block is k = max(1, 2^12 // (l1 l2 n)) consecutive trials, which share
-    one count draw (`poissonized_count_tensor`), one kernel call and one
-    row-wise sum of their statistics.  One draw over a block takes the
+    one count draw at m (`poissonized_count_tensor`), one kernel call and
+    one row-wise sum of their statistics.  One draw over a block takes the
     variates that its trials would take one after another, a bin's Phi
     depends on its counts alone and each row is summed as a one-trial call
     sums it, so the verdicts are the same at every block size, and the
@@ -617,22 +621,24 @@ def run_trials(dists, cfg: TesterConfig, rng):
     dims = _trial_domain(first[0])
     m = int(sample_budget(cfg, dims))
     l1, l2, n = dims
+    tau = _threshold(cfg, n, m)
     k = 1 if cfg.mode == "general" else max(1, _TRIAL_BLOCK_CELLS // (l1 * l2 * n))
     dists = chain(first, dists)
     while block := list(islice(dists, k)):
         for p in block:
             _trial_domain(p, dims)
         if cfg.mode == "general":
-            yield _general_verdict(cfg, dims, m, *_drawn_split(block[0], m, rng))
+            yield _general_verdict(tau, dims, m, *_drawn_split(block[0], m, rng))
         else:
-            _, counts = poissonized_count_tensor(block, [m] * len(block), rng)
-            yield from _binary_verdicts(cfg, m, counts)
+            _, counts = poissonized_count_tensor(block, m, rng)
+            yield from _binary_verdicts(tau, m, counts)
 
 
-def _binary_verdicts(cfg: TesterConfig, m: int, counts):
-    """Verdicts of k binary trials at budget m from their count tensors,
-    a (k, l1, l2, n) array: one kernel call over the k tensors concatenated
-    along the bin axis, and each trial's M the sum of its counts.
+def _binary_verdicts(tau: float, m: int, counts):
+    """Verdicts of k binary trials at budget m and threshold tau from their
+    count tensors, a (k, l1, l2, n) array: one kernel call over the k
+    tensors concatenated along the bin axis, and each trial's M the sum of
+    its counts.  Every verdict shares the column's m and tau.
 
     Each bin's Phi is the same as in a one-trial call.  The statistics are
     the rows of sigma Phi as a (k, n) array, each summed in ascending z by
@@ -648,20 +654,21 @@ def _binary_verdicts(cfg: TesterConfig, m: int, counts):
     stats = a_all.sum(axis=1).tolist()
     omega = np.ones(n)
     for big_m, sigma, a_z, stat in zip(big_ms, sigma_all, a_all, stats):
-        yield _verdict(cfg, cfg.zeta, n, stat, m, big_m, (sigma, omega, a_z))
+        yield Verdict(stat, tau, m, big_m, (sigma, omega, a_z))
 
 
-def _general_verdict(cfg: TesterConfig, dims, m: int, big_m: int, split) -> Verdict:
-    """The general tester's verdict on the split of one trial on `dims` at
-    budget m that holds M = `big_m` samples (see `test_general`)."""
-    l1, l2, n = dims
+def _general_verdict(tau: float, dims, m: int, big_m: int, split) -> Verdict:
+    """The general tester's verdict at threshold tau on the split of one
+    trial on `dims` at budget m that holds M = `big_m` samples (see
+    `test_general`)."""
+    l1, l2, _ = dims
     sigma = split[0]
     phi = _general_kernel(*split, l1, l2)
     omega = np.sqrt(np.minimum(sigma, l1) * np.minimum(sigma, l2))
     a_z = sigma * omega * phi
     # add the bins one at a time in ascending z from 0.0 (bins below 4 add +0.0)
     stat = float(np.cumsum(np.concatenate(([0.0], a_z)))[-1])
-    return _verdict(cfg, cfg.zeta**0.25, n, stat, m, big_m, (sigma, omega, a_z))
+    return Verdict(stat, tau, m, big_m, (sigma, omega, a_z))
 
 
 # ---------------------------------------------------------------------------

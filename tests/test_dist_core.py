@@ -34,7 +34,7 @@ from cit.dist_core import (
     write_distribution_file,
     write_sample_file,
 )
-from cit.instances import gen_random_ci, gen_random_far
+from cit.instances import gen_random_ci, gen_random_far, paninski_reduction
 from cit.seeding import child_seed, generator
 
 N1 = np.array([[6, 24], [24, 46]]) / 100
@@ -356,7 +356,7 @@ class TestPoissonizedCountTensor:
     @staticmethod
     def draws(p, m, reps, seed):
         rng = generator(seed, "count-tensor")
-        totals, counts = zip(*(poissonized_count_tensor([p], [m], rng) for _ in range(reps)))
+        totals, counts = zip(*(poissonized_count_tensor([p], m, rng) for _ in range(reps)))
         return np.array(totals), np.concatenate(counts)
 
     def test_cell_moments_and_total(self):
@@ -385,12 +385,12 @@ class TestPoissonizedCountTensor:
 
     def test_zero_budget_and_layout(self):
         p = random_joint(np.random.default_rng(24), 3, 2, 5)
-        big_m, counts = poissonized_count_tensor([p], [0], generator(25, "count-tensor"))
+        big_m, counts = poissonized_count_tensor([p], 0, generator(25, "count-tensor"))
         assert big_m == 0 and counts.shape == (1, 3, 2, 5) and not counts.any()
         # the draw itself, in the layout of the mass, on a bin-major instance
         q = gen_random_ci(2, 2, 100, 0)[0]
         assert not q.mass.flags.c_contiguous
-        big_m, counts = poissonized_count_tensor([q], [900.0], generator(25, "count-tensor"))
+        big_m, counts = poissonized_count_tensor([q], 900.0, generator(25, "count-tensor"))
         want = generator(25, "count-tensor").poisson(900.0 * q.mass)
         assert counts.shape == (1, 2, 2, 100) and counts.flags.c_contiguous
         assert counts.tobytes() == want.tobytes() and big_m == want.sum()
@@ -400,21 +400,28 @@ class TestPoissonizedCountTensor:
         # rates 0, below 10 and from 10 on, where numpy switches Poisson
         # methods: one call over k stacked rate tensors leaves the counts
         # and the stream as k calls in a row do
-        dists = [gen_random_far(2, 3, 40, 0.3, t)[0] if t % 2 else gen_random_ci(2, 3, 40, t)[0]
-                 for t in range(k)]
-        budgets = [(0, 90, 10**5, 3000, 0, 700, 2**40)[t] for t in range(k)]
+        dists = [paninski_reduction(160, 0.5, "perturbed", t)[0] if t % 2
+                 else gen_random_ci(2, 2, 40, t)[0] for t in range(k)]
+        m = 3000
         rng = generator(27, "count-tensor")
-        big_m, counts = poissonized_count_tensor(dists, budgets, rng)
+        big_m, counts = poissonized_count_tensor(dists, m, rng)
         ref = generator(27, "count-tensor")
-        want = np.stack([ref.poisson(m * p.mass) for p, m in zip(dists, budgets)])
-        assert counts.shape == (k, 2, 3, 40) and counts.tobytes() == want.tobytes()
+        want = np.stack([ref.poisson(m * p.mass) for p in dists])
+        assert counts.shape == (k, 2, 2, 40) and counts.tobytes() == want.tobytes()
         assert big_m == want.sum()
         assert rng.bit_generator.state == ref.bit_generator.state
+        if k > 1:  # one call holds rates of every method
+            rates = m * np.stack([p.mass for p in dists])
+            assert (rates == 0).any() and (rates >= 10).any()
+            assert ((0 < rates) & (rates < 10)).any()
 
-    def test_dists_and_budgets_pair_up(self):
-        p = JointDistribution.uniform(2, 2, 3)
-        with pytest.raises(ValueError):
-            poissonized_count_tensor([p, p], [5.0], generator(28, "count-tensor"))
+    def test_total_of_a_large_block_is_exact(self):
+        # each trial's total fits in int64 at m = 2^62, but 50 of them do not
+        p = JointDistribution.uniform(2, 2, 1)
+        big_m, counts = poissonized_count_tensor([p] * 50, 2**62, generator(28, "count-tensor"))
+        totals = [int(trial.sum()) for trial in counts]
+        assert big_m == sum(totals) > 2**63 and type(big_m) is int
+        assert all(abs(t - 2**62) < 2**40 for t in totals)
 
 
 class _EdgeKeys:
@@ -546,6 +553,30 @@ class TestInvariants:
         finally:
             tracemalloc.stop()
         assert p.mass.nbytes == mass.nbytes and peak < 1.5 * mass.nbytes
+
+    @pytest.mark.parametrize("make, args, bound", [
+        (JointDistribution.uniform, lambda: (40, 50, 100), 1.5),
+        (JointDistribution.from_slices,
+         lambda: (np.full(100, 0.01), np.full((100, 40, 50), 1 / 2000)), 1.5),
+        (mixture_q, lambda: (gen_random_ci(40, 50, 100, 2)[0],), 2.5),
+        (gen_random_ci, lambda: (40, 50, 100, 1), 2.5),
+        (paninski_reduction, lambda: (200_000, 0.2, "perturbed", 1), 3.3),
+    ])
+    def test_fresh_mass_is_not_copied_again(self, make, args, bound):
+        # peaks in units of the result's 1.5 MiB mass, one copy below those of
+        # a constructor that copied its fresh product: 1.13, 1.13, 2.17, 2.13
+        # and 2.88 (2.13, 2.13, 3.17, 3.13 and 3.88 with the copy)
+        args = args()
+        make(*args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = make(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        p = p[0] if isinstance(p, tuple) else p
+        assert peak < bound * p.mass.nbytes
 
     @pytest.mark.parametrize("readonly_view", [False, True])
     def test_caller_writes_leave_distribution(self, readonly_view):

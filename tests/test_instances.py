@@ -1,6 +1,7 @@
 """Instance generators: structural properties of every family."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +148,15 @@ class TestMomentMatching:
     def test_rejects_degree_above_three(self):
         with pytest.raises(ValueError):
             moment_match_check(4)
+
+    def test_check_reads_the_weights_the_generator_draws_with(self, monkeypatch):
+        # one owner for the dependent mixture's weights: unmatched weights fail
+        # the check, and the no families draw with them
+        monkeypatch.setattr(instances, "_DEP_WEIGHTS", (Fraction(0), Fraction(0), Fraction(1)))
+        assert not moment_match_check(3).matched
+        spec = EnsembleSpec("no_binary_r1", n=200, eps=0.5, m=50, seed=3)
+        kind = gen_binary_ensemble(spec)[1]["light_kind"]
+        assert (kind >= 0).any() and set(kind[kind >= 0].tolist()) == {2}
 
 
 class TestPaninskiReduction:

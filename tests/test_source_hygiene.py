@@ -1,6 +1,7 @@
 """Source hygiene: every import in `src/cit` is used, every private
-module-level name is used in `src/cit` besides its definition, and
-starting the CLI loads neither `numpy.random` nor the process pool."""
+module-level name is used in `src/cit` besides its definition, no
+function rebinds a module global, and starting the CLI loads neither
+`numpy.random` nor the process pool."""
 
 import ast
 import os
@@ -44,6 +45,16 @@ def test_no_unused_import_or_private_name():
         unused += [f"{module}: {n}" for n in private if not n.endswith("__") and n not in anywhere]
     assert SOURCES
     assert unused == []
+
+
+def test_no_global_statement():
+    # a run's output depends on its inputs and seeds, not on what ran
+    # earlier in the process
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert SOURCES
+    assert found == []
 
 
 def test_cli_start_loads_no_rng_or_process_pool():

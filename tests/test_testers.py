@@ -358,7 +358,7 @@ class TestRunTrials:
         # shuffled rows holding a draw's counts give the distribution's verdict
         p = gen_random_far(l, l, n, 0.5, child_seed(23, l, n))[0]
         s = child_seed(24, l, n)
-        big_m, [counts] = poissonized_count_tensor([p], [m], np.random.default_rng(s))
+        big_m, [counts] = poissonized_count_tensor([p], m, np.random.default_rng(s))
         cells = np.repeat(np.arange(counts.size), counts.ravel())
         rows = np.column_stack(np.unravel_index(cells, counts.shape))
         rows = rows[np.random.default_rng(s).permutation(big_m)]
