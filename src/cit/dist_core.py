@@ -13,6 +13,7 @@ here use 1-based indices (see `write_distribution_file`).
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -346,12 +347,13 @@ def _read_cells(path, layout: str):
     columns).  One structured `np.loadtxt` pass reads the indices as
     decimal integers straight into int64 and the extra columns as floats.
     Empty lines are skipped, and a body of blank lines is zero rows.  Any
-    malformed header, row, field or index (`1.0` included), any index
-    outside dims, and any text that is not UTF-8, raises DistributionError
-    naming the path; a malformed row or an index outside dims also names
-    its line, the header being line 1.  The range check guards callers
-    that use the cells unchecked, such as `cit debug flatten-grid`; the
-    testers check again, for sample arrays passed to them directly.
+    malformed header (dims of more cells than numpy can index included),
+    row, field or index (`1.0` included), any index outside dims, and any
+    text that is not UTF-8, raises DistributionError naming the path; a
+    malformed row or an index outside dims also names its line, the
+    header being line 1.  The range check guards callers that use the
+    cells unchecked, such as `cit debug flatten-grid`; the testers check
+    again, for sample arrays passed to them directly.
     """
     dtype = [("cell", np.int64, (3,)), ("value", float, (layout.count("<TAB>") - 2,))]
     try:
@@ -400,6 +402,10 @@ def _read_header(path, header: str) -> tuple[int, int, int]:
     dims = tuple(int(v) for v in parts[1:])
     if min(dims) < 1:
         raise DistributionError(f"{path}: dimensions must be positive")
+    if math.prod(dims) > np.iinfo(np.intp).max:
+        raise DistributionError(
+            f"{path}: dims '{' '.join(parts[1:])}' give more cells than numpy can index"
+        )
     return dims
 
 

@@ -43,11 +43,6 @@ class SplitSpec:
             raise ValueError("split multiplicities must be >= 1")
         object.__setattr__(self, "a", a)
 
-    @property
-    def extra(self) -> int:
-        """|S|: total number of added bins; sum(a) = n + |S|."""
-        return sum(self.a) - len(self.a)
-
     @classmethod
     def from_multiset(cls, n: int, multiset) -> "SplitSpec":
         """The paper's split by a multiset over [0, n); kept for `split_distribution`'s tests."""
@@ -71,7 +66,8 @@ class FlatteningCoefficients:
     """Row/column flattening counts and the induced per-cell grid.
 
     Cells satisfy 1 + a_xy = (1 + b_x)(1 + c_y), so the grid is rank-1 in
-    the (1+b, 1+c) factors; only the factors are stored.
+    the (1+b, 1+c) factors; only the factors are stored, and `grid` (the
+    int a_xy) and `weight_grid_exact` (Fraction 1/(1 + a_xy)) build on them.
     """
 
     row_counts: tuple[int, ...]
@@ -88,17 +84,6 @@ class FlatteningCoefficients:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_counts), len(self.col_counts)
-
-    @property
-    def t1(self) -> int:
-        return sum(self.row_counts)
-
-    @property
-    def t2(self) -> int:
-        return sum(self.col_counts)
-
-    def cell(self, x: int, y: int) -> int:
-        return (1 + self.row_counts[x]) * (1 + self.col_counts[y]) - 1
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -159,11 +144,12 @@ def rescaled_l2_value(table, coeffs: FlatteningCoefficients):
         values = [[Fraction(v) for v in row] for row in arr.tolist()]
         px = [sum(row) for row in values]
         py = [sum(col) for col in zip(*values)]
+        weights = coeffs.weight_grid_exact()
         total = Fraction(0)
         for x, row in enumerate(values):
             for y, v in enumerate(row):
                 diff = v - px[x] * py[y]
-                total += diff * diff * Fraction(1, 1 + coeffs.cell(x, y))
+                total += diff * diff * weights[x, y]
         return total
     t = arr.astype(float)
     delta = t - product_table(t)

@@ -13,6 +13,7 @@ out of the CSV for that reason.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 from concurrent import futures
@@ -277,7 +278,6 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
     alt_acc, alt_stats = column(alt_spec)
     accept_rate = float(null_acc.mean())
     reject_rate = float(1.0 - alt_acc.mean())
-    t_trials = plan.trials
     ell1, ell2, _ = null_spec.dims
     return PowerRow(
         schema_version=SCHEMA_VERSION,
@@ -290,15 +290,15 @@ def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
         eps=eps,
         m=cfg.m_override,
         gen_m=null_spec.m,
-        trials=t_trials,
+        trials=plan.trials,
         tau=float(tau) if tau is not None else float("nan"),
         accept_rate_null=accept_rate,
         reject_rate_alt=reject_rate,
         mean_A_null=float(null_stats.mean()),
         mean_A_alt=float(alt_stats.mean()),
-        var_A_null=float(null_stats.var(ddof=1)) if t_trials > 1 else 0.0,
-        se_accept_null=float(np.sqrt(accept_rate * (1 - accept_rate) / t_trials)),
-        se_reject_alt=float(np.sqrt(reject_rate * (1 - reject_rate) / t_trials)),
+        var_A_null=float(null_stats.var(ddof=1)),
+        se_accept_null=float(np.sqrt(accept_rate * (1 - accept_rate) / plan.trials)),
+        se_reject_alt=float(np.sqrt(reject_rate * (1 - reject_rate) / plan.trials)),
         status="ok",
         wall_time_s=time.perf_counter() - start,
     )
@@ -394,16 +394,15 @@ def find_min_m(
     cfg, *specs = _cell(plan, n, eps, m_cap)
     builders = {spec.family: _instances(seed, spec)[1] for spec in specs}
     cache: dict = {}
-    cached_cells = 0
+    # `_cell` pairs the two families' domains, so every instance has one size
+    cache_size = _INSTANCE_CACHE_CELLS // math.prod(specs[0].dims)
 
     def instance(family: str, t: int):
-        nonlocal cached_cells
         inst = cache.get((family, t))
         if inst is None:
             inst = builders[family]("minm-inst", t)
-            if cached_cells + inst.mass.size <= _INSTANCE_CACHE_CELLS:
+            if len(cache) < cache_size:
                 cache[(family, t)] = inst
-                cached_cells += inst.mass.size
         return inst
 
     def probe(m: int) -> bool:

@@ -282,32 +282,20 @@ def moment_match_check(degree: int = 3) -> MomentMatchReport:
             total += term
         return total
 
-    checked = 0
-    mismatches = []
-    for total_deg in range(degree + 1):
+    def moments(total_deg):
         for exps in itertools.product(range(total_deg + 1), repeat=4):
-            if sum(exps) != total_deg:
-                continue
-            lhs = mixture_moment(dep, _DEP_WEIGHTS, exps)
-            rhs = mixture_moment(indep, _INDEP_WEIGHTS, exps)
-            checked += 1
-            if lhs != rhs:
-                mismatches.append((exps, lhs, rhs))
-    counterexample = None
-    for exps in itertools.product(range(5), repeat=4):
-        if sum(exps) != 4:
-            continue
-        lhs = mixture_moment(dep, _DEP_WEIGHTS, exps)
-        rhs = mixture_moment(indep, _INDEP_WEIGHTS, exps)
-        if lhs != rhs:
-            counterexample = (exps, lhs, rhs)
-            break
+            if sum(exps) == total_deg:
+                yield (exps, mixture_moment(dep, _DEP_WEIGHTS, exps),
+                       mixture_moment(indep, _INDEP_WEIGHTS, exps))
+
+    rows = [row for total_deg in range(degree + 1) for row in moments(total_deg)]
+    mismatches = tuple(row for row in rows if row[1] != row[2])
     return MomentMatchReport(
         degree=degree,
         matched=not mismatches,
-        checked=checked,
-        mismatches=tuple(mismatches),
-        degree4_counterexample=counterexample,
+        checked=len(rows),
+        mismatches=mismatches,
+        degree4_counterexample=next((row for row in moments(4) if row[1] != row[2]), None),
     )
 
 

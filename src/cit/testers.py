@@ -93,8 +93,8 @@ class TesterConfig:
     above 2^62, since the drawn counts are int64; on fixed-sample input
     `m_override` cuts the file to its first rows and must be at least 1
     (a file of no rows, with no override, accepts).
-    `seed` is a non-negative int or a `SeedSequence` (see `run_trials`);
-    `calibrate_threshold` takes an int only.  `mode`
+    `seed` is a non-negative int: a verdict draws from `default_rng(seed)`,
+    and a calibration from `generator(seed, "calibrate")`.  `mode`
     selects the tester; cmi mode runs the binary tester at the budget of
     eps' = epsilon / log2(1/epsilon) (see `sample_budget`).
     """
@@ -105,7 +105,7 @@ class TesterConfig:
     zeta: float = 2.0
     m_override: int | None = None
     tau_override: float | None = None
-    seed: int | np.random.SeedSequence = 0
+    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -122,10 +122,8 @@ class TesterConfig:
         if self.m_override is not None and self.m_override < 0:
             raise TesterInputError("m_override must be >= 0")
         int_seed = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-        if not (int_seed and self.seed >= 0 or isinstance(self.seed, np.random.SeedSequence)):
-            raise TesterInputError(
-                f"seed must be a non-negative int or a SeedSequence, got {self.seed!r}"
-            )
+        if not (int_seed and self.seed >= 0):
+            raise TesterInputError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,13 +682,12 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
 
     `null_generator` maps a trial index to a JointDistribution, all on one
     domain.  The trials are one `run_trials` column on the stream
-    `generator(cfg.seed, "calibrate")`, so `cfg.seed` must be an int, not a
-    `SeedSequence`; the column's budget is resolved once, and a trial that
-    is not a distribution on the first trial's domain is a
-    TesterInputError before its block draws.  In binary and cmi mode
-    blocks of trials share one count draw and one kernel call, and
-    instances are asked for one block ahead of their statistics; tau is
-    the same at every block size.  The generator is called once per trial
+    `generator(cfg.seed, "calibrate")`; the column's budget is resolved
+    once, and a trial that is not a distribution on the first trial's
+    domain is a TesterInputError before its block draws.  In binary and
+    cmi mode blocks of trials share one count draw and one kernel call,
+    and instances are asked for one block ahead of their statistics; tau
+    is the same at every block size.  The generator is called once per trial
     index; a caller that needs the same instances again (as `find_min_m`
     does) keeps them itself.
     """
@@ -698,8 +695,6 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
         raise TesterInputError(f"calibration needs at least {MIN_CALIBRATION_TRIALS} trials")
     if trials > MAX_TRIALS:
         raise TesterInputError(f"calibration trials must be <= {MAX_TRIALS}, got {trials}")
-    if not isinstance(cfg.seed, (int, np.integer)):
-        raise TesterInputError("calibration needs an int seed, not a SeedSequence")
 
     rng = generator(cfg.seed, "calibrate")
     verdicts = run_trials(map(null_generator, range(trials)), replace(cfg, tau_override=None), rng)

@@ -693,6 +693,20 @@ class TestFileFormats:
         s, _ = read_sample_file(path)
         assert s.dtype == np.int64 and s[0, 2] == 9007199254740992
 
+    @pytest.mark.parametrize("read, row", [(read_sample_file, "1\t1\t1\n"),
+                                           (read_distribution_file, "1\t1\t1\t1.0\n")])
+    def test_dims_past_numpy_index_range_name_the_file(self, tmp_path, read, row):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"#dims 2 2 {2**62}\n" + row)
+        with pytest.raises(DistributionError) as info:
+            read(path)
+        assert str(info.value) == (
+            f"{path}: dims '2 2 {2**62}' give more cells than numpy can index"
+        )
+        # the most cells numpy can index still make a domain
+        path.write_text(f"#dims 1 1 {2**63 - 1}\n1\t1\t1\n")
+        assert read_sample_file(path)[1] == (1, 1, 2**63 - 1)
+
     @pytest.mark.parametrize("body", [
         "1\t1\n",            # too few fields
         "1\t1\t1\t1\n",      # too many fields

@@ -34,8 +34,8 @@ class TestSplitSpec:
     def test_from_multiset(self):
         spec = SplitSpec.from_multiset(3, [0, 0, 2])
         assert spec.a == (3, 1, 2)
-        assert spec.extra == 3
-        assert sum(spec.a) == 3 + spec.extra
+        # one added bin per multiset element: sum(a) = n + |S|
+        assert sum(spec.a) == 3 + 3
 
     def test_requires_positive_multiplicities(self):
         with pytest.raises(ValueError):
@@ -123,11 +123,11 @@ class TestImplicitFlattening:
             co = implicit_flattening(flat, l1, l2, t1, t2)
             for x in range(l1):
                 for y in range(l2):
-                    assert 1 + co.cell(x, y) == (1 + co.row_counts[x]) * (
+                    assert 1 + co.grid[x, y] == (1 + co.row_counts[x]) * (
                         1 + co.col_counts[y]
                     )
-            assert (1 + co.grid).sum() == (l1 + co.t1) * (l2 + co.t2)
-            assert (co.t1, co.t2) == (t1, t2)
+            assert (sum(co.row_counts), sum(co.col_counts)) == (t1, t2)
+            assert (1 + co.grid).sum() == (l1 + t1) * (l2 + t2)
 
 
 class TestRescaledValue:

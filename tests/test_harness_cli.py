@@ -328,6 +328,33 @@ class TestBatchedEngine:
         assert find_min_m(40, 0.5, self.PAIR, 0.7, **kwargs) == m
         assert len(specs) > len(set(specs))  # past the budget, rebuilt at every probe
 
+    @pytest.mark.parametrize("k", [1, 37])
+    def test_find_min_m_caches_as_many_instances_as_fit(self, monkeypatch, k):
+        # every instance of a search has 2 x 2 x 20 cells: a budget of k such
+        # instances keeps the first k built, one cell less keeps k - 1
+        real = harness.make_instance
+
+        def builds(budget):
+            specs = []
+
+            def counting(spec):
+                specs.append((spec.family, spec.seed.entropy, spec.seed.spawn_key))
+                return real(spec)
+
+            monkeypatch.setattr(harness, "make_instance", counting)
+            monkeypatch.setattr(harness, "_INSTANCE_CACHE_CELLS", budget)
+            find_min_m(20, 0.5, self.PAIR, 0.7, seed=3, trials=50, calibration_trials=100)
+            return specs
+
+        cells = 2 * 2 * 20
+        below, at, above = (builds(k * cells + d) for d in (-1, 0, 1))
+        assert at == above
+        built = list(dict.fromkeys(at))
+        assert list(dict.fromkeys(below)) == built
+        assert all(at.count(spec) == 1 for spec in built[:k])
+        assert at.count(built[k]) > 1 and below.count(built[k - 1]) > 1
+        assert len(below) > len(at)
+
 
 PINNED_DIST = (
     "#dims 2 2 3\n1\t1\t1\t0.1\n1\t2\t1\t0.05\n2\t1\t1\t0.05\n2\t2\t1\t0.1\n"
@@ -1026,8 +1053,8 @@ class TestCLI:
         argv = ["test", "--mode", mode, "--eps", "0.5", "--samples", str(path)]
         with contextlib.redirect_stderr(err):
             assert run_cli(argv) == (2, "")
-        assert err.getvalue().startswith("error: invalid dims: array size")
-        assert "outside the declared domain" not in err.getvalue()
+        dims = "4294967296 4294967296 2"
+        assert err.getvalue() == f"error: {path}: dims '{dims}' give more cells than numpy can index\n"
 
     def test_minm_trials_below_floor_exit_code(self):
         err = io.StringIO()

@@ -227,16 +227,17 @@ def test_distribution_off_given_dims_refused(tester, eps):
     assert tester(p, cfg, dims=(2, 2, 4)).to_json() == tester(p, cfg).to_json()
 
 
-@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1), 2**70,
-                                  np.random.SeedSequence(3)])
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint32(2**32 - 1), 2**70])
 def test_config_seeds_accepted(seed):
     assert TesterConfig(epsilon=0.5, seed=seed).seed is seed
 
 
-@pytest.mark.parametrize("seed", [2.5, -1, np.int64(-1), True, "3", None])
+@pytest.mark.parametrize("seed", [2.5, -1, np.int64(-1), True, "3", None,
+                                  np.random.SeedSequence(3)])
 def test_config_seed_refused(seed):
-    # refused in the config, so no tester or calibration truncates a float
-    # or hands numpy a negative seed
+    # refused in the config, so no tester or calibration truncates a float,
+    # hands numpy a negative seed or derives a calibration stream from a
+    # SeedSequence (a column takes one through `run_trials`)
     with pytest.raises(TesterInputError, match="seed must be"):
         TesterConfig(epsilon=0.5, seed=seed)
 
@@ -404,8 +405,8 @@ class TestRunTrials:
         cfg = TesterConfig(epsilon=0.3, mode=mode, m_override=150)  # ~5 samples a bin
         sparse = np.array([[0, 0, 1]] * 3)  # no bin reaches 4 samples
         verdicts = [
-            *run_trials(instances, cfg, seed_sequence(18)),
-            run_tester(instances[0], replace(cfg, seed=seed_sequence(18))),
+            *run_trials(instances, cfg, 18),
+            run_tester(instances[0], replace(cfg, seed=18)),
             run_tester(sparse, replace(cfg, m_override=None), dims=(2, 2, 2)),
         ]
         assert verdicts[-2] == verdicts[0]
@@ -470,24 +471,24 @@ class TestGeneralTester:
             return kernel(*args)
 
         monkeypatch.setattr(testers, "_general_kernel", recording_kernel)
-        for seed in (5, seed_sequence(6, "rows")):
-            cfg = TesterConfig(epsilon=0.5, mode="general", m_override=3000, seed=seed)
-            drawn = run_tester(p, cfg)
-            big_m, split = testers._drawn_split(p, 3000, np.random.default_rng(seed))
-            sigma = split[0]
-            omega = np.sqrt(np.minimum(sigma, 3) * np.minimum(sigma, 4))
-            a_z = sigma * omega * kernel(*split, 3, 4)
-            assert drawn.per_bin and drawn.M_drawn == big_m
-            assert np.asarray(drawn.bins[2]).tobytes() == a_z.tobytes()
-            rows = sample_poissonized(p, 3000, seed)
-            given = run_tester(rows, replace(cfg, m_override=None), dims=p.dims)
-            assert given.per_bin and given.M_drawn == rows.shape[0]
-            x, y, z = rows.T
-            want = testers._phase_split(np.ravel_multi_index((z, x, y), (30, 3, 4)), 3, 4, 30)
-            for args, expect in zip(calls[-2:], (split, want)):
-                assert args[-2:] == (3, 4)
-                for got, ref in zip(args[:-2], expect, strict=True):
-                    np.testing.assert_array_equal(got, ref)
+        seed = 5
+        cfg = TesterConfig(epsilon=0.5, mode="general", m_override=3000, seed=seed)
+        drawn = run_tester(p, cfg)
+        big_m, split = testers._drawn_split(p, 3000, np.random.default_rng(seed))
+        sigma = split[0]
+        omega = np.sqrt(np.minimum(sigma, 3) * np.minimum(sigma, 4))
+        a_z = sigma * omega * kernel(*split, 3, 4)
+        assert drawn.per_bin and drawn.M_drawn == big_m
+        assert np.asarray(drawn.bins[2]).tobytes() == a_z.tobytes()
+        rows = sample_poissonized(p, 3000, seed)
+        given = run_tester(rows, replace(cfg, m_override=None), dims=p.dims)
+        assert given.per_bin and given.M_drawn == rows.shape[0]
+        x, y, z = rows.T
+        want = testers._phase_split(np.ravel_multi_index((z, x, y), (30, 3, 4)), 3, 4, 30)
+        for args, expect in zip(calls, (split, want), strict=True):
+            assert args[-2:] == (3, 4)
+            for got, ref in zip(args[:-2], expect, strict=True):
+                np.testing.assert_array_equal(got, ref)
 
     def test_memory_independent_of_m(self):
         # counts, not samples: at m = 10^9 a verdict holds O(l1 l2 n) bytes
@@ -602,7 +603,7 @@ class TestGeneralCountDraw:
         for t in range(600):
             seed = seed_sequence(37, l1, l2, n, t)
             _, split = testers._drawn_split(p, m, np.random.default_rng(seed))
-            gaps.append(run_tester(p, replace(cfg, seed=seed)).statistic_A
+            gaps.append(next(run_trials([p], cfg, seed)).statistic_A
                         - conditional_mean_a(p, split))
         gaps = np.array(gaps)
         assert abs(gaps.mean()) <= 4 * gaps.std(ddof=1) / np.sqrt(gaps.size)
@@ -619,7 +620,7 @@ class TestGeneralCountDraw:
         cfg = TesterConfig(epsilon=0.5, mode="general", m_override=m)
         trials = 1000
         counts = np.array([
-            run_tester(p, replace(cfg, seed=seed_sequence(39, l1, l2, n, t))).statistic_A
+            next(run_trials([p], cfg, seed_sequence(39, l1, l2, n, t))).statistic_A
             for t in range(trials)
         ])
         rows = np.array([
@@ -678,12 +679,6 @@ class TestCalibration:
         cfg = TesterConfig(epsilon=0.5, m_override=40)
         with pytest.raises(TesterInputError):
             calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 99)
-
-    def test_seed_sequence_seed_refused(self):
-        # the calibration column derives its streams from an int master seed
-        cfg = TesterConfig(epsilon=0.5, m_override=40, seed=np.random.SeedSequence(3))
-        with pytest.raises(TesterInputError, match="int seed"):
-            calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 120)
 
     def test_one_trial_blocks_give_the_same_tau(self, monkeypatch):
         def null_gen(t):
