@@ -360,8 +360,8 @@ def find_min_m(
 ) -> int:
     """Smallest tested sample budget m at which the calibrated tester
     accepts the null family and rejects the alternative family at rate
-    >= target_power, found by doubling from `m_start`, then two rounds of
-    log-midpoint bisection.
+    >= target_power, found by doubling from `m_start` (the last step is
+    `m_cap`), then two rounds of log-midpoint bisection.
 
     Instances (gen_m = max(1, n // 2)) are common across probed m values (seeds
     keyed by trial only), which keeps the empirical power roughly monotone
@@ -381,7 +381,7 @@ def find_min_m(
     [MIN_TRIALS, MAX_TRIALS], `m_start` below 1 or above `m_cap`, or the
     plan cell (n, eps, m_cap) is refused (`_cell`: a family rule, unpaired
     domains, or an `m_cap` or domain that `sample_budget` refuses), and
-    BudgetExhaustedError if no m <= m_cap succeeds.
+    BudgetExhaustedError when the doubling fails at `m_cap`.
     """
     if not 0.5 < target_power < 0.95:
         raise ValueError("target_power must lie in (0.5, 0.95)")
@@ -419,27 +419,21 @@ def find_min_m(
         alt_reject = (~accepts(alt_family, "minm-alt")).sum()
         return null_ok >= target_power * trials and alt_reject >= target_power * trials
 
-    m = m_start
-    last_fail = None
-    while m <= m_cap:
-        if probe(m):
+    # lo is the last m that failed: equal to m until a probe fails, so that a
+    # first probe that passes leaves no midpoint to probe
+    lo = m = m_start
+    while not probe(m):
+        if m == m_cap:
+            raise BudgetExhaustedError(
+                f"no m <= {m_cap} reached power {target_power} for {families}"
+            )
+        lo, m = m, min(2 * m, m_cap)
+    for _ in range(2):
+        mid = int(round((lo * m) ** 0.5))
+        if not lo < mid < m:
             break
-        last_fail = m
-        m *= 2
-    else:
-        raise BudgetExhaustedError(
-            f"no m <= {m_cap} reached power {target_power} for {families}"
-        )
-    best = m
-    if last_fail is not None:
-        lo, hi = last_fail, best
-        for _ in range(2):
-            mid = int(round((lo * hi) ** 0.5))
-            if mid <= lo or mid >= hi:
-                break
-            if probe(mid):
-                hi = mid
-                best = mid
-            else:
-                lo = mid
-    return best
+        if probe(mid):
+            m = mid
+        else:
+            lo = mid
+    return m

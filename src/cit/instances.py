@@ -86,7 +86,7 @@ def _check_alphabet(family: str, ell1: int, ell2: int) -> None:
             )
 
 
-def _check_binary_regime(n: int, eps: float, m, anchored: bool) -> None:
+def _check_binary_regime(n: int, eps: float, m) -> None:
     if not 0 < eps <= 1:
         raise RegimeError("eps must lie in (0, 1]")
     if m is None or m < 1:
@@ -95,8 +95,6 @@ def _check_binary_regime(n: int, eps: float, m, anchored: bool) -> None:
         raise RegimeError(
             f"regime requires m < {REGIME_MAX_M_FRACTION} * n (got m={m}, n={n})"
         )
-    if anchored and n < 2:
-        raise RegimeError("the anchored variant needs n >= 2")
 
 
 def _check_paninski_eps(eps: float) -> None:
@@ -146,7 +144,7 @@ class EnsembleSpec:
         if self.n < 1:
             raise RegimeError("n must be >= 1")
         if self.family in BINARY_FAMILIES:
-            _check_binary_regime(self.n, self.eps, self.m, anchored=self.family.endswith("r2"))
+            _check_binary_regime(self.n, self.eps, self.m)
         elif self.family == "paninski_no":
             _check_paninski_eps(self.eps)
         elif self.family in NNN_FAMILIES:
@@ -368,10 +366,8 @@ def gen_nnn(n: int, far: bool, seed) -> tuple[JointDistribution, dict]:
     _check_nnn_size(n)
     k = int(np.floor(n**0.75 + 1e-9))
     rng = _stream(seed, "nnn", n, int(far))
-    order = np.argsort(rng.random((n, n)), axis=1)
-    sets_a = np.sort(order[:, :k], axis=1)
-    order_b = np.argsort(rng.random((n, n)), axis=1)
-    sets_b = np.sort(order_b[:, :k], axis=1)
+    order = np.argsort(rng.random((2, n, n)), axis=2)
+    sets_a, sets_b = np.sort(order[:, :, :k], axis=2)
 
     heavy_mass = 1.0 / (2 * k)  # equals n^{-3/4}/2 whenever n^{3/4} is an integer
     light_mass = 1.0 / (2 * (n - k))

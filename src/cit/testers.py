@@ -217,57 +217,36 @@ def _finite_budget(eps: float):
         raise TesterInputError(f"sample budget at epsilon {eps!r} is not finite") from exc
 
 
-def sample_complexity_general_forms(
-    n: int, ell1: int, ell2: int, eps: float
-) -> tuple[float, float]:
-    """(full, simplified) un-scaled general sample-size formulas.
-
-    The full form is a max of four mins covering the bin-weight regimes;
-    the simplified form drops the regime-capping terms.  The two agree up
-    to a bounded constant factor.  Swaps the alphabet sizes so l1 >= l2.
-    """
+def sample_complexity_general(n: int, ell1: int, ell2: int, eps: float, zeta: float = 1.0) -> int:
+    """Ceiling of zeta times the general sample-size formula, a max of four
+    mins covering the bin-weight regimes.  Swaps the alphabet sizes so
+    l1 >= l2."""
     if n < 1 or ell1 < 1 or ell2 < 1:
         raise TesterInputError("dimensions must be >= 1")
     if not 0 < eps <= 1:
         raise TesterInputError("eps must lie in (0, 1]")
     l1, l2 = max(ell1, ell2), min(ell1, ell2)
     e = eps
-    full = max(
-        min(
-            n ** (7 / 8) * (l1 * l2) ** (1 / 4) / e,
-            n ** (6 / 7) * (l1 * l2) ** (2 / 7) / e ** (8 / 7),
-            n * (l1 * l2) ** 0.5 / e,
-        ),
-        min(
-            n ** (3 / 4) * (l1 * l2) ** 0.5 / e,
-            l1**2 * l2**2 / e**4,
-            n * l1**0.5 * l2**1.5 / e,
-        ),
-        min(
-            n ** (2 / 3) * l1 ** (2 / 3) * l2 ** (1 / 3) / e ** (4 / 3),
-            l1 * l2 / e**4,
-            n**0.5 * l1 * l2**0.5 / e**2,
-            n * l1**1.5 * l2**0.5 / e,
-        ),
-        min((n * l1 * l2) ** 0.5 / e**2, l1 * l2 / e**4),
-    )
-    simplified = max(
-        min(
-            n ** (7 / 8) * (l1 * l2) ** (1 / 4) / e,
-            n ** (6 / 7) * (l1 * l2) ** (2 / 7) / e ** (8 / 7),
-        ),
-        n ** (3 / 4) * (l1 * l2) ** 0.5 / e,
-        n ** (2 / 3) * l1 ** (2 / 3) * l2 ** (1 / 3) / e ** (4 / 3),
-        n**0.5 * (l1 * l2) ** 0.5 / e**2,
-    )
-    return full, simplified
-
-
-def sample_complexity_general(n: int, ell1: int, ell2: int, eps: float, zeta: float = 1.0) -> int:
-    """Ceiling of zeta times the full general sample-size formula."""
     with _finite_budget(eps):
-        full, _ = sample_complexity_general_forms(n, ell1, ell2, eps)
-        return math.ceil(zeta * full)
+        return math.ceil(zeta * max(
+            min(
+                n ** (7 / 8) * (l1 * l2) ** (1 / 4) / e,
+                n ** (6 / 7) * (l1 * l2) ** (2 / 7) / e ** (8 / 7),
+                n * (l1 * l2) ** 0.5 / e,
+            ),
+            min(
+                n ** (3 / 4) * (l1 * l2) ** 0.5 / e,
+                l1**2 * l2**2 / e**4,
+                n * l1**0.5 * l2**1.5 / e,
+            ),
+            min(
+                n ** (2 / 3) * l1 ** (2 / 3) * l2 ** (1 / 3) / e ** (4 / 3),
+                l1 * l2 / e**4,
+                n**0.5 * l1 * l2**0.5 / e**2,
+                n * l1**1.5 * l2**0.5 / e,
+            ),
+            min((n * l1 * l2) ** 0.5 / e**2, l1 * l2 / e**4),
+        ))
 
 
 def sample_budget(cfg: TesterConfig, dims) -> int:

@@ -525,6 +525,23 @@ class TestInvariants:
         with pytest.raises(ShapeMismatchError):
             JointDistribution(np.zeros((0, 2, 3)))
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: JointDistribution(np.full((2, 2), 0.25)), ShapeMismatchError,
+         "joint mass must be a 3-D tensor (x, y, z)"),
+        (lambda: JointDistribution.from_slices(np.full(2, 0.5), np.full((3, 2, 2), 0.25)),
+         ShapeMismatchError, "need weights (n,) and tables (n, l1, l2)"),
+        (lambda: tv_distance(np.array([-0.1, 1.1]), np.array([0.5, 0.5])), DistributionError,
+         "tv_distance requires nonnegative inputs"),
+        (lambda: product_table(np.full(4, 0.25)), ShapeMismatchError,
+         "product_table needs a 2-D table"),
+        (lambda: sample_fixed(JointDistribution.uniform(2, 2, 2), -1, 0), ValueError,
+         "count must be >= 0"),
+    ])
+    def test_malformed_input_refused(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
     def test_normalization_tolerance(self):
         mass = np.full((2, 2, 2), 1 / 8) * (1 + 1e-10)
         with pytest.raises(NotNormalizedError, match=r"total mass 1\.0000000001 not within"):

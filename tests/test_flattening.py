@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from cit.dist_core import product_table, tv_distance
+from cit.dist_core import ShapeMismatchError, product_table, tv_distance
 from cit.flattening import (
     FlatteningCoefficients,
     InsufficientSamplesError,
@@ -40,6 +40,24 @@ class TestSplitSpec:
     def test_requires_positive_multiplicities(self):
         with pytest.raises(ValueError):
             SplitSpec((1, 0))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: SplitSpec.from_multiset(2, [2]), ValueError, "multiset element outside [0, n)"),
+        (lambda: split_distribution(np.full(3, 1 / 3), SplitSpec((1, 1))), ShapeMismatchError,
+         "p must be a vector matching the split spec"),
+        (lambda: FlatteningCoefficients((-1,), (0,)), ValueError,
+         "flattening counts must be >= 0"),
+        (lambda: rescaled_l2_value(np.full((2, 3), 1 / 6), FlatteningCoefficients((0, 0), (0, 0))),
+         ShapeMismatchError, "table shape must match the coefficient grid"),
+        (lambda: implicit_flattening([[2, 0]], 2, 2, 1, 0), ValueError,
+         "x index outside [0, l1)"),
+        (lambda: implicit_flattening([[0, 0], [0, 2]], 2, 2, 1, 1), ValueError,
+         "y index outside [0, l2)"),
+    ])
+    def test_malformed_input_refused(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestSplitDistribution:

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cit import cli, harness, instances, testers
 from cit.cli import main
@@ -78,6 +80,12 @@ class TestPlanParsing:
     def test_auto_m(self):
         plan = parse_plan_text(PLAN_TEXT.replace("m=600", "m=auto,100"))
         assert plan.m_values == ("auto", 100)
+
+    @pytest.mark.parametrize("empty", ["n_values", "eps_values", "m_values"])
+    def test_empty_grid(self, empty):
+        grid = {"n_values": (40,), "eps_values": (0.5,), "m_values": (600,), empty: ()}
+        with pytest.raises(PlanError, match="grid must be non-empty"):
+            ExperimentPlan("yes_binary_r1", "no_binary_r1", **grid)
 
     def test_plan_keys_name_every_field_once(self):
         # a plan field and its key can only be removed together
@@ -226,7 +234,66 @@ class TestPowerExperiment:
         assert int(row[CSV_COLUMNS.index("m")]) == want
 
 
+def fake_probes(monkeypatch, passes_from: int) -> list[int]:
+    """Make every `find_min_m` probe at m >= `passes_from` pass and every
+    other fail, with no instance built or drawn from; returns the list
+    that the probed m values are appended to, in order."""
+    probed: list[int] = []
+
+    def column(cfg, trials, instance, rng):
+        # the column's instance is partial(instance, family): a passing probe's
+        # null column accepts and its alternative column rejects
+        null = instance.args == ("yes_binary_r1",)
+        if null:
+            probed.append(cfg.m_override)
+        accept = (cfg.m_override >= passes_from) == null
+        return np.full(trials, accept), np.zeros(trials)
+
+    monkeypatch.setattr(harness, "_trial_column", column)
+    monkeypatch.setattr(harness, "calibrate_threshold", lambda *args: 1.0)
+    return probed
+
+
+def fake_search(m_start: int, m_cap: int) -> int:
+    return find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
+                      calibration_trials=100, m_start=m_start, m_cap=m_cap)
+
+
 class TestFindMinM:
+    @pytest.mark.parametrize("m_cap, want, probes", [
+        (48, 43, [32, 48, 39, 43]),  # once exhausted after probing only 32
+        (40, 40, [32, 40, 36, 38]),  # likewise
+        (64, 45, [32, 64, 45, 38]),  # m_cap = 2 * m_start: the probes of old
+    ])
+    def test_doubling_ends_at_m_cap(self, monkeypatch, m_cap, want, probes):
+        probed = fake_probes(monkeypatch, 40)
+        assert fake_search(32, m_cap) == want
+        assert probed == probes
+
+    def test_exhausted_only_after_probing_m_cap(self, monkeypatch):
+        probed = fake_probes(monkeypatch, 40)
+        with pytest.raises(BudgetExhaustedError, match="no m <= 39 reached power 0.7"):
+            fake_search(32, 39)
+        assert probed == [32, 39]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 2**20), st.integers(0, 2**20), st.integers(1, 2**21))
+    def test_search_properties(self, m_start, span, passes_from):
+        # the monkeypatch fixture is function-scoped, so patch by hand
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            probed = fake_probes(monkeypatch, passes_from)
+            m_cap = min(m_start + span, 2**20)
+            try:
+                m = fake_search(m_start, m_cap)
+            except BudgetExhaustedError:
+                m = None
+        assert all(m_start <= p <= m_cap for p in probed)
+        if m is None:
+            assert probed[-1] == m_cap < passes_from
+        else:
+            assert m in probed and m >= passes_from
+            assert m == m_start or any(p < m and p < passes_from for p in probed)
+
     def test_indistinguishable_pair_exhausts_budget(self):
         with pytest.raises(BudgetExhaustedError):
             find_min_m(
@@ -484,6 +551,12 @@ class TestPinnedOutputs:
                 "--alt-family", "no_binary_r1", "--target", "0.7", "--trials", "120",
                 "--seed", "701"]
         assert run_cli(argv) == (0, "m=27554\n")
+
+    def test_minm_cap_value(self):
+        # doubling from 32 skips 30000 (16384, then 32768): once exit code 3
+        argv = ["minm", "--n", "100", "--eps", "0.5", "--trials", "120", "--seed", "701",
+                "--m-cap", "30000"]
+        assert run_cli(argv) == (0, "m=30000\n")
 
     def test_minm_general_value(self):
         argv = ["minm", "--mode", "general", "--null-family", "random_ci", "--alt-family",
@@ -1055,6 +1128,21 @@ class TestCLI:
             assert run_cli(argv) == (2, "")
         dims = "4294967296 4294967296 2"
         assert err.getvalue() == f"error: {path}: dims '{dims}' give more cells than numpy can index\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "--eps", "2", "--dist", "{dist}"],
+         "epsilon must lie in (0, 1] for mode binary"),
+        (["test", "--eps", "0.5", "--samples", "{dims0}"], "{dims0}: dimensions must be positive"),
+        (["debug", "flatten-grid", "--samples", "{samples}", "--t1", "-1", "--t2", "1"],
+         "split sizes must be >= 0"),
+    ])
+    def test_refused_input_exit_code(self, pinned_files, tmp_path, argv, message):
+        paths = {"dist": pinned_files[1], "samples": pinned_files[0], "dims0": tmp_path / "z.tsv"}
+        paths["dims0"].write_text("#dims 0 2 2\n1\t1\t1\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli([a.format(**paths) for a in argv]) == (2, "")
+        assert err.getvalue() == f"error: {message.format(**paths)}\n"
 
     def test_minm_trials_below_floor_exit_code(self):
         err = io.StringIO()

@@ -184,6 +184,10 @@ class TestPaninskiReduction:
         with pytest.raises(ValueError):
             paninski_reduction(30, 0.2, "uniform", 0)
 
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="which must be 'uniform' or 'perturbed'"):
+            paninski_reduction(8, 0.2, "other", 0)
+
     def test_both_sign_patterns_appear(self):
         _, meta = paninski_reduction(400, 0.1, "perturbed", 9)
         assert (meta["slice_tv"] == 0).any() and (meta["slice_tv"] > 0).any()
