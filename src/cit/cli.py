@@ -18,8 +18,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .dist_core import (
     ci_distance_proxy, read_distribution_file, read_sample_file, write_distribution_file
@@ -206,8 +204,7 @@ def _cmd_debug(args) -> int:
     samples, dims = read_sample_file(args.samples)
     l1, l2, _ = dims
     coeffs = implicit_flattening(samples[:, :2], l1, l2, args.t1, args.t2)
-    grid = np.asarray(coeffs.grid)
-    for row in grid:
+    for row in coeffs.grid:
         print(",".join(str(int(v)) for v in row))
     return 0
 

