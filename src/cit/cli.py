@@ -7,8 +7,8 @@ file into a CSV), `calibrate` (empirical threshold for a null family),
 polynomial/fingerprint text formats and flattening grids.
 
 Exit codes: 0 ok, 2 invalid plan or input (including a missing or
-unwritable file, a non-finite --beta, --zeta or --tau, and input whose run
-does not fit in memory), 3 search budget exhausted.
+unwritable file, a non-finite --beta, --zeta or --tau, and a run that does
+not fit in memory or whose pool worker dies), 3 search budget exhausted.
 All output for a fixed seed is byte-identical across runs.
 """
 
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 from . import __version__
 from .dist_core import (
-    ci_distance_proxy, read_distribution_file, read_sample_file, write_distribution_file
+    ci_distance_proxy, read_distribution_file, read_sample_file, read_text, write_distribution_file
 )
 from .flattening import implicit_flattening
 from .harness import (
@@ -195,8 +196,7 @@ def _cmd_minm(args) -> int:
 
 def _cmd_debug(args) -> int:
     if args.debug_command == "estimate":
-        with open(args.poly, encoding="utf-8") as fh:
-            poly = parse_polynomial(fh.read(), args.num_vars)
+        poly = parse_polynomial(read_text(args.poly), args.num_vars)
         fp = Fingerprint.parse(args.fingerprint, args.num_vars)
         value = unbiased_estimate(poly, fp)
         print(f"estimate={value}")
@@ -233,6 +233,10 @@ def main(argv=None) -> int:
         # e.g. a sample budget whose draws do not fit in memory; a process
         # the kernel's OOM killer ends never gets here
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except BrokenExecutor as exc:
+        # a pool worker ended abruptly, e.g. by the OOM killer; the parent can report it
+        print(f"error: a worker process ended before its cell finished: {exc}", file=sys.stderr)
         return 2
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

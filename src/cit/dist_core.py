@@ -366,17 +366,27 @@ def _read_cells(path, layout: str):
                 body = fh.read()
         rows = _parse_rows(path, body, dtype, layout)
     except UnicodeDecodeError as exc:
-        # no offset: numpy's reader counts it from the start of its chunk
-        byte = exc.object[exc.start]
-        raise DistributionError(
-            f"{path}: not UTF-8 text: byte {byte:#04x}: {exc.reason}"
-        ) from None
+        raise _not_utf8(path, exc) from None
     cells = rows["cell"]
     if np.any((cells < 1) | (cells > dims)):
         if body is None:  # numpy parsed the named file: a regular file, read again
             body = Path(path).read_text(encoding="utf-8").partition("\n")[2]
         raise _index_error(path, body, cells, dims, layout)
     return dims, cells - 1, rows["value"]
+
+
+def read_text(path) -> str:
+    """The text of the file at `path`, which must be UTF-8 (else DistributionError)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> DistributionError:
+    # no offset: numpy's reader counts it from the start of its chunk
+    byte = exc.object[exc.start]
+    return DistributionError(f"{path}: not UTF-8 text: byte {byte:#04x}: {exc.reason}")
 
 
 def _index_error(path, body: str, cells, dims, layout: str) -> DistributionError:

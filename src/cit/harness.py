@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dist_core import read_text
 from .instances import EnsembleSpec, RegimeError, make_instance
 from .seeding import child_seed, generator, seed_sequence
 from .testers import (
@@ -186,7 +187,7 @@ def parse_plan_text(text: str) -> ExperimentPlan:
 
 
 def parse_plan_file(path) -> ExperimentPlan:
-    return parse_plan_text(Path(path).read_text(encoding="utf-8"))
+    return parse_plan_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ class TestConditionalStructure:
         )
         np.testing.assert_allclose(q.slice_table(1), UNIFORM, atol=1e-14)
 
+    def test_slice_of_a_bin_with_no_mass_is_uniform(self):
+        mass = np.zeros((2, 3, 2))
+        mass[:, :, 0] = 1 / 6
+        p = JointDistribution(mass)
+        assert p.z_marginal[1] == 0.0
+        np.testing.assert_array_equal(p.slice_table(1), np.full((2, 3), 1 / 6))
+
     def test_mixture_slices_are_rank_one(self):
         rng = np.random.default_rng(1)
         for _ in range(10):

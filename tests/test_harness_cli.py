@@ -5,6 +5,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from cit.harness import (
     BudgetExhaustedError,
     ExperimentPlan,
     PlanError,
+    PowerRow,
     find_min_m,
     parse_plan_text,
     run_power_experiment,
@@ -46,6 +49,13 @@ trials=60
 seed=7
 gen_m=16
 """
+
+
+def _run_cell_but_die_on_cell_1(plan, idx, cell, run_cell=harness._run_cell):
+    """`harness._run_cell`, but the process running cell 1 exits at once."""
+    if idx == 1:
+        os._exit(9)
+    return run_cell(plan, idx, cell)
 
 
 def run_cli(argv):
@@ -103,6 +113,13 @@ class TestPowerExperiment:
         header = out1.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
         assert "wall_time" not in header
+
+    @pytest.mark.parametrize("rate", ["accept_rate_null", "reject_rate_alt"])
+    def test_row_rate_outside_unit_interval_refused(self, rate):
+        fields = dict.fromkeys((f.name for f in dataclasses.fields(PowerRow)), 0.0)
+        with pytest.raises(PlanError) as info:
+            PowerRow(**{**fields, rate: 1.5})
+        assert str(info.value) == "rate 1.5 outside [0, 1]"
 
     def test_identical_families_complement_exactly(self):
         plan = ExperimentPlan(
@@ -1149,6 +1166,35 @@ class TestCLI:
         with contextlib.redirect_stderr(err):
             assert run_cli(["minm", "--n", "20", "--eps", "0.5", "--trials", "10"]) == (2, "")
         assert err.getvalue() == "error: trials must be >= 50\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--plan", "{bad}", "--out", "{bad}.csv"],
+        ["debug", "estimate", "--poly", "{bad}", "--num-vars", "2", "--fingerprint", "1:2"],
+    ])
+    def test_non_utf8_text_file_exit_code(self, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# a plan or a polynomial\n\xff\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli([a.format(bad=bad) for a in argv]) == (2, "")
+        assert err.getvalue() == f"error: {bad}: not UTF-8 text: byte 0xff: invalid start byte\n"
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the monkeypatched cell runner")
+    def test_dead_worker_exit_code(self, monkeypatch, tmp_path):
+        # the worker of cell 1 ends as one the kernel's OOM killer ends: no
+        # exception and no result reach the parent
+        monkeypatch.setattr(harness, "_run_cell", _run_cell_but_die_on_cell_1)
+        plan_path = tmp_path / "plan.kv"
+        plan_path.write_text(PLAN_TEXT.replace("eps=0.5", "eps=0.5,0.3"))
+        out = tmp_path / "power.csv"
+        err = io.StringIO()
+        argv = ["power", "--plan", str(plan_path), "--out", str(out), "--workers", "2"]
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) == (2, "")
+        prefix = "error: a worker process ended before its cell finished: "
+        assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
+        assert not out.exists()
 
     def test_out_of_memory_exit_code(self, monkeypatch, pinned_files):
         # the sampler fails the way numpy does when the draws cannot be held

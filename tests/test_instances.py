@@ -291,6 +291,13 @@ class TestRandomFamilies:
         with pytest.raises(RegimeError):
             gen_random_far(2, 2, 5, 0.9, 0)
 
+    def test_random_far_gives_up(self, monkeypatch):
+        # every mixing weight of every resample falls short of the target
+        monkeypatch.setattr(instances, "ci_distance_proxy", lambda dist: 0.0)
+        with pytest.raises(RegimeError) as info:
+            gen_random_far(2, 2, 5, 0.3, 0)
+        assert str(info.value) == "could not reach proxy distance 0.3 after 100 resamples"
+
     @pytest.mark.parametrize("eps", [1.5, float("nan"), 0.0])
     def test_random_far_refuses_eps_outside_unit_interval_before_drawing(self, no_draws, eps):
         # once 100 escalating resamples (about 2 s at n = 2000) before giving up

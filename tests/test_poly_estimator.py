@@ -356,3 +356,52 @@ class TestTextFormats:
     def test_fingerprint_round_trip(self):
         fp = Fingerprint((0, 3, 1))
         assert Fingerprint.parse("2:3 3:1", 3) == fp
+
+
+#: the degree-1 polynomial X_0 in two variables, and the degree-2 X_0 X_1
+X0 = HomogeneousPolynomial.monomial(2, ((0, 1),))
+X0X1 = HomogeneousPolynomial.monomial(2, ((0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: falling(3, -1), ValueError, "k must be >= 0"),
+    (lambda: HomogeneousPolynomial(2, 1, {((2, 1),): 1}), PolynomialError,
+     "variable index 2 outside [0, 2)"),
+    (lambda: HomogeneousPolynomial(2, 2, {((1, 1), (0, 1)): 1}), PolynomialError,
+     "exponent key ((1, 1), (0, 1)) not strictly sorted by index"),
+    (lambda: HomogeneousPolynomial(2, 1, {((0, 0), (1, 1)): 1}), PolynomialError,
+     "exponent key ((0, 0), (1, 1)) holds exponent < 1"),
+    (lambda: HomogeneousPolynomial(2, 0, {}), PolynomialError, "degree must be >= 1"),
+    (lambda: HomogeneousPolynomial(2, 2, {((0, 1),): 1}), PolynomialError,
+     "term ((0, 1),) has degree 1, expected 2"),
+    (lambda: HomogeneousPolynomial(2, 1, {((0, 1),): 0}), PolynomialError,
+     "zero coefficients must not be stored"),
+    (lambda: HomogeneousPolynomial.from_terms(2, {((0, 1),): 0}), PolynomialError,
+     "cannot infer the degree of an empty polynomial"),
+    (lambda: X0.evaluate([0.5]), PolynomialError, "expected 2 values, got 1"),
+    (lambda: X0.evaluate_exact([1]), PolynomialError, "expected 2 values"),
+    (lambda: Fingerprint((1, -1)), ValueError, "fingerprint counts must be >= 0"),
+    (lambda: unbiased_estimate(X0, Fingerprint((1,))), PolynomialError,
+     "fingerprint length does not match the variable count"),
+    (lambda: expected_square(X0, [0.5], 4), PolynomialError,
+     "p length does not match the variable count"),
+    (lambda: tail_term_bound(X0, [0.5, 0.5], 4, 2), ValueError, "g=2 outside [0, 1]"),
+    (lambda: tail_term_bound(X0X1, [0.5, 0.5], 1, 0), NoUnbiasedEstimatorError,
+     "N=1 below degree 2"),
+    (lambda: l2_diff_polynomial(1, 2), PolynomialError, "need at least a 2x2 table"),
+    (lambda: l2_estimator([1, 2, 3]), PolynomialError, "counts must be a 2-D fingerprint"),
+    (lambda: l2_estimator([[1, -1], [2, 3]]), PolynomialError,
+     "fingerprint counts must be >= 0"),
+    (lambda: l2_estimator([[1, 1], [1, 1]], [1, 1]), PolynomialError,
+     "weights shape must match the fingerprint"),
+    (lambda: oracle_moments(X0, [F(1)], 1), PolynomialError,
+     "p length does not match the variable count"),
+    (lambda: oracle_moments(X0, [F(1, 2), F(1, 4)], 1), ValueError,
+     "oracle_moments requires an exactly normalized p"),
+    (lambda: parse_polynomial("1 1^1", 1), PolynomialError,
+     "line 1: expected 'coeff : monomial'"),
+])
+def test_malformed_input_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

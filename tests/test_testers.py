@@ -230,6 +230,38 @@ def test_config_seed_refused(seed):
         TesterConfig(epsilon=0.5, seed=seed)
 
 
+def _calibrate_on_a_nan_kernel(monkeypatch):
+    def nan_kernel(counts):
+        sigma, phi = real(counts)
+        return sigma, np.full_like(phi, np.nan)
+
+    real = testers.binary_bin_statistics
+    monkeypatch.setattr(testers, "binary_bin_statistics", nan_kernel)
+    cfg = TesterConfig(epsilon=0.5, m_override=100)
+    return calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 100)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: sample_complexity_binary_raw(0, 0.5), TesterInputError, "n must be >= 1"),
+    (lambda mp: sample_complexity_binary_raw(10, 0.0), TesterInputError,
+     "effective epsilon must be > 0"),
+    (lambda mp: sample_complexity_general(0, 2, 2, 0.5), TesterInputError,
+     "dimensions must be >= 1"),
+    (lambda mp: sample_complexity_general(10, 2, 2, 1.5), TesterInputError,
+     "eps must lie in (0, 1]"),
+    # indices in range of dims with more cells than an index can hold: numpy's message
+    (lambda mp: run_tester(np.array([[0, 0, 0], [1, 1, 5]]), TesterConfig(epsilon=0.5),
+                           dims=(2, 2, 2**62)), ValueError,
+     "invalid dims: array size defined by dims is larger than the maximum possible size."),
+    (_calibrate_on_a_nan_kernel, TesterInputError,
+     "degenerate null generator: non-finite statistics"),
+])
+def test_malformed_input_refused(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert str(info.value) == message
+
+
 class TestRunTrials:
     """A column of trials, distributions on one domain, draws from one
     stream in order: `run_trials` yields the same verdicts, byte for byte,
