@@ -370,7 +370,7 @@ def _read_cells(path, layout: str):
     cells = rows["cell"]
     if np.any((cells < 1) | (cells > dims)):
         if body is None:  # numpy parsed the named file: a regular file, read again
-            body = Path(path).read_text(encoding="utf-8").partition("\n")[2]
+            body = read_text(path).partition("\n")[2]
         raise _index_error(path, body, cells, dims, layout)
     return dims, cells - 1, rows["value"]
 
@@ -447,7 +447,7 @@ def _parse_rows(path, body: str | None, dtype, layout: str) -> np.ndarray:
         except UnicodeDecodeError:
             raise
         except ValueError:
-            body = Path(path).read_text(encoding="utf-8").partition("\n")[2]
+            body = read_text(path).partition("\n")[2]
     if not body.strip():
         return np.empty(0, dtype)
     lineno, line = 1, ""

@@ -231,12 +231,9 @@ def test_config_seed_refused(seed):
 
 
 def _calibrate_on_a_nan_kernel(monkeypatch):
-    def nan_kernel(counts):
-        sigma, phi = real(counts)
-        return sigma, np.full_like(phi, np.nan)
-
     real = testers.binary_bin_statistics
-    monkeypatch.setattr(testers, "binary_bin_statistics", nan_kernel)
+    monkeypatch.setattr(testers, "binary_bin_statistics",
+                        lambda counts: (real(counts)[0], np.full(counts.shape[2], np.nan)))
     cfg = TesterConfig(epsilon=0.5, m_override=100)
     return calibrate_threshold(lambda t: JointDistribution.uniform(2, 2, 4), cfg, 100)
 
