@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--eps", type=float, default=0.5)
-    p_gen.add_argument("--m", type=int, default=None, help="ensemble heavy-bin parameter")
+    p_gen.add_argument("--m", type=int, default=None,
+                       help="ensemble heavy-bin parameter (default max(1, n // 2))")
     p_gen.add_argument("--ell1", type=int, default=2)
     p_gen.add_argument("--ell2", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=0)
@@ -144,7 +145,7 @@ def _cmd_gen(args) -> int:
         family=args.family,
         n=args.n,
         eps=args.eps,
-        m=args.m,
+        m=_resolve_gen_m("half_n" if args.m is None else args.m, args.n),
         seed=args.seed,
         ell1=args.ell1,
         ell2=args.ell2,

@@ -254,6 +254,23 @@ def _trial_column(cfg: TesterConfig, trials: int, instance, rng):
     return accepts, stats
 
 
+def _column_reaches(cfg: TesterConfig, trials: int, instance, rng, accept: bool,
+                    target_power: float) -> bool:
+    """Whether at least `target_power * trials` of the trials of
+    `_trial_column(cfg, trials, instance, rng)` have the accept flag
+    `accept`.  Verdicts are pulled one at a time, and the column stops at
+    the first trial where that is settled: when the hits reach the target,
+    or when the hits plus the trials left fall short of it."""
+    need = target_power * trials
+    hits = 0
+    verdicts = run_trials(map(instance, range(trials)), cfg, rng)
+    for t, verdict in enumerate(verdicts, start=1):
+        hits += verdict.accept == accept
+        if hits >= need or hits + trials - t < need:
+            break
+    return hits >= need
+
+
 def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
     n, eps, _ = cell
     start = time.perf_counter()
@@ -368,10 +385,12 @@ def find_min_m(
     keyed by trial only), which keeps the empirical power roughly monotone
     in m; residual statistical noise is inherent and documented.  Each
     probe pins m and calibrates tau on the first `calibration_trials` null
-    instances, so neither beta nor zeta enters it; it then runs `trials`
-    null and `trials` alternative trials on the same instances, all
-    through `run_trials` (blocks of trials share one count draw and one
-    kernel call).  The probe at m draws its calibration from the master
+    instances, so neither beta nor zeta enters it; it then runs up to
+    `trials` alternative trials and, if they reach the target, up to
+    `trials` null trials on the same instances, all through `run_trials`
+    (blocks share one count draw and one kernel call); each column stops
+    at its first settled trial (`_column_reaches`), with the outcome of
+    the full column.  The probe at m draws its calibration from the master
     `child_seed(seed, "minm-cal", m)` and its null and alternative columns
     from the streams `generator(seed, tag, m)`, tag "minm-null" or
     "minm-alt"; m enters at full width, so no two probes share a stream.  The
@@ -410,15 +429,14 @@ def find_min_m(
         probe_cfg = replace(cfg, m_override=m, seed=child_seed(seed, "minm-cal", m))
         tau = calibrate_threshold(partial(instance, null_family), probe_cfg, calibration_trials)
 
-        def accepts(family: str, tag: str) -> np.ndarray:
-            return _trial_column(
+        def reaches(family: str, tag: str, accept: bool) -> bool:
+            return _column_reaches(
                 replace(probe_cfg, tau_override=tau), trials, partial(instance, family),
-                generator(seed, tag, m),
-            )[0]
+                generator(seed, tag, m), accept, target_power,
+            )
 
-        null_ok = accepts(null_family, "minm-null").sum()
-        alt_reject = (~accepts(alt_family, "minm-alt")).sum()
-        return null_ok >= target_power * trials and alt_reject >= target_power * trials
+        # the alternative column first: most failing probes fail there
+        return reaches(alt_family, "minm-alt", False) and reaches(null_family, "minm-null", True)
 
     # lo is the last m that failed: equal to m until a probe fails, so that a
     # first probe that passes leaves no midpoint to probe

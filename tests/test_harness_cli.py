@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import types
 import warnings
 
 import numpy as np
@@ -257,16 +258,13 @@ def fake_probes(monkeypatch, passes_from: int) -> list[int]:
     that the probed m values are appended to, in order."""
     probed: list[int] = []
 
-    def column(cfg, trials, instance, rng):
-        # the column's instance is partial(instance, family): a passing probe's
-        # null column accepts and its alternative column rejects
-        null = instance.args == ("yes_binary_r1",)
-        if null:
+    def column(cfg, trials, instance, rng, accept, target_power):
+        # every probe runs its alternative column, the one that counts rejections
+        if not accept:
             probed.append(cfg.m_override)
-        accept = (cfg.m_override >= passes_from) == null
-        return np.full(trials, accept), np.zeros(trials)
+        return cfg.m_override >= passes_from
 
-    monkeypatch.setattr(harness, "_trial_column", column)
+    monkeypatch.setattr(harness, "_column_reaches", column)
     monkeypatch.setattr(harness, "calibrate_threshold", lambda *args: 1.0)
     return probed
 
@@ -373,6 +371,81 @@ class TestFindMinM:
         with pytest.raises(PlanError, match="m_start must be >= 1 and <= m_cap 16, got 32"):
             find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
                        calibration_trials=100, m_start=32, m_cap=16)
+
+
+def full_column_reaches(cfg, trials, instance, rng, accept, target_power):
+    """`harness._column_reaches` by counting every trial of the column."""
+    accepts, _ = harness._trial_column(cfg, trials, instance, rng)
+    return (accepts == accept).sum() >= target_power * trials
+
+
+class TestSettledColumns:
+    """A min-m probe's column stops at its first settled trial and gives the
+    bool of the full column, so every search returns what it did when each
+    probe ran all of its trials."""
+
+    PAIR = ("yes_binary_r1", "no_binary_r1")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(50, 200), st.floats(0.5, 0.95, exclude_min=True, exclude_max=True),
+           st.floats(0, 1), st.integers(0, 2**32 - 1), st.booleans())
+    def test_settle_rule(self, trials, target, rate, seed, accept):
+        flags = (np.random.default_rng(seed).random(trials) < rate).tolist()
+        pulled = []
+
+        def verdicts(dists, cfg, rng):
+            for flag in flags:
+                pulled.append(flag)
+                yield types.SimpleNamespace(accept=flag)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(harness, "run_trials", verdicts)
+            got = harness._column_reaches(None, trials, lambda t: t, None, accept, target)
+        need = target * trials
+        hits = np.cumsum(np.array(flags) == accept)
+        settled = (hits >= need) | (hits + trials - np.arange(1, trials + 1) < need)
+        assert got == (hits[-1] >= need)
+        assert len(pulled) == np.argmax(settled) + 1
+
+    @pytest.mark.parametrize("kwargs", [
+        *(dict(n=40, eps=0.5, families=("yes_binary_r1", "no_binary_r1"), seed=seed)
+          for seed in range(4)),
+        # its probe at m = 64 passes the alternative column and fails the null one
+        dict(n=20, eps=0.3, families=("random_ci", "random_far"), seed=1, mode="general",
+             ell1=3, ell2=3, m_start=16),
+    ])
+    def test_search_matches_full_columns(self, monkeypatch, kwargs):
+        def search():
+            return find_min_m(target_power=0.7, trials=50, calibration_trials=100, **kwargs)
+
+        settled = search()
+        monkeypatch.setattr(harness, "_column_reaches", full_column_reaches)
+        assert search() == settled
+
+    def test_exhausted_search_matches_full_columns(self, monkeypatch):
+        def message():
+            with pytest.raises(BudgetExhaustedError) as info:
+                find_min_m(20, 0.5, ("random_ci", "random_ci"), 0.7, seed=0, trials=50,
+                           calibration_trials=100, m_start=16, m_cap=256)
+            return str(info.value)
+
+        settled = message()
+        monkeypatch.setattr(harness, "_column_reaches", full_column_reaches)
+        assert message() == settled
+
+    def test_search_verdict_count(self, monkeypatch):
+        built = 0
+        init = testers.Verdict.__init__
+
+        def counting(verdict, *args, **kwargs):
+            nonlocal built
+            init(verdict, *args, **kwargs)
+            built += 1
+
+        monkeypatch.setattr(testers.Verdict, "__init__", counting)
+        m = find_min_m(40, 0.5, self.PAIR, 0.7, seed=2, trials=50, calibration_trials=100)
+        # 12 probes of 100 calibration trials; with every column run in full, 2,400 verdicts
+        assert (m, built) == (11585, 1600)
 
 
 class TestBatchedEngine:
@@ -568,6 +641,16 @@ class TestPinnedOutputs:
                 "--alt-family", "no_binary_r1", "--target", "0.7", "--trials", "120",
                 "--seed", "701"]
         assert run_cli(argv) == (0, "m=27554\n")
+
+    @pytest.mark.parametrize("seed, want", [
+        (701, 27554), (702, 27554), (703, 23170), (704, 23170), (705, 27554),
+    ])
+    def test_minm_binary_workload_values(self, seed, want):
+        # the benchmark's minm_binary config, recorded with every probe column run in full
+        argv = ["minm", "--n", "100", "--eps", "0.5", "--null-family", "yes_binary_r1",
+                "--alt-family", "no_binary_r1", "--target", "0.7", "--trials", "120",
+                "--m-cap", "2000000", "--seed", str(seed)]
+        assert run_cli(argv) == (0, f"m={want}\n")
 
     def test_minm_cap_value(self):
         # doubling from 32 skips 30000 (16384, then 32768): once exit code 3
@@ -1250,6 +1333,16 @@ class TestCLI:
              "--fingerprint", "1:2 2:1"]
         )
         assert code == 0 and text.strip() == "estimate=1/3"
+
+    def test_gen_binary_heavy_bin_parameter_defaults_to_half_n(self, tmp_path):
+        # once exit code 2, "the binary ensembles need a positive heavy-bin parameter m"
+        written = []
+        for extra in ([], ["--m", "32"]):
+            out = tmp_path / f"inst{len(extra)}.tsv"
+            code, text = run_cli(["gen", "--family", "yes_binary_r1", "--n", "64", *extra,
+                                  "--out", str(out)])
+            written.append((code, text.replace(str(out), "OUT"), out.read_bytes()))
+        assert written[0] == written[1] and written[0][0] == 0
 
     def test_gen_cube_family(self, tmp_path):
         out = tmp_path / "cube.tsv"
