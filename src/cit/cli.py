@@ -24,17 +24,11 @@ from .dist_core import (
     ci_distance_proxy, read_distribution_file, read_sample_file, read_text, write_distribution_file
 )
 from .flattening import implicit_flattening
-from .harness import (
-    BudgetExhaustedError,
-    _resolve_gen_m,
-    find_min_m,
-    parse_plan_file,
-    run_power_experiment,
-)
+from .harness import BudgetExhaustedError, find_min_m, parse_plan_file, run_power_experiment
 from .instances import EnsembleSpec, make_instance
 from .poly_estimator import Fingerprint, parse_polynomial, unbiased_estimate
 from .seeding import seed_sequence
-from .testers import _MODES, TesterConfig, calibrate_threshold, run_tester, sample_budget
+from .testers import MODES, TesterConfig, calibrate_threshold, run_tester, sample_budget
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="run a tester")
-    p_test.add_argument("--mode", choices=_MODES, default="binary")
+    p_test.add_argument("--mode", choices=MODES, default="binary")
     p_test.add_argument("--eps", type=float, required=True)
     p_test.add_argument("--m", type=int, default=None, help="override the sample budget")
     p_test.add_argument("--tau", type=float, default=None, help="override the threshold")
@@ -79,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--n", type=int, required=True)
     p_cal.add_argument("--eps", type=float, default=0.5)
     p_cal.add_argument("--m", type=int, required=True, help="tester sample budget")
-    p_cal.add_argument("--gen-m", type=int, default=None, help="ensemble parameter")
+    p_cal.add_argument("--gen-m", type=int, default=None,
+                       help="ensemble heavy-bin parameter (default max(1, n // 2))")
     p_cal.add_argument("--ell1", type=int, default=2)
     p_cal.add_argument("--ell2", type=int, default=2)
     p_cal.add_argument("--trials", type=int, default=200)
@@ -145,7 +140,7 @@ def _cmd_gen(args) -> int:
         family=args.family,
         n=args.n,
         eps=args.eps,
-        m=_resolve_gen_m("half_n" if args.m is None else args.m, args.n),
+        m=args.m,
         seed=args.seed,
         ell1=args.ell1,
         ell2=args.ell2,
@@ -166,9 +161,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    gen_m = _resolve_gen_m("half_n" if args.gen_m is None else args.gen_m, args.n)
     cfg = TesterConfig(epsilon=args.eps, mode=args.mode, m_override=args.m, seed=args.seed)
-    spec = EnsembleSpec(args.family, args.n, args.eps, gen_m, ell1=args.ell1, ell2=args.ell2)
+    spec = EnsembleSpec(args.family, args.n, args.eps, args.gen_m, ell1=args.ell1, ell2=args.ell2)
     sample_budget(cfg, spec.dims)  # refuses what the tester would, before any instance
     tau = calibrate_threshold(
         lambda t: make_instance(replace(spec, seed=seed_sequence(args.seed, "cli-cal", t)))[0],

@@ -53,7 +53,9 @@ class ExperimentPlan:
     """A grid of (n, eps, m) cells, a family pair, and trial counts.  Made
     only if every cell passes `_cell`, so a plan that a run would refuse
     fails before its first instance; the plan itself checks only the seed,
-    the trial counts and that the grid is non-empty."""
+    the trial counts and that the grid is non-empty.  `gen_m` is the
+    ensembles' heavy-bin parameter, None (the plan-file value `half_n`)
+    for max(1, n // 2) at each n."""
 
     null_family: str
     alt_family: str
@@ -67,7 +69,7 @@ class ExperimentPlan:
     master_seed: int = 0
     beta: float = 2.0
     zeta: float = 2.0
-    gen_m: object = "half_n"
+    gen_m: int | None = None
     calibration_trials: int = 0
 
     def __post_init__(self):
@@ -151,7 +153,7 @@ _PLAN_KEYS = {
     "seed": ("master_seed", int),
     "beta": ("beta", float),
     "zeta": ("zeta", float),
-    "gen_m": ("gen_m", lambda v: v if v == "half_n" else int(v)),
+    "gen_m": ("gen_m", lambda v: None if v == "half_n" else int(v)),
     "calibration_trials": ("calibration_trials", int),
 }
 
@@ -195,13 +197,6 @@ def parse_plan_file(path) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_gen_m(gen_m, n: int) -> int:
-    """The ensembles' heavy-bin parameter: `gen_m`, or max(1, n // 2) for "half_n"."""
-    if gen_m == "half_n":
-        return max(1, n // 2)
-    return int(gen_m)
-
-
 def _cell(plan: ExperimentPlan, n: int, eps: float, m_spec):
     """(cfg, null spec, alt spec) of the grid cell (n, eps, m_spec): the
     tester config with its budget pinned, and the two families' specs but
@@ -212,8 +207,7 @@ def _cell(plan: ExperimentPlan, n: int, eps: float, m_spec):
     specs = []
     for family in (plan.null_family, plan.alt_family):
         try:
-            specs.append(EnsembleSpec(family, n, eps, _resolve_gen_m(plan.gen_m, n),
-                                      ell1=plan.ell1, ell2=plan.ell2))
+            specs.append(EnsembleSpec(family, n, eps, plan.gen_m, ell1=plan.ell1, ell2=plan.ell2))
         except RegimeError as exc:
             raise PlanError(f"family {family!r} at n={n} eps={eps!r}: {exc}") from None
     null, alt = specs
@@ -381,7 +375,8 @@ def find_min_m(
     >= target_power, found by doubling from `m_start` (the last step is
     `m_cap`), then two rounds of log-midpoint bisection.
 
-    Instances (gen_m = max(1, n // 2)) are common across probed m values (seeds
+    Instances take `EnsembleSpec`'s default heavy-bin parameter
+    max(1, n // 2) and are common across probed m values (seeds
     keyed by trial only), which keeps the empirical power roughly monotone
     in m; residual statistical noise is inherent and documented.  Each
     probe pins m and calibrates tau on the first `calibration_trials` null
@@ -397,16 +392,23 @@ def find_min_m(
     search builds each distinct (family, trial) instance once and keeps it
     for every probe, up to 2^22 mass cells in all; instances past that
     budget are rebuilt at every use, so memory stays O(n) for any n.
-    Raises PlanError, before any probe, when `trials` is outside
-    [MIN_TRIALS, MAX_TRIALS], `m_start` below 1 or above `m_cap`, or the
+    Raises PlanError, before any probe, when `target_power` is outside
+    (0.5, 0.95), `trials` outside [MIN_TRIALS, MAX_TRIALS],
+    `calibration_trials` outside [MIN_CALIBRATION_TRIALS, MAX_TRIALS],
+    `m_start` below 1, `m_cap` below `m_start`, or the
     plan cell (n, eps, m_cap) is refused (`_cell`: a family rule, unpaired
     domains, or an `m_cap` or domain that `sample_budget` refuses), and
     BudgetExhaustedError when the doubling fails at `m_cap`.
     """
     if not 0.5 < target_power < 0.95:
-        raise ValueError("target_power must lie in (0.5, 0.95)")
-    if not 1 <= m_start <= m_cap:
+        raise PlanError(f"target_power must lie in (0.5, 0.95), got {target_power!r}")
+    if m_start < 1:
         raise PlanError(f"m_start must be >= 1 and <= m_cap {m_cap}, got {m_start}")
+    if m_cap < m_start:
+        raise PlanError(f"m_cap must be >= m_start {m_start}, got {m_cap}")
+    if not MIN_CALIBRATION_TRIALS <= calibration_trials <= MAX_TRIALS:
+        raise PlanError(f"calibration_trials must lie in [{MIN_CALIBRATION_TRIALS}, "
+                        f"{MAX_TRIALS}], got {calibration_trials}")
     null_family, alt_family = families
     # every probe's m is at most m_cap, so the plan's one cell checks them all
     plan = ExperimentPlan(null_family, alt_family, (n,), (eps,), (m_cap,), mode=mode,

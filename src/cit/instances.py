@@ -89,7 +89,7 @@ def _check_alphabet(family: str, ell1: int, ell2: int) -> None:
 def _check_binary_regime(n: int, eps: float, m) -> None:
     if not 0 < eps <= 1:
         raise RegimeError("eps must lie in (0, 1]")
-    if m is None or m < 1:
+    if m < 1:
         raise RegimeError("the binary ensembles need a positive heavy-bin parameter m")
     if m >= REGIME_MAX_M_FRACTION * n:
         raise RegimeError(
@@ -124,9 +124,10 @@ class EnsembleSpec:
 
     A spec is refused, with nothing drawn, when its family cannot take
     ell1 x ell2 or its generator would refuse it: each family's rule is
-    one function that the generator applies too.  `dims` is the (l1, l2, n)
-    domain of its instances.  A power plan makes the specs of each of its
-    cells before any runs.
+    one function that the generator applies too.  `m`, the heavy-bin
+    parameter, defaults to max(1, n // 2) for every family; only the binary
+    families read it.  `dims` is the (l1, l2, n) domain of its instances.
+    A power plan makes the specs of each of its cells before any runs.
     """
 
     family: str
@@ -143,6 +144,8 @@ class EnsembleSpec:
         _check_alphabet(self.family, self.ell1, self.ell2)
         if self.n < 1:
             raise RegimeError("n must be >= 1")
+        if self.m is None:
+            object.__setattr__(self, "m", max(1, self.n // 2))
         if self.family in BINARY_FAMILIES:
             _check_binary_regime(self.n, self.eps, self.m)
         elif self.family == "paninski_no":

@@ -10,7 +10,8 @@ factorials
 
     prod_i falling(count_i, alpha_i) / falling(N, d),
 
-extended linearly.  This module provides that estimator, the exact
+extended linearly, with falling(n, k) = n (n-1) ... (n-k+1), which is
+`math.perm(n, k)`.  This module provides that estimator, the exact
 closed form for its second moment (a sum over partial-derivative orders),
 an a-priori variance bound, tail-term envelopes, the specialized degree-4
 polynomial whose value is the squared l2 distance between a bivariate
@@ -51,16 +52,6 @@ class NoUnbiasedEstimatorError(ValueError):
 
 class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the configured budget."""
-
-
-def falling(n: int, k: int) -> int:
-    """Falling factorial n (n-1) ... (n-k+1), exact integer."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def _key_degree(key: ExponentKey) -> int:
@@ -173,7 +164,7 @@ class HomogeneousPolynomial:
                 continue
             term = c
             for i, e in s_map.items():
-                term = term * falling(a_map[i], e)
+                term = term * math.perm(a_map[i], e)
             for i, a in a_map.items():
                 rem = a - s_map.get(i, 0)
                 if rem:
@@ -288,8 +279,8 @@ def unbiased_estimate(Q: HomogeneousPolynomial, f: Fingerprint) -> Fraction:
         raise PolynomialError("fingerprint length does not match the variable count")
     total = Fraction(0)
     for key, c in Q.terms.items():
-        total += Fraction(c) * math.prod(falling(f.counts[i], e) for i, e in key)
-    return total / falling(n_samples, d)
+        total += Fraction(c) * math.prod(math.perm(f.counts[i], e) for i, e in key)
+    return total / math.perm(n_samples, d)
 
 
 def _second_moment_sums(Q: HomogeneousPolynomial, p, N: int):
@@ -311,7 +302,7 @@ def _second_moment_sums(Q: HomogeneousPolynomial, p, N: int):
     if exact:
         values = [Fraction(v) for v in values]
     zero = Fraction(0) if exact else 0.0
-    den = falling(N, d)
+    den = math.perm(N, d)
     tails = [zero] * (d + 1)
     vbound = zero
     for s in Q.derivative_orders():
@@ -321,9 +312,9 @@ def _second_moment_sums(Q: HomogeneousPolynomial, p, N: int):
         h = _key_degree(s)
         weight = math.prod(values[i] ** e for i, e in s) * dval * dval
         weight /= math.prod(math.factorial(e) for _, e in s)
-        tails[h] += weight * falling(N - d, d - h) / den
+        tails[h] += weight * math.perm(N - d, d - h) / den
         if h >= 1:
-            vbound += weight / falling(N, h)
+            vbound += weight / math.perm(N, h)
     return values, tails, vbound
 
 
@@ -375,7 +366,7 @@ def tail_term_bound(Q: HomogeneousPolynomial, p, N: int, g: int) -> float:
     # overlap in at least 2d - N elements), so the coefficient maximum over
     # h >= g sits at the first non-vanishing order
     h0 = max(g, 2 * d - N)
-    coef_g = falling(N - d, d - h0) / falling(N, d)
+    coef_g = math.perm(N - d, d - h0) / math.perm(N, d)
     qplus = Q.abs_poly().evaluate_exact(values)
     max_deriv = 0.0
     for s in Q.derivative_orders():
@@ -494,7 +485,7 @@ def l2_estimator(counts, weights=None) -> Fraction:
         if any(v <= 0 for v in wvals):
             raise PolynomialError("weights must be > 0")
         term = term * np.array(wvals, dtype=object).reshape(arr.shape)
-    return Fraction(sum(term.ravel().tolist())) / falling(n_total, 4)
+    return Fraction(sum(term.ravel().tolist())) / math.perm(n_total, 4)
 
 
 # ---------------------------------------------------------------------------

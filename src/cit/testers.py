@@ -54,7 +54,7 @@ from .dist_core import (
 from .poly_estimator import _l2_cell_terms
 from .seeding import generator
 
-_MODES = ("binary", "general", "cmi")
+MODES = ("binary", "general", "cmi")
 
 #: count cells per block of a binary or cmi column: `run_trials` draws and
 #: tests k = max(1, 2^12 // (l1 l2 n)) trials at a time (10 at n = 100 with
@@ -108,8 +108,8 @@ class TesterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise TesterInputError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise TesterInputError(f"mode must be one of {MODES}")
         if self.mode == "cmi":
             if not 0 < self.epsilon < 0.5:
                 raise TesterInputError("cmi mode needs epsilon in (0, 1/2)")

@@ -98,6 +98,10 @@ class TestPlanParsing:
         with pytest.raises(PlanError, match="grid must be non-empty"):
             ExperimentPlan("yes_binary_r1", "no_binary_r1", **grid)
 
+    def test_gen_m_half_n_parses_to_the_default(self):
+        plan = parse_plan_text(PLAN_TEXT.replace("gen_m=16", "gen_m=half_n"))
+        assert plan.gen_m is None and plan == parse_plan_text(PLAN_TEXT.replace("gen_m=16", ""))
+
     def test_plan_keys_name_every_field_once(self):
         # a plan field and its key can only be removed together
         targets = [target for target, _ in harness._PLAN_KEYS.values()]
@@ -114,6 +118,17 @@ class TestPowerExperiment:
         header = out1.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
         assert "wall_time" not in header
+
+    def test_default_gen_m_writes_the_half_n_csv(self, tmp_path):
+        # gen_m omitted, `half_n` and n // 2 = 20 are one plan, row and CSV
+        written = []
+        for gen_m in ("", "gen_m=half_n", "gen_m=20"):
+            out = tmp_path / f"{len(written)}.csv"
+            run_power_experiment(parse_plan_text(PLAN_TEXT.replace("gen_m=16", gen_m)),
+                                 out_path=out)
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert written[0].decode().splitlines()[1].split(",")[CSV_COLUMNS.index("gen_m")] == "20"
 
     @pytest.mark.parametrize("rate", ["accept_rate_null", "reject_rate_alt"])
     def test_row_rate_outside_unit_interval_refused(self, rate):
@@ -368,9 +383,24 @@ class TestFindMinM:
             raise AssertionError("probed before rejecting m_cap")
 
         monkeypatch.setattr(harness, "make_instance", no_probe)
-        with pytest.raises(PlanError, match="m_start must be >= 1 and <= m_cap 16, got 32"):
+        with pytest.raises(PlanError, match="m_cap must be >= m_start 32, got 16"):
             find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
                        calibration_trials=100, m_start=32, m_cap=16)
+
+    @pytest.mark.parametrize("calibration_trials", [0, 99, 10**9 + 1])
+    def test_calibration_trials_rejected_before_any_instance(self, monkeypatch,
+                                                             calibration_trials):
+        # once refused by the first probe's calibrate_threshold, as a
+        # TesterInputError, after the search had set up its instances
+        def no_instance(spec):
+            raise AssertionError("built an instance before rejecting calibration_trials")
+
+        monkeypatch.setattr(harness, "make_instance", no_instance)
+        with pytest.raises(PlanError) as info:
+            find_min_m(20, 0.5, ("yes_binary_r1", "no_binary_r1"), 0.7, seed=0, trials=50,
+                       calibration_trials=calibration_trials)
+        assert str(info.value) == ("calibration_trials must lie in [100, 1000000000], "
+                                   f"got {calibration_trials}")
 
 
 def full_column_reaches(cfg, trials, instance, rng, accept, target_power):
@@ -930,7 +960,8 @@ class TestCLI:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert run_cli(["minm", "--n", "40", "--eps", "0.5", "--m-cap", "16"]) == (2, "")
-        assert err.getvalue() == "error: m_start must be >= 1 and <= m_cap 16, got 32\n"
+        # then 'm_start must be >= 1 and <= m_cap 16, got 32', naming a flag cit minm lacks
+        assert err.getvalue() == "error: m_cap must be >= m_start 32, got 16\n"
 
     def test_invalid_plan_exit_code(self, tmp_path):
         plan_path = tmp_path / "bad.kv"
@@ -1081,7 +1112,7 @@ class TestCLI:
         (["minm", "--n", "20", "--eps", "0.5", "--trials", "100000000000000000000"],
          "trials must be <= 1000000000, got 100000000000000000000"),
         (["minm", "--n", "20", "--eps", "0.5", "--target", "0.99"],
-         "target_power must lie in (0.5, 0.95)"),
+         "target_power must lie in (0.5, 0.95), got 0.99"),
         # once ran probes for over a second, then refused m = 2^63
         (["minm", "--n", "20", "--eps", "0.5", "--null-family", "yes_binary_r1", "--alt-family",
           "yes_binary_r1", "--trials", "50", "--m-cap", "100000000000000000000"],

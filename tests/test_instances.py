@@ -14,6 +14,8 @@ from cit.dist_core import (
     tv_distance,
 )
 from cit.instances import (
+    BINARY_FAMILIES,
+    FAMILIES,
     EnsembleSpec,
     RegimeError,
     gen_binary_ensemble,
@@ -113,8 +115,13 @@ class TestBinaryEnsembles:
             gen_binary_ensemble(EnsembleSpec("no_binary_r1", n=50, eps=0.4, m=49, seed=0))
         with pytest.raises(RegimeError):
             gen_binary_ensemble(EnsembleSpec("yes_binary_r1", n=50, eps=1.4, m=10, seed=0))
-        with pytest.raises(RegimeError):
-            gen_binary_ensemble(EnsembleSpec("yes_binary_r1", n=50, eps=0.4, m=None, seed=0))
+
+    @pytest.mark.parametrize("m", [0, -3])
+    @pytest.mark.parametrize("family", BINARY_FAMILIES)
+    def test_heavy_bin_parameter_below_one_refused(self, family, m):
+        with pytest.raises(RegimeError) as info:
+            EnsembleSpec(family, n=50, eps=0.4, m=m)
+        assert str(info.value) == "the binary ensembles need a positive heavy-bin parameter m"
 
     def test_pure_function_of_spec_and_seed(self):
         spec = EnsembleSpec("no_binary_r1", n=80, eps=0.3, m=20, seed=123)
@@ -367,6 +374,14 @@ class TestDispatch:
     def test_unknown_family(self):
         with pytest.raises(RegimeError):
             EnsembleSpec(family="mystery", n=10)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_heavy_bin_parameter_defaults_to_half_n(self, family, n):
+        default = EnsembleSpec(family, n=n, eps=0.3, seed=5)
+        explicit = EnsembleSpec(family, n=n, eps=0.3, m=max(1, n // 2), seed=5)
+        assert default == explicit
+        assert make_instance(default)[0].mass.tobytes() == make_instance(explicit)[0].mass.tobytes()
 
 
 class TestTotalVariationSanity:

@@ -15,7 +15,6 @@ from cit.poly_estimator import (
     PolynomialError,
     add_term,
     expected_square,
-    falling,
     homogenize,
     key_from_dense,
     l2_diff_polynomial,
@@ -214,7 +213,7 @@ class TestTailTermBound:
         for h in range(d + 1):
             key = ((0, h),) if h else ()
             val = q.derivative_value(p, key)
-            assert float(val) == pytest.approx(falling(d, h), rel=1e-12)
+            assert float(val) == pytest.approx(math.perm(d, h), rel=1e-12)
         assert tail_term_bound(q, p, d + 2, 1) >= sum(tail_terms(q, p, d + 2)[1:])
 
     def test_l2_uniform_g2(self):
@@ -364,7 +363,6 @@ X0X1 = HomogeneousPolynomial.monomial(2, ((0, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: falling(3, -1), ValueError, "k must be >= 0"),
     (lambda: HomogeneousPolynomial(2, 1, {((2, 1),): 1}), PolynomialError,
      "variable index 2 outside [0, 2)"),
     (lambda: HomogeneousPolynomial(2, 2, {((1, 1), (0, 1)): 1}), PolynomialError,

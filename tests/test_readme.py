@@ -22,7 +22,7 @@ def test_plan_example_parses():
     )
     assert (plan.n_values, plan.eps_values, plan.m_values) == ((100, 400), (0.5, 0.3), ("auto",))
     assert (plan.trials, plan.master_seed, plan.gen_m, plan.calibration_trials) == (
-        300, 7, "half_n", 300
+        300, 7, None, 300
     )
 
 

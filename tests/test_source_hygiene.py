@@ -1,7 +1,7 @@
 """Source hygiene: every import in `src/cit` is used, every private
-module-level name is used in `src/cit` besides its definition, no
-function rebinds a module global, and starting the CLI loads neither
-`numpy.random` nor the process pool."""
+module-level name is used in `src/cit` besides its definition, `cli.py`
+imports no private name, no function rebinds a module global, and
+starting the CLI loads neither `numpy.random` nor the process pool."""
 
 import ast
 import os
@@ -45,6 +45,18 @@ def test_no_unused_import_or_private_name():
         unused += [f"{module}: {n}" for n in private if not n.endswith("__") and n not in anywhere]
     assert SOURCES
     assert unused == []
+
+
+def test_cli_imports_only_public_names():
+    # the command line runs on the package's public names (and dunders
+    # such as `__version__`); a rule that only a private helper applies
+    # belongs with the type that owns it
+    tree = ast.parse((SRC / "cit" / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_no_global_statement():
