@@ -12,6 +12,7 @@ out of the CSV for that reason.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import sys
@@ -27,8 +28,8 @@ from .dist_core import read_text
 from .instances import EnsembleSpec, RegimeError, make_instance
 from .seeding import child_seed, generator, seed_sequence
 from .testers import (
-    MAX_TRIALS, MIN_CALIBRATION_TRIALS, TesterConfig, TesterInputError, calibrate_threshold,
-    run_trials, sample_budget,
+    MAX_TRIALS, MIN_CALIBRATION_TRIALS, TesterConfig, TesterInputError, _calibration_statistics,
+    _positive_tau, _tau_rank, calibrate_threshold, run_trials, sample_budget,
 )
 
 SCHEMA_VERSION = 1
@@ -253,16 +254,71 @@ def _column_reaches(cfg: TesterConfig, trials: int, instance, rng, accept: bool,
     """Whether at least `target_power * trials` of the trials of
     `_trial_column(cfg, trials, instance, rng)` have the accept flag
     `accept`.  Verdicts are pulled one at a time, and the column stops at
-    the first trial where that is settled: when the hits reach the target,
-    or when the hits plus the trials left fall short of it."""
-    need = target_power * trials
-    hits = 0
+    the first trial where that is settled (`_settles`)."""
     verdicts = run_trials(map(instance, range(trials)), cfg, rng)
-    for t, verdict in enumerate(verdicts, start=1):
-        hits += verdict.accept == accept
-        if hits >= need or hits + trials - t < need:
-            break
-    return hits >= need
+    return _settles((v.accept == accept for v in verdicts), trials, target_power * trials)
+
+
+def _settles(hits, trials: int, need: float, count: int = 0, pulled: int = 0) -> bool:
+    """Whether a column of `trials` trials has at least `need` hits, when
+    `pulled` of its trials, `count` of them hits, are already in and
+    `hits` yields the flags of the rest in order.  Flags are pulled one at
+    a time until the outcome is settled: when the hits reach `need`, or
+    when the hits plus the trials left fall short of it."""
+    while count < need <= count + trials - pulled:
+        count += next(hits)
+        pulled += 1
+    return count >= need
+
+
+def _probe(cfg: TesterConfig, seed: int, m: int, null_instance, alt_instance, trials: int,
+           calibration_trials: int, target_power: float) -> bool:
+    """The outcome of `find_min_m`'s probe at budget m: with tau calibrated
+    on `calibration_trials` (C) null instances, at least `target_power *
+    trials` alternative trials reject and as many null trials accept.
+
+    Calibration and alternative statistics are pulled in turn, one of
+    each.  The (C // 6 + 1)-th largest calibration statistic so far,
+    floored as tau is (`_tau_rank`, `_positive_tau`), is a bound lo <= tau
+    that only rises, and the probe fails at the first pair where the
+    alternative statistics above lo plus the alternative trials left fall
+    short of the target.  Otherwise lo ends as tau, the alternative column
+    goes on from where it stopped, and the null column follows, each to
+    its first settled trial (`_settles`).  Min-heaps of the C // 6 + 1
+    largest calibration statistics and of the alternative statistics
+    above lo make this O(log C) a trial.  The calibration, alternative and
+    null columns draw from three streams (`child_seed(seed, "minm-cal",
+    m)`, `generator(seed, "minm-alt" or "minm-null", m)`), so the order of
+    pulls moves no draw: the outcome is that of all three run in full.
+    """
+    cfg = replace(cfg, m_override=m, seed=child_seed(seed, "minm-cal", m))
+    need = target_power * trials
+    rank = _tau_rank(calibration_trials)
+    top: list[float] = []
+    above: list[float] = []
+    lo = _positive_tau(-math.inf)
+    # the alternative verdicts carry cfg's own threshold: only their A is read
+    alt = (v.statistic_A for v in run_trials(map(alt_instance, range(trials)), cfg,
+                                             generator(seed, "minm-alt", m)))
+    pulled = 0
+    for null_stat in _calibration_statistics(null_instance, cfg, calibration_trials):
+        if len(top) < rank:
+            heapq.heappush(top, null_stat)
+        else:
+            heapq.heappushpop(top, null_stat)
+        if len(top) == rank:
+            lo = _positive_tau(top[0])
+            while above and above[0] <= lo:
+                heapq.heappop(above)
+        if pulled < trials:
+            pulled += 1
+            if (alt_stat := next(alt)) > lo:
+                heapq.heappush(above, alt_stat)
+        if len(above) + trials - pulled < need:
+            return False
+    return (_settles((stat > lo for stat in alt), trials, need, len(above), pulled)
+            and _column_reaches(replace(cfg, tau_override=lo), trials, null_instance,
+                                generator(seed, "minm-null", m), True, target_power))
 
 
 def _run_cell(plan: ExperimentPlan, cell_idx: int, cell) -> PowerRow:
@@ -379,13 +435,16 @@ def find_min_m(
     max(1, n // 2) and are common across probed m values (seeds
     keyed by trial only), which keeps the empirical power roughly monotone
     in m; residual statistical noise is inherent and documented.  Each
-    probe pins m and calibrates tau on the first `calibration_trials` null
-    instances, so neither beta nor zeta enters it; it then runs up to
-    `trials` alternative trials and, if they reach the target, up to
-    `trials` null trials on the same instances, all through `run_trials`
-    (blocks share one count draw and one kernel call); each column stops
-    at its first settled trial (`_column_reaches`), with the outcome of
-    the full column.  The probe at m draws its calibration from the master
+    probe (`_probe`) pins m and calibrates tau on the first
+    `calibration_trials` null instances, so neither beta nor zeta enters
+    it, against up to `trials` alternative trials and, if they reach the
+    target, up to `trials` null trials on the same instances, all through
+    `run_trials` (blocks share one count draw and one kernel call).  It
+    pulls calibration and alternative trials in turn and stops once a
+    lower bound on tau settles its failure, so a failing probe need not
+    finish its calibration; each column stops at its first settled
+    trial, and every probe has the outcome of its calibration and columns
+    run in full.  The probe at m draws its calibration from the master
     `child_seed(seed, "minm-cal", m)` and its null and alternative columns
     from the streams `generator(seed, tag, m)`, tag "minm-null" or
     "minm-alt"; m enters at full width, so no two probes share a stream.  The
@@ -428,17 +487,8 @@ def find_min_m(
         return inst
 
     def probe(m: int) -> bool:
-        probe_cfg = replace(cfg, m_override=m, seed=child_seed(seed, "minm-cal", m))
-        tau = calibrate_threshold(partial(instance, null_family), probe_cfg, calibration_trials)
-
-        def reaches(family: str, tag: str, accept: bool) -> bool:
-            return _column_reaches(
-                replace(probe_cfg, tau_override=tau), trials, partial(instance, family),
-                generator(seed, tag, m), accept, target_power,
-            )
-
-        # the alternative column first: most failing probes fail there
-        return reaches(alt_family, "minm-alt", False) and reaches(null_family, "minm-null", True)
+        return _probe(cfg, seed, m, partial(instance, null_family), partial(instance, alt_family),
+                      trials, calibration_trials, target_power)
 
     # lo is the last m that failed: equal to m until a probe fails, so that a
     # first probe that passes leaves no midpoint to probe

@@ -86,6 +86,11 @@ def _check_alphabet(family: str, ell1: int, ell2: int) -> None:
             )
 
 
+def _check_int(field: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise RegimeError(f"{field} must be an int, got {value!r}")
+
+
 def _check_binary_regime(n: int, eps: float, m) -> None:
     if not 0 < eps <= 1:
         raise RegimeError("eps must lie in (0, 1]")
@@ -124,10 +129,11 @@ class EnsembleSpec:
 
     A spec is refused, with nothing drawn, when its family cannot take
     ell1 x ell2 or its generator would refuse it: each family's rule is
-    one function that the generator applies too.  `m`, the heavy-bin
-    parameter, defaults to max(1, n // 2) for every family; only the binary
-    families read it.  `dims` is the (l1, l2, n) domain of its instances.
-    A power plan makes the specs of each of its cells before any runs.
+    one function that the generator applies too.  `n` and `m` are ints,
+    not bools.  `m`, the heavy-bin parameter, defaults to max(1, n // 2)
+    for every family; only the binary families read it.  `dims` is the
+    (l1, l2, n) domain of its instances.  A power plan makes the specs of
+    each of its cells before any runs.
     """
 
     family: str
@@ -142,10 +148,12 @@ class EnsembleSpec:
         if self.family not in FAMILIES:
             raise RegimeError(f"unknown family {self.family!r}")
         _check_alphabet(self.family, self.ell1, self.ell2)
+        _check_int("n", self.n)
         if self.n < 1:
             raise RegimeError("n must be >= 1")
         if self.m is None:
             object.__setattr__(self, "m", max(1, self.n // 2))
+        _check_int("m", self.m)
         if self.family in BINARY_FAMILIES:
             _check_binary_regime(self.n, self.eps, self.m)
         elif self.family == "paninski_no":

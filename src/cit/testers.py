@@ -662,14 +662,31 @@ def calibrate_threshold(null_generator, cfg: TesterConfig, trials: int) -> float
         raise TesterInputError(f"calibration needs at least {MIN_CALIBRATION_TRIALS} trials")
     if trials > MAX_TRIALS:
         raise TesterInputError(f"calibration trials must be <= {MAX_TRIALS}, got {trials}")
+    stats = np.fromiter(_calibration_statistics(null_generator, cfg, trials), dtype=float,
+                        count=trials)
+    return _positive_tau(float(np.sort(stats)[trials - _tau_rank(trials)]))
 
+
+def _calibration_statistics(null_generator, cfg: TesterConfig, trials: int):
+    """Yield the statistics A of `calibrate_threshold`'s column, one at a
+    time and in trial order, from the same stream; a non-finite statistic
+    is a TesterInputError when it is reached.  A caller that needs only a
+    bound on tau can stop early (as a `find_min_m` probe does)."""
     rng = generator(cfg.seed, "calibrate")
-    verdicts = run_trials(map(null_generator, range(trials)), replace(cfg, tau_override=None), rng)
-    stats = np.fromiter((v.statistic_A for v in verdicts), dtype=float, count=trials)
-    if not np.all(np.isfinite(stats)):
-        raise TesterInputError("degenerate null generator: non-finite statistics")
-    allowed = trials // 6
-    tau = float(np.sort(stats)[trials - 1 - allowed])
-    if tau <= 0.0:
-        tau = float(np.finfo(float).tiny)
-    return tau
+    for verdict in run_trials(map(null_generator, range(trials)), replace(cfg, tau_override=None),
+                              rng):
+        if not math.isfinite(verdict.statistic_A):
+            raise TesterInputError("degenerate null generator: non-finite statistics")
+        yield verdict.statistic_A
+
+
+def _tau_rank(trials: int) -> int:
+    """The rank from the top of a calibration's tau among its `trials` null
+    statistics: trials // 6 + 1, so that at most trials // 6 exceed it."""
+    return trials // 6 + 1
+
+
+def _positive_tau(stat: float) -> float:
+    """A calibration's tau from the statistic at `_tau_rank`: `stat`, or the
+    smallest positive float when `stat` is not positive."""
+    return stat if stat > 0.0 else float(np.finfo(float).tiny)

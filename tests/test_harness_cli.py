@@ -36,6 +36,7 @@ from cit.harness import (
 )
 from cit.instances import EnsembleSpec, make_instance
 from cit.poly_estimator import l2_diff_polynomial, parse_polynomial
+from cit.seeding import child_seed, generator
 from cit.testers import TesterConfig, run_tester
 
 PLAN_TEXT = """
@@ -273,14 +274,15 @@ def fake_probes(monkeypatch, passes_from: int) -> list[int]:
     that the probed m values are appended to, in order."""
     probed: list[int] = []
 
-    def column(cfg, trials, instance, rng, accept, target_power):
-        # every probe runs its alternative column, the one that counts rejections
-        if not accept:
-            probed.append(cfg.m_override)
-        return cfg.m_override >= passes_from
+    def probe(cfg, seed, m, *args):
+        probed.append(m)
+        return m >= passes_from
 
-    monkeypatch.setattr(harness, "_column_reaches", column)
-    monkeypatch.setattr(harness, "calibrate_threshold", lambda *args: 1.0)
+    def no_instance(spec):
+        raise AssertionError("a faked probe built an instance")
+
+    monkeypatch.setattr(harness, "_probe", probe)
+    monkeypatch.setattr(harness, "make_instance", no_instance)
     return probed
 
 
@@ -403,10 +405,17 @@ class TestFindMinM:
                                    f"got {calibration_trials}")
 
 
-def full_column_reaches(cfg, trials, instance, rng, accept, target_power):
-    """`harness._column_reaches` by counting every trial of the column."""
-    accepts, _ = harness._trial_column(cfg, trials, instance, rng)
-    return (accepts == accept).sum() >= target_power * trials
+def full_probe(cfg, seed, m, null_instance, alt_instance, trials, calibration_trials,
+               target_power):
+    """`harness._probe` by `calibrate_threshold` and both columns run in full,
+    on the probe's streams."""
+    cfg = dataclasses.replace(cfg, m_override=m, seed=child_seed(seed, "minm-cal", m))
+    tau = testers.calibrate_threshold(null_instance, cfg, calibration_trials)
+    cfg = dataclasses.replace(cfg, tau_override=tau)
+    alt, _ = harness._trial_column(cfg, trials, alt_instance, generator(seed, "minm-alt", m))
+    null, _ = harness._trial_column(cfg, trials, null_instance, generator(seed, "minm-null", m))
+    need = target_power * trials
+    return (~alt).sum() >= need and null.sum() >= need
 
 
 class TestSettledColumns:
@@ -437,6 +446,79 @@ class TestSettledColumns:
         assert got == (hits[-1] >= need)
         assert len(pulled) == np.argmax(settled) + 1
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(100, 300), st.integers(50, 200),
+           st.floats(0.5, 0.95, exclude_min=True, exclude_max=True), st.integers(0, 2**32 - 1),
+           st.sampled_from(["ties", "normal", "zero", "negative"]), st.floats(0, 1))
+    def test_joint_rule(self, calibration_trials, trials, target, seed, null, rate):
+        # integer statistics tie with one another and with tau, and take zero
+        # and negative values; an all-zero or all-negative null gives tau the
+        # positive floor.  An alternative statistic is a null one, raised
+        # above every null statistic at `rate`
+        rng = np.random.default_rng(seed)
+        cal = {"ties": rng.integers(-2, 3, calibration_trials).astype(float),
+               "normal": rng.normal(size=calibration_trials),
+               "zero": np.zeros(calibration_trials),
+               "negative": -rng.integers(1, 4, calibration_trials).astype(float)}[null]
+        alt = rng.choice(cal, trials) + 10.0 * (rng.random(trials) < rate)
+        pulls = {"cal": 0, "alt": 0}
+        bounds, null_taus = [], []
+
+        def cal_stats(null_instance, cfg, trials):
+            for stat in cal.tolist():
+                pulls["cal"] += 1
+                yield stat
+
+        def alt_verdicts(dists, cfg, rng):
+            for stat in alt.tolist():
+                pulls["alt"] += 1
+                yield types.SimpleNamespace(statistic_A=stat)
+
+        def null_column(cfg, *args):
+            null_taus.append(cfg.tau_override)
+            return True
+
+        def positive_tau(stat):
+            bounds.append(testers._positive_tau(stat))
+            return bounds[-1]
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(testers, "_calibration_statistics", cal_stats)
+            tau = testers.calibrate_threshold(None, TesterConfig(0.5), calibration_trials)
+            pulls["cal"] = 0
+            monkeypatch.setattr(harness, "_calibration_statistics", cal_stats)
+            monkeypatch.setattr(harness, "run_trials", alt_verdicts)
+            monkeypatch.setattr(harness, "_column_reaches", null_column)
+            monkeypatch.setattr(harness, "_positive_tau", positive_tau)
+            got = harness._probe(TesterConfig(0.5), 0, 64, lambda t: t, lambda t: t, trials,
+                                 calibration_trials, target)
+        # the documented rule, one prefix at a time: after j calibration and
+        # min(j, trials) alternative pulls, lo is the (C // 6 + 1)-th largest
+        # calibration statistic so far, floored, and the probe fails once the
+        # alternative statistics above lo plus those left fall short
+        need = target * trials
+        rank = calibration_trials // 6 + 1
+        for j in range(1, calibration_trials + 1):
+            kth = np.sort(cal[:j])[-rank] if j >= rank else -np.inf
+            lo = kth if kth > 0 else np.finfo(float).tiny
+            a = min(j, trials)
+            if (alt[:a] > lo).sum() + trials - a < need:
+                want = (False, j, a)
+                break
+        else:
+            # the alternative column goes on at tau and stops once settled
+            a = min(calibration_trials, trials)
+            hits = (alt[:a] > tau).sum()
+            while hits < need <= hits + trials - a:
+                hits += alt[a] > tau
+                a += 1
+            want = (hits >= need, calibration_trials, a)
+        full = (alt > tau).sum() >= need
+        assert got == want[0] == full
+        assert (pulls["cal"], pulls["alt"]) == want[1:]
+        assert bounds == sorted(bounds) and bounds[-1] <= tau
+        assert null_taus == ([tau] if full else [])
+
     @pytest.mark.parametrize("kwargs", [
         *(dict(n=40, eps=0.5, families=("yes_binary_r1", "no_binary_r1"), seed=seed)
           for seed in range(4)),
@@ -449,7 +531,7 @@ class TestSettledColumns:
             return find_min_m(target_power=0.7, trials=50, calibration_trials=100, **kwargs)
 
         settled = search()
-        monkeypatch.setattr(harness, "_column_reaches", full_column_reaches)
+        monkeypatch.setattr(harness, "_probe", full_probe)
         assert search() == settled
 
     def test_exhausted_search_matches_full_columns(self, monkeypatch):
@@ -460,7 +542,7 @@ class TestSettledColumns:
             return str(info.value)
 
         settled = message()
-        monkeypatch.setattr(harness, "_column_reaches", full_column_reaches)
+        monkeypatch.setattr(harness, "_probe", full_probe)
         assert message() == settled
 
     def test_search_verdict_count(self, monkeypatch):
@@ -474,8 +556,10 @@ class TestSettledColumns:
 
         monkeypatch.setattr(testers.Verdict, "__init__", counting)
         m = find_min_m(40, 0.5, self.PAIR, 0.7, seed=2, trials=50, calibration_trials=100)
-        # 12 probes of 100 calibration trials; with every column run in full, 2,400 verdicts
-        assert (m, built) == (11585, 1600)
+        # 12 probes, of which the 10 failing ones stop their calibration early;
+        # with each calibration run in full 1,600 verdicts, and with every
+        # column too 2,400
+        assert (m, built) == (11585, 1081)
 
 
 class TestBatchedEngine:

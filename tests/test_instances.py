@@ -123,6 +123,24 @@ class TestBinaryEnsembles:
             EnsembleSpec(family, n=50, eps=0.4, m=m)
         assert str(info.value) == "the binary ensembles need a positive heavy-bin parameter m"
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        # a fractional m once built an instance, and a float n failed in numpy
+        ((40, 0.5, 2.5), {}, "m must be an int, got 2.5"),
+        ((40,), dict(m=True), "m must be an int, got True"),
+        ((40.0,), {}, "n must be an int, got 40.0"),
+        ((True,), {}, "n must be an int, got True"),
+    ])
+    def test_non_int_size_refused(self, args, kwargs, message):
+        with pytest.raises(RegimeError) as info:
+            EnsembleSpec("yes_binary_r1", *args, **kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_int_sizes_accepted(self):
+        spec = EnsembleSpec("yes_binary_r1", np.int64(40), 0.5, np.int64(10), seed=3)
+        plain = EnsembleSpec("yes_binary_r1", 40, 0.5, 10, seed=3)
+        assert gen_binary_ensemble(spec)[0].mass.tobytes() == \
+            gen_binary_ensemble(plain)[0].mass.tobytes()
+
     def test_pure_function_of_spec_and_seed(self):
         spec = EnsembleSpec("no_binary_r1", n=80, eps=0.3, m=20, seed=123)
         d1, m1 = gen_binary_ensemble(spec)
